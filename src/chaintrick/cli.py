@@ -30,13 +30,7 @@ from .errors import (
     NoStableRegime,
     StepFailure,
 )
-from .hopf_locator import (
-    hopf_in_alpha,
-    hopf_in_g,
-    hopf_in_T_m1,
-    hopf_in_T_m2,
-    hopf_in_T_numeric,
-)
+from .hopf_locator import critical_delays, hopf_in_alpha, hopf_in_g
 from .model_core import equilibrium, growth_interval
 
 CONFIG_VERSION = 1
@@ -73,8 +67,8 @@ _OPTION_DEFAULTS = {
         "vary": "T",
         "alpha_min": 0.05,
         "alpha_max": 2.0,
-        "t_min": 1e-4,
-        "t_max": 50.0,
+        "t_min": None,
+        "t_max": None,
     },
     "simulate": {
         "y0": 15.0,
@@ -141,8 +135,20 @@ def _build_parser():
     sp.add_argument("--vary", choices=("T", "g", "alpha"), default=None)
     sp.add_argument("--alpha-min", dest="alpha_min", type=float, default=None)
     sp.add_argument("--alpha-max", dest="alpha_max", type=float, default=None)
-    sp.add_argument("--t-min", dest="t_min", type=float, default=None)
-    sp.add_argument("--t-max", dest="t_max", type=float, default=None)
+    sp.add_argument(
+        "--t-min",
+        dest="t_min",
+        type=float,
+        default=None,
+        help="--vary T reports only critical delays >= T_MIN (default: no bound)",
+    )
+    sp.add_argument(
+        "--t-max",
+        dest="t_max",
+        type=float,
+        default=None,
+        help="--vary T reports only critical delays <= T_MAX (default: no bound)",
+    )
 
     sp = subs.add_parser("simulate", help="integrate and measure cycles")
     add_common(sp)
@@ -419,15 +425,18 @@ def _cmd_hopf(config, args):
     result = {"vary": vary, "m": macro.m, "hopf_points": []}
     try:
         if vary == "T":
-            if macro.m == 1:
-                points = hopf_in_T_m1(equilibrium(macro, inv), macro)
-            elif macro.m == 2:
-                points = hopf_in_T_m2(equilibrium(macro, inv), macro)
-            else:
-                points = hopf_in_T_numeric(
-                    macro, inv, t_range=(opts["t_min"], opts["t_max"])
+            t_min = 0.0 if opts["t_min"] is None else opts["t_min"]
+            t_max = math.inf if opts["t_max"] is None else opts["t_max"]
+            if not t_min < t_max:
+                raise ValueError(f"--t-min {t_min!r} must be below --t-max {t_max!r}")
+            points = critical_delays(macro, inv)
+            shown = [h for h in points if t_min <= h.value <= t_max]
+            result["hopf_points"] = [_hopf_dict(h) for h in shown]
+            if len(shown) < len(points):
+                result["note"] = (
+                    f"{len(points) - len(shown)} critical delay(s) outside"
+                    f" [{t_min:g}, {t_max:g}] not reported"
                 )
-            result["hopf_points"] = [_hopf_dict(h) for h in points]
         elif vary == "alpha":
             points = hopf_in_alpha(
                 macro, inv, alpha_range=(opts["alpha_min"], opts["alpha_max"])

@@ -1,12 +1,19 @@
 """Hopf bifurcation location in the delay T, the growth rate g and the
 adjustment speed alpha.
 
-For kernel orders m = 1 and m = 2 the critical delays are roots of
-closed-form polynomials in T (a quadratic, respectively the quartic
-evaluated by :func:`chaintrick.char_poly.phi_quartic`); for general m, and
-for the g and alpha directions, crossings are located by tracking the real
-part of the leading complex eigenvalue pair of the equilibrium Jacobian and
-bisecting its sign changes.
+In T every kernel order shares one characteristic equation,
+(lambda - a)(lambda - e)(lambda + m/T)^m = bc (m/T)^m.  For m = 1 and
+m = 2 its critical delays are roots of closed-form polynomials in T (a
+quadratic, respectively the quartic evaluated by
+:func:`chaintrick.char_poly.phi_quartic`).  For m >= 3,
+:func:`hopf_in_T` solves it on the imaginary axis: the modulus gives T as
+an explicit function of the frequency omega, the phase gives the crossings
+as roots in omega, and the crossing direction comes from the analytic
+Re dlambda/dT, with no eigenvalues and no cap on T.  The g and alpha
+directions track the real part of the leading complex eigenvalue pair of
+the equilibrium Jacobian and bisect its sign changes;
+:func:`hopf_in_T_numeric` does the same in T and is kept only as an
+independent reference for the other routes.
 """
 
 import math
@@ -31,6 +38,13 @@ IMAG_TOL = 1e-9
 #: a crossing speed smaller than this is refused as degenerate
 TRANSVERSALITY_TOL = 1e-10
 
+#: points of the omega grid on which :func:`hopf_in_T` scans the phase,
+#: bisection steps on each bracket, then Newton steps on the
+#: characteristic equation to polish the root
+N_GRID = 256
+BISECT_STEPS = 12
+NEWTON_STEPS = 3
+
 
 @dataclass(frozen=True)
 class HopfPoint:
@@ -48,6 +62,10 @@ class HopfPoint:
     omega: float
     crossing: str
     transversality: float
+
+    def __post_init__(self):
+        for name in ("value", "omega", "transversality"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -292,15 +310,149 @@ def _psi_prime_m2(M, N, P, T):
 
 
 # ---------------------------------------------------------------------------
-# numeric location (any m)
+# location in T on the imaginary axis (any m)
+
+
+def _chain_ratio(omega, a, e, bc, m):
+    """s = omega T / m from the modulus condition
+    |Q(i omega)| (1 + s^2)^(m/2) = |bc|, clipped at 0 beyond omega_max."""
+    q2 = (omega * omega + a * a) * (omega * omega + e * e)
+    return np.sqrt(np.maximum((bc * bc / q2) ** (1.0 / m) - 1.0, 0.0))
+
+
+def _phase(omega, a, e, bc, m):
+    """G(omega) = arg Q(i omega) + m atan(s) - arg(bc), continuous for
+    omega > 0; a multiple of 2 pi exactly at a crossing."""
+    return (
+        np.arctan2(omega, -a)
+        + np.arctan2(omega, -e)
+        + m * np.arctan(_chain_ratio(omega, a, e, bc, m))
+        - math.atan2(0.0, bc)
+    )
+
+
+def _newton_step(omega, T, a, e, bc, m):
+    """Newton step in the real unknowns (omega, T) on the characteristic
+    equation Q(i omega) (1 + i omega T/m)^m / bc - 1 = 0."""
+    lam = 1j * omega
+    z = 1.0 + 1j * omega * T / m
+    q = (lam - a) * (lam - e)
+    zm1 = z ** (m - 1) / bc
+    f = q * z * zm1 - 1.0
+    f_om = 1j * ((2.0 * lam - a - e) * z + q * T) * zm1
+    f_T = 1j * omega * q * zm1
+    det = f_om.real * f_T.imag - f_T.real * f_om.imag
+    d_om = (f.imag * f_T.real - f.real * f_T.imag) / det
+    d_T = (f.real * f_om.imag - f.imag * f_om.real) / det
+    return d_om, d_T
+
+
+def hopf_in_T(p, inv, m=None):
+    """Critical delays for any kernel order m, located on the imaginary axis.
+
+    With lambda = i omega, Q(lambda) = (lambda - a)(lambda - e) and
+    s = omega T / m, the characteristic equation splits into a modulus
+    condition that gives T explicitly,
+    T(omega) = (m/omega) sqrt((|bc| / |Q(i omega)|)^(2/m) - 1), valid on
+    (0, omega_max] where |Q(i omega_max)| = |bc|, and a phase condition
+    G(omega) = arg Q(i omega) + m atan(s) - arg(bc) = 2 pi k.  G is
+    scanned on an N_GRID-point omega grid (dense near omega_max, where T
+    vanishes, and reaching omega = 0, where T is unbounded), every bracket
+    of every branch k is bisected at once, and each root is polished by
+    Newton steps on the complex equation in (omega, T).  The crossing
+    direction is the sign of Re dlambda/dT =
+    Re[-(m Q lambda / T) / (Q'(lambda)(lambda + m/T) + m Q)].
+
+    Raises NoHopf when no positive critical delay exists and
+    DegenerateTransversality when a crossing has Re dlambda/dT ~ 0.
+    """
+    if m is not None:
+        p = p.replace(m=m)
+    m = p.m
+    # the m = 2 composites (M, N, P) are (a, e, -bc) for every order
+    a, e, minus_bc = char_poly.composites_m2(equilibrium(p, inv), p)
+    bc = -minus_bc
+    # omega_max^2 solves (w + a^2)(w + e^2) = bc^2, a quadratic in w
+    excess = bc * bc - a * a * e * e
+    if not excess > 0.0:
+        raise NoHopf(f"|bc| <= |ae|: no positive critical delay for m = {m}")
+    root = math.sqrt((a * a - e * e) ** 2 + 4.0 * bc * bc)
+    omega_max = math.sqrt(2.0 * excess / (a * a + e * e + root))
+
+    # omega runs from omega_max (T = 0) down to 0 (T unbounded); the
+    # quadratic spacing resolves the square-root behaviour of T at omega_max
+    v = np.linspace(0.0, 1.0, N_GRID)
+    omegas = omega_max * (1.0 - v * v)
+    if a * e == 0.0:
+        omegas = omegas[:-1]  # arg(i omega - a) has no limit at omega = 0
+    phase = _phase(omegas, a, e, bc, m)
+    two_pi = 2.0 * math.pi
+    branches = range(math.ceil(phase.min() / two_pi), math.floor(phase.max() / two_pi) + 1)
+    if not branches:
+        raise NoHopf(f"no positive critical delay for m = {m} at these parameters")
+    lo, hi, branch = [], [], []
+    for k in branches:
+        above = phase > two_pi * k
+        idx = np.nonzero(above[:-1] != above[1:])[0]
+        lo.append(omegas[idx])
+        hi.append(omegas[idx + 1])
+        branch.append(np.full(idx.size, two_pi * k))
+    lo, hi, branch = np.concatenate(lo), np.concatenate(hi), np.concatenate(branch)
+
+    above_lo = _phase(lo, a, e, bc, m) > branch
+    for _ in range(BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        same = (_phase(mid, a, e, bc, m) > branch) == above_lo
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    omega = 0.5 * (lo + hi)
+    with np.errstate(divide="ignore"):
+        T = m * _chain_ratio(omega, a, e, bc, m) / omega
+    keep = (omega > 0.0) & (T > 0.0) & np.isfinite(T)
+    omega, T, width = omega[keep], T[keep], np.abs(hi - lo)[keep]
+    centre = omega
+    # the root lies in its bracket: a Newton step that leaves it (with one
+    # bracket width to spare for rounding in the phase) is refused
+    for _ in range(NEWTON_STEPS):
+        d_om, d_T = _newton_step(omega, T, a, e, bc, m)
+        om_new, T_new = omega + d_om, T + d_T
+        ok = (np.abs(om_new - centre) <= width) & (T_new > 0.0)
+        omega, T = np.where(ok, om_new, omega), np.where(ok, T_new, T)
+
+    points = []
+    for om, t_star in sorted(zip(omega.tolist(), T.tolist()), key=lambda pair: pair[1]):
+        lam = 1j * om
+        q = (lam - a) * (lam - e)
+        slope = -(m * q * lam / t_star) / ((2.0 * lam - a - e) * (lam + m / t_star) + m * q)
+        if abs(slope.real) <= TRANSVERSALITY_TOL * abs(slope):
+            raise DegenerateTransversality(
+                f"crossing speed vanishes at T* = {t_star:g}"
+            )
+        points.append(
+            HopfPoint(
+                parameter="T",
+                value=t_star,
+                omega=om,
+                crossing="destabilizing" if slope.real > 0.0 else "stabilizing",
+                transversality=slope.real,
+            )
+        )
+    if not points:
+        raise NoHopf(f"no positive critical delay for m = {m} at these parameters")
+    return points
+
+
+# ---------------------------------------------------------------------------
+# eigenvalue reference (any m)
 
 
 def hopf_in_T_numeric(p, inv, m=None, t_range=(1e-4, 50.0), n_grid=512):
     """Locate critical delays for arbitrary kernel order by eigenvalue
     bisection on a geometric T grid.
 
-    Used as the generic route for m >= 3 and as the independent cross-check
-    of the closed forms.  Raises NoHopf when the leading pair never changes
+    An independent reference for :func:`hopf_in_T` and the closed forms,
+    on no production path: it also bisects jumps of the leading pair's
+    real part where an unstable pair turns real, which it reports as
+    spurious crossings.  Raises NoHopf when the leading pair never changes
     sign on the grid.
     """
     if m is not None:
@@ -350,14 +502,14 @@ def _pair_real_or_nan(p, inv):
 
 def critical_delays(p, inv, m=None):
     """Critical delays by the preferred route: closed form for m <= 2,
-    eigenvalue bisection otherwise."""
+    :func:`hopf_in_T` on the imaginary axis otherwise."""
     if m is not None:
         p = p.replace(m=m)
     if p.m in (1, 2):
         eq = equilibrium(p, inv)
         locate = hopf_in_T_m1 if p.m == 1 else hopf_in_T_m2
         return locate(eq, p)
-    return hopf_in_T_numeric(p, inv)
+    return hopf_in_T(p, inv)
 
 
 def hopf_in_alpha(p, inv, m=None, alpha_range=(0.05, 2.0), n_grid=512):

@@ -56,10 +56,10 @@ class MacroParams:
 
     def __post_init__(self):
         for name in ("alpha", "gamma", "delta", "G0"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"MacroParams.{name} must be > 0")
-        if self.T < 0.0:
-            raise ValueError("MacroParams.T must be >= 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"MacroParams.{name} must be finite and > 0")
+        if not 0.0 <= self.T < math.inf:
+            raise ValueError(f"MacroParams.T must be finite and >= 0, got {self.T!r}")
         if int(self.m) != self.m or self.m < 1:
             raise ValueError("MacroParams.m must be an integer >= 1")
 

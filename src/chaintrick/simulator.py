@@ -107,13 +107,15 @@ def integrate(
     StepFailure on step-size underflow; divergence (any component beyond
     1e9) truncates the trajectory and sets ``diverged`` instead.
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be > 0")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+    if sample_dt is None:
+        sample_dt = horizon / 8192.0
+    if not 0.0 < sample_dt < math.inf:
+        raise ValueError(f"sample_dt must be finite and > 0, got {sample_dt!r}")
     s0 = np.asarray(s0, dtype=float)
     if s0[-1] <= 0.0:
         raise CapitalNonPositive(f"initial capital {s0[-1]:g} <= 0", t=t0)
-    if sample_dt is None:
-        sample_dt = horizon / 8192.0
     p, inv = sys.params, sys.inv
     run = get_integrator(backend)
     times, states, status, t_stop = run(

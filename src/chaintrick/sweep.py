@@ -1,19 +1,17 @@
 """Parameter-space scans: bifurcation curves, the (alpha, g) surface of
 critical delays, and the per-order table of growth-rate Hopf points.
 
-Grid cells are independent pure evaluations; a thread pool sized by the
-``CHAINTRICK_THREADS`` environment variable (0 or unset = auto, 1 =
-serial) may evaluate them in any order.  Results are assembled by grid
-index, so output is deterministic regardless of worker count.  Cells with
-no Hopf point carry NaN internally and the ``NA`` sentinel in CSV; a
-critical delay of exactly zero is meaningful (the all-T instability
-threshold) and is never used as a gap marker.
+Grid cells are independent pure evaluations, computed serially in grid
+order (a thread pool measured slower than serial on these sub-millisecond
+cells), so output is deterministic.  Cells with no Hopf point carry NaN
+internally and the ``NA`` sentinel in CSV; a critical delay of exactly
+zero is meaningful (the all-T instability threshold) and is never used as
+a gap marker.
 """
 
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -66,26 +64,6 @@ class SurfaceResult:
     fixed: dict
 
 
-def _worker_count():
-    raw = os.environ.get("CHAINTRICK_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return n
-
-
-def _map_cells(fn, items):
-    """Evaluate fn over items, preserving input order."""
-    workers = _worker_count()
-    if workers == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def smallest_critical_delay(p, inv, m=None):
     """First positive critical delay (the boundary of the small-T stable
     region), or NaN when the cell has no Hopf point."""
@@ -105,10 +83,7 @@ def curve_T_vs_alpha(p, inv, m, alphas):
     """
     alphas = np.asarray(alphas, dtype=float)
     tb = np.array(
-        _map_cells(
-            lambda al: smallest_critical_delay(p.replace(alpha=float(al)), inv, m=m),
-            list(alphas),
-        )
+        [smallest_critical_delay(p.replace(alpha=float(al)), inv, m=m) for al in alphas]
     )
     fit = _fit(np.column_stack([np.ones_like(alphas), 1.0 / alphas]), tb,
                model="c0 + c1/alpha")
@@ -131,10 +106,7 @@ def curve_T_vs_g(p, inv, m, gs):
     fit T_bi = a0 + a1 g + a2 g^2."""
     gs = np.asarray(gs, dtype=float)
     tb = np.array(
-        _map_cells(
-            lambda g: smallest_critical_delay(p.replace(g=float(g)), inv, m=m),
-            list(gs),
-        )
+        [smallest_critical_delay(p.replace(g=float(g)), inv, m=m) for g in gs]
     )
     fit = _fit(np.column_stack([np.ones_like(gs), gs, gs**2]), tb,
                model="a0 + a1*g + a2*g^2")
@@ -170,14 +142,15 @@ def surface_T(p, inv, m, alphas, gs):
     gs = np.asarray(gs, dtype=float)
     if len(alphas) < 16 or len(gs) < 16:
         raise ValueError("surface grids need at least 16 points per axis")
-    cells = [(float(al), float(g)) for al in alphas for g in gs]
-    flat = _map_cells(
-        lambda cell: smallest_critical_delay(
-            p.replace(alpha=cell[0], g=cell[1]), inv, m=m
-        ),
-        cells,
+    grid = np.array(
+        [
+            [
+                smallest_critical_delay(p.replace(alpha=float(al), g=float(g)), inv, m=m)
+                for g in gs
+            ]
+            for al in alphas
+        ]
     )
-    grid = np.array(flat).reshape(len(alphas), len(gs))
     fixed = {"gamma": p.gamma, "delta": p.delta, "G0": p.G0}
     return SurfaceResult(alphas=alphas, gs=gs, t_bi=grid, m=m or p.m, fixed=fixed)
 
@@ -193,7 +166,7 @@ def table_g_bifurcations(p, inv, m_list):
             report.g2_hopf if report.g2_hopf is not None else math.nan,
         )
 
-    return _map_cells(row, list(m_list))
+    return [row(m) for m in m_list]
 
 
 # ---------------------------------------------------------------------------

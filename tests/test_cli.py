@@ -101,6 +101,42 @@ class TestHopfCmd:
         assert doc["hopf_points"] == []
         assert "note" in doc
 
+    def test_vary_T_any_order_through_critical_delays(self, capsys):
+        _, out, _ = run_cli(capsys, "hopf", "--vary", "T", "--alpha", "0.7", "--m", "3")
+        doc = json.loads(out)
+        assert doc["hopf_points"][0]["value"] == pytest.approx(1.0227, abs=1e-3)
+
+    def test_vary_T_reports_every_delay_by_default(self, capsys):
+        _, out, _ = run_cli(capsys, "hopf", "--vary", "T", "--alpha", "0.2")
+        doc = json.loads(out)
+        assert doc["hopf_points"][0]["value"] == pytest.approx(146.409, abs=1e-3)
+        assert "note" not in doc
+        _, out, _ = run_cli(capsys, "hopf", "--vary", "T", "--alpha", "0.18", "--m", "3")
+        assert json.loads(out)["hopf_points"][0]["value"] == pytest.approx(60.514, abs=1e-3)
+
+    def test_vary_T_window_applies_to_every_order(self, capsys):
+        # m = 1 at alpha = 0.2 crosses at T ~ 146
+        code, out, _ = run_cli(capsys, "hopf", "--vary", "T", "--alpha", "0.2", "--t-max", "50")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["hopf_points"] == []
+        assert "note" in doc
+        _, out, _ = run_cli(
+            capsys, "hopf", "--vary", "T", "--alpha", "0.18", "--m", "3", "--t-max", "50"
+        )
+        assert json.loads(out)["hopf_points"] == []
+        _, out, _ = run_cli(
+            capsys, "hopf", "--vary", "T", "--alpha", "0.7", "--m", "2", "--t-min", "2"
+        )
+        assert json.loads(out)["hopf_points"] == []
+
+    def test_vary_T_empty_window_is_domain_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "hopf", "--vary", "T", "--t-min", "5", "--t-max", "1"
+        )
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_vary_alpha(self, capsys):
         _, out, _ = run_cli(
             capsys, "hopf", "--vary", "alpha", "--T", "0.001",
@@ -123,6 +159,19 @@ class TestSimulateCmd:
         assert doc["metrics"]["period"] == pytest.approx(116.45, rel=0.02)
         header = out_csv.read_text(encoding="utf-8").split("\n")[0]
         assert header == "t,y,u1,u2,k"
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--sample-dt", "0", "sample_dt"), ("--T", "nan", "T"), ("--T", "inf", "T"),
+         ("--horizon", "inf", "horizon")],
+    )
+    def test_invalid_input_is_domain_error(self, capsys, flag, value, name):
+        code, out, err = run_cli(capsys, "simulate", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().split("\n")) == 1
+        assert name in err
+        assert "division" not in err and "underflow" not in err
 
     def test_bad_capital_is_numeric_failure(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--k0", "-5")

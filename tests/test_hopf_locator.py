@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chaintrick import hopf_locator
 from chaintrick.char_poly import coeffs_m1, coeffs_m2, cubic_coeffs_at, composites_m1
 from chaintrick.errors import NoHopf, NoStableRegime
 from chaintrick.hopf_locator import (
@@ -10,6 +11,7 @@ from chaintrick.hopf_locator import (
     equilibrium_eigenvalues,
     hopf_in_alpha,
     hopf_in_g,
+    hopf_in_T,
     hopf_in_T_m1,
     hopf_in_T_m2,
     hopf_in_T_numeric,
@@ -270,3 +272,154 @@ class TestHopfInAlpha:
     def test_no_sign_change_raises(self, inv_dm, baseline):
         with pytest.raises(NoHopf):
             hopf_in_alpha(baseline, inv_dm, alpha_range=(0.1, 0.2))
+
+
+def _closed_form(p, inv):
+    locate = hopf_in_T_m1 if p.m == 1 else hopf_in_T_m2
+    return locate(equilibrium(p, inv), p)
+
+
+def _assert_same_points(got, want, rel):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g.value - w.value) <= rel * w.value
+        assert abs(g.omega - w.omega) <= rel * w.omega
+        assert g.crossing == w.crossing
+
+
+class TestHopfInT:
+    def test_agrees_with_closed_forms_at_transversality_points(self, inv_dm, baseline):
+        # the 20 closed-form points of acceptance criterion 6
+        cases = [baseline.replace(alpha=float(al)) for al in np.linspace(0.60, 0.74, 12)]
+        cases += [baseline.replace(alpha=float(al), m=2) for al in np.linspace(0.60, 0.73, 8)]
+        for p in cases:
+            _assert_same_points(hopf_in_T(p, inv_dm), _closed_form(p, inv_dm), 1e-10)
+
+    def test_agrees_with_closed_forms_on_random_draws(self, rng):
+        compared = 0
+        attempts = 0
+        while compared < 200 and attempts < 5000:
+            attempts += 1
+            inv, p, _ = random_model_draw(rng, m=1 + attempts % 2)
+            try:
+                want = _closed_form(p, inv)
+            except NoStableRegime:
+                continue
+            except NoHopf:
+                with pytest.raises(NoHopf):
+                    hopf_in_T(p, inv)
+                continue
+            _assert_same_points(hopf_in_T(p, inv), want, 1e-10)
+            compared += 1
+        assert compared >= 200
+
+    def test_agrees_with_eigenvalue_reference_for_m3_to_m8(self):
+        # every axis crossing in the reference's range is one of its
+        # points; the reference's other points are off the axis (an
+        # unstable pair turning real, which it bisects as a crossing)
+        rng = np.random.default_rng(7)
+        matched = 0
+        for i in range(240):
+            m = 3 + i % 6
+            inv, p, _ = random_model_draw(rng, m=m)
+            try:
+                got = hopf_in_T(p, inv)
+            except NoHopf:
+                got = []
+            try:
+                ref = hopf_in_T_numeric(p, inv, t_range=(1e-3, 30.0), n_grid=256)
+            except NoHopf:
+                ref = []
+            for h in got:
+                if not 2e-3 < h.value < 28.0:
+                    continue
+                nearest = min(ref, key=lambda r: abs(r.value - h.value))
+                assert abs(nearest.value - h.value) <= 1e-8 * h.value
+                assert nearest.crossing == h.crossing
+                matched += 1
+            for r in ref:
+                if any(abs(r.value - h.value) <= 1e-8 * r.value for h in got):
+                    continue
+                eig = equilibrium_eigenvalues(p.replace(T=r.value), inv)
+                assert np.min(np.abs(eig - 1j * r.omega)) > 1e-6 * r.omega
+        assert matched >= 20
+
+    def test_no_spurious_crossing_at_the_old_scan_cap(self, inv_dm, baseline):
+        # the eigenvalue reference also reports T ~ 49.53 here
+        (pt,) = hopf_in_T(baseline.replace(alpha=0.701, g=0.0136), inv_dm, m=4)
+        assert pt.value == pytest.approx(0.9535080, abs=1e-7)
+        assert pt.crossing == "destabilizing"
+
+    def test_crossing_beyond_the_old_scan_cap(self, inv_dm, baseline):
+        (pt,) = hopf_in_T(baseline.replace(alpha=0.18, g=0.016), inv_dm, m=3)
+        assert pt.value == pytest.approx(60.514, abs=1e-3)
+        assert pt.crossing == "destabilizing"
+
+    def test_small_delay_near_the_alpha_threshold(self, inv_dm, baseline):
+        # a + e ~ -1e-4: the crossing sits just below omega_max
+        (pt,) = hopf_in_T(baseline.replace(alpha=0.75, g=0.0148), inv_dm, m=3)
+        assert pt.value == pytest.approx(0.015288, rel=1e-4)
+        assert pt.crossing == "destabilizing"
+
+    @pytest.mark.parametrize(
+        "alpha, g, m",
+        [(0.701, 0.0136, 4), (0.18, 0.016, 3), (0.75, 0.0148, 3), (0.7, 0.016, 3),
+         (0.62, 0.013, 5), (0.66, 0.018, 6), (0.6, 0.015, 8)],
+    )
+    def test_jacobian_has_the_pair_on_the_axis(self, inv_dm, baseline, alpha, g, m):
+        p = baseline.replace(alpha=alpha, g=g, m=m)
+        for pt in hopf_in_T(p, inv_dm):
+            eig = equilibrium_eigenvalues(p.replace(T=pt.value), inv_dm)
+            assert np.min(np.abs(eig - 1j * pt.omega)) < 1e-9
+            assert np.min(np.abs(eig + 1j * pt.omega)) < 1e-9
+
+    def test_direction_matches_eigenvalue_finite_difference(self, inv_dm, baseline):
+        for alpha, g, m in ((0.7, 0.016, 3), (0.18, 0.016, 3), (0.62, 0.013, 6)):
+            p = baseline.replace(alpha=alpha, g=g, m=m)
+            for pt in hopf_in_T(p, inv_dm):
+                h = 1e-5 * pt.value
+                up = pair_max_real(p.replace(T=pt.value + h), inv_dm)[0]
+                dn = pair_max_real(p.replace(T=pt.value - h), inv_dm)[0]
+                assert math.copysign(1.0, up - dn) == math.copysign(1.0, pt.transversality)
+
+    def test_doubling_the_grid_leaves_the_result_unchanged(
+        self, inv_dm, baseline, rng, monkeypatch
+    ):
+        cases = [(inv_dm, baseline.replace(alpha=al, g=g, m=m)) for al, g, m in
+                 ((0.701, 0.0136, 4), (0.18, 0.016, 3), (0.75, 0.0148, 3), (0.7, 0.016, 7))]
+        while len(cases) < 40:
+            inv, p, _ = random_model_draw(rng, m=int(rng.integers(3, 9)))
+            cases.append((inv, p))
+        coarse = []
+        for inv, p in cases:
+            try:
+                coarse.append(hopf_in_T(p, inv))
+            except NoHopf:
+                coarse.append(None)
+        monkeypatch.setattr(hopf_locator, "N_GRID", 2 * hopf_locator.N_GRID)
+        for (inv, p), want in zip(cases, coarse):
+            if want is None:
+                with pytest.raises(NoHopf):
+                    hopf_in_T(p, inv)
+                continue
+            _assert_same_points(hopf_in_T(p, inv), want, 1e-12)
+
+    def test_critical_delays_route_for_m_ge_3(self, inv_dm, baseline):
+        p = baseline.replace(alpha=0.701, g=0.0136)
+        for m in (3, 4, 6):
+            assert critical_delays(p, inv_dm, m=m) == hopf_in_T(p, inv_dm, m=m)
+
+
+def test_hopf_point_fields_are_python_floats(inv_dm, baseline):
+    p = baseline.replace(alpha=0.2)
+    points = list(hopf_in_T_m1(equilibrium(p, inv_dm), p))
+    p2 = baseline.replace(alpha=0.7, m=2)
+    points += hopf_in_T_m2(equilibrium(p2, inv_dm), p2)
+    points += hopf_in_T(baseline.replace(alpha=0.7), inv_dm, m=3)
+    points += hopf_in_T_numeric(baseline.replace(alpha=0.7), inv_dm, m=3, n_grid=64)
+    points += hopf_in_alpha(baseline.replace(T=1.5), inv_dm, alpha_range=(0.3, 1.5))
+    points += hopf_in_g(baseline, inv_dm, m=1).hopf_points
+    assert len(points) >= 7
+    for h in points:
+        for name in ("value", "omega", "transversality"):
+            assert type(getattr(h, name)) is float

@@ -179,3 +179,11 @@ class TestEquilibrium:
             MacroParams(alpha=1.0, gamma=0.1, delta=0.01, g=0.01, G0=1.0, T=-1.0)
         with pytest.raises(ValueError):
             MacroParams(alpha=1.0, gamma=0.1, delta=0.01, g=0.01, G0=1.0, T=1.0, m=0)
+
+    @pytest.mark.parametrize("field", ["T", "alpha", "gamma", "delta", "G0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_macro_params_reject_non_finite(self, field, value):
+        kw = dict(alpha=1.0, gamma=0.1, delta=0.01, g=0.01, G0=1.0, T=1.0)
+        kw[field] = value
+        with pytest.raises(ValueError, match=field):
+            MacroParams(**kw)

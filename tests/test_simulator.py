@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -103,6 +105,16 @@ class TestIntegrate:
         s0 = constant_history_state(cycle_sys, 15.0, 100.0)
         traj = integrate(cycle_sys, s0, 10.0, sample_dt=0.5)
         np.testing.assert_allclose(traj.times, np.arange(0.0, 10.001, 0.5))
+
+    @pytest.mark.parametrize(
+        "horizon, sample_dt",
+        [(0.0, 0.5), (-1.0, 0.5), (math.inf, 0.5), (math.nan, 0.5),
+         (10.0, 0.0), (10.0, -0.5), (10.0, math.inf), (10.0, math.nan)],
+    )
+    def test_rejects_bad_horizon_and_sample_dt(self, cycle_sys, horizon, sample_dt):
+        s0 = constant_history_state(cycle_sys, 15.0, 100.0)
+        with pytest.raises(ValueError):
+            integrate(cycle_sys, s0, horizon, sample_dt=sample_dt)
 
     def test_resume_matches_single_run(self, cycle_sys):
         s0 = constant_history_state(cycle_sys, 15.0, 100.0)
