@@ -79,16 +79,8 @@ def coeffs_m1(eq, p):
     if p.T <= 0.0:
         raise DelayNonPositive(f"characteristic coefficients need T > 0, got {p.T:g}")
     A, B, aik = composites_m1(eq, p)
-    T = p.T
-    return CharCoeffsM1(
-        a1=1.0 / T - A,
-        a2=-A / T - B,
-        a3=(-B - aik) / T,
-        A=A,
-        B=B,
-        alpha_ik_iy=aik,
-        T=T,
-    )
+    a1, a2, a3 = cubic_coeffs_at(A, B, aik, p.T)
+    return CharCoeffsM1(a1=a1, a2=a2, a3=a3, A=A, B=B, alpha_ik_iy=aik, T=p.T)
 
 
 def composites_m1(eq, p):

@@ -11,13 +11,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import char_poly, model_core, simulator, sweep
 from ._core import backend_name
 from ._version import __version__
-from .chain_system import build, constant_history_state, equilibrium_state, jacobian
+from .chain_system import build, constant_history_state
 from .errors import (
     CapitalNonPositive,
     DegenerateTransversality,
@@ -30,7 +31,15 @@ from .errors import (
     NoStableRegime,
     StepFailure,
 )
-from .hopf_locator import critical_delays, hopf_in_alpha, hopf_in_g
+from .hopf_locator import (
+    _grid_eigenvalues,
+    _refine,
+    _split_eigenvalues,
+    critical_delays,
+    equilibrium_eigenvalues,
+    hopf_in_alpha,
+    hopf_in_g,
+)
 from .model_core import equilibrium, growth_interval
 
 CONFIG_VERSION = 1
@@ -262,29 +271,15 @@ def _emit(result, args):
     sys.stdout.write(text + "\n")
 
 
-def _hopf_dict(h):
-    return {
-        "parameter": h.parameter,
-        "value": h.value,
-        "omega": h.omega,
-        "crossing": h.crossing,
-        "transversality": h.transversality,
-    }
-
-
-def _eig_signature(eig):
-    real_mask = np.abs(eig.imag) <= 1e-9 * (1.0 + np.abs(eig))
-    real = eig[real_mask]
-    cplx = eig[~real_mask]
-    n_neg = int(np.sum(real.real < 0.0))
-    n_pos = int(np.sum(real.real >= 0.0))
+def _classification(eig):
+    n_neg, n_pos, lead = _split_eigenvalues(eig)
     parts = []
     if n_neg:
         parts.append(f"{n_neg} negative")
     if n_pos:
         parts.append(f"{n_pos} positive")
-    if cplx.size:
-        sign = "positive" if cplx.real.max() > 0.0 else "negative"
+    if not np.isnan(lead):
+        sign = "positive" if lead.real > 0.0 else "negative"
         parts.append(f"pair with {sign} real part")
     return ", ".join(parts) if parts else "no eigenvalues"
 
@@ -300,49 +295,39 @@ def _eig_list(eig):
 
 def _cmd_equilibrium(config, args):
     inv, macro = _params_from(config)
-    eq = equilibrium(macro, inv)
-    return {
-        "x_star": eq.x_star,
-        "y_star": eq.y_star,
-        "k_star": eq.k_star,
-        "Iy_star": eq.Iy_star,
-        "Ik_star": eq.Ik_star,
-    }
+    return asdict(equilibrium(macro, inv))
 
 
 def _stability_point(inv, macro):
-    sys_ = build(macro, inv)
-    eig = np.linalg.eigvals(jacobian(sys_, equilibrium_state(sys_)))
+    eig = equilibrium_eigenvalues(macro, inv)
     out = {
         "m": macro.m,
         "eigenvalues": _eig_list(eig),
-        "classification": _eig_signature(eig),
+        "classification": _classification(eig),
     }
+    if macro.m > 2:
+        coeffs = np.poly(eig).real
+        out["coefficients"] = {
+            f"a{i}": float(coeffs[i]) for i in range(1, len(coeffs))
+        }
+        out["conditions"] = []
+        out["stable"] = bool(np.all(eig.real < 0.0))
+        out["marginal"] = bool(np.any(np.abs(eig.real) < 1e-8))
+        return out
+    eq = equilibrium(macro, inv)
     if macro.m == 1:
-        eq = equilibrium(macro, inv)
         c = char_poly.coeffs_m1(eq, macro)
         verdict = char_poly.routh_hurwitz_cubic(c)
         out["coefficients"] = {
             "a1": c.a1, "a2": c.a2, "a3": c.a3, "A": c.A, "B": c.B,
         }
-    elif macro.m == 2:
-        eq = equilibrium(macro, inv)
+    else:
         c = char_poly.coeffs_m2(eq, macro)
         verdict = char_poly.routh_hurwitz_quartic(c)
         out["coefficients"] = {
             "a1": c.a1, "a2": c.a2, "a3": c.a3, "a4": c.a4,
             "M": c.M, "N": c.N, "P": c.P,
         }
-    else:
-        coeffs = np.poly(eig).real
-        out["coefficients"] = {
-            f"a{i}": float(coeffs[i]) for i in range(1, len(coeffs))
-        }
-        stable = bool(np.all(eig.real < 0.0))
-        out["conditions"] = []
-        out["stable"] = stable
-        out["marginal"] = bool(np.any(np.abs(eig.real) < 1e-8))
-        return out
     out["conditions"] = [
         {"name": name, "value": value, "satisfied": sat}
         for name, value, sat in verdict.conditions
@@ -359,56 +344,31 @@ def _cmd_stability(config, args):
     if scan is None:
         return _stability_point(inv, macro)
 
+    if scan < 1:
+        raise ValueError(f"--scan-g needs at least 1 point, got {scan}")
     g_lo, g_hi = growth_interval(inv, macro.delta)
     gs = np.linspace(g_lo, g_hi, int(scan) + 2)[1:-1]
 
-    def stable_flag(g):
-        try:
-            sys_ = build(macro.replace(g=float(g)), inv)
-            eig = np.linalg.eigvals(jacobian(sys_, equilibrium_state(sys_)))
-        except (NonPositiveEquilibrium, GrowthOutOfRange):
-            return None
-        return bool(np.all(eig.real < 0.0))
+    def label(g):
+        # 0: no positive equilibrium, 1: stable, 2: unstable
+        eig = _grid_eigenvalues(macro, inv, "g", g)
+        return np.select([np.isnan(eig[:, 0]), np.all(eig.real < 0.0, axis=1)], [0, 1], 2)
 
-    flags = [stable_flag(g) for g in gs]
-    boundaries = []
-    for i in range(len(gs) - 1):
-        if flags[i] == flags[i + 1]:
-            continue
-        lo, hi = float(gs[i]), float(gs[i + 1])
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if stable_flag(mid) == flags[i]:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-11:
-                break
-        boundaries.append(0.5 * (lo + hi))
-    edges = [float(gs[0])] + boundaries + [float(gs[-1])]
-    regimes = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        try:
-            sys_ = build(macro.replace(g=mid), inv)
-            eig = np.linalg.eigvals(jacobian(sys_, equilibrium_state(sys_)))
-            regimes.append(
-                {
-                    "g_lo": lo,
-                    "g_hi": hi,
-                    "stable": bool(np.all(eig.real < 0.0)),
-                    "classification": _eig_signature(eig),
-                }
-            )
-        except (NonPositiveEquilibrium, GrowthOutOfRange):
-            regimes.append(
-                {
-                    "g_lo": lo,
-                    "g_hi": hi,
-                    "stable": None,
-                    "classification": "no positive equilibrium",
-                }
-            )
+    _, lo, hi = _refine(label, gs, label(gs), 1e-11)
+    boundaries = (0.5 * (lo + hi)).tolist()
+    edges = np.array([gs[0]] + boundaries + [gs[-1]])
+    eig = _grid_eigenvalues(macro, inv, "g", 0.5 * (edges[:-1] + edges[1:]))
+    regimes = [
+        {
+            "g_lo": seg_lo,
+            "g_hi": seg_hi,
+            "stable": None if np.isnan(row[0]) else bool(np.all(row.real < 0.0)),
+            "classification": (
+                "no positive equilibrium" if np.isnan(row[0]) else _classification(row)
+            ),
+        }
+        for seg_lo, seg_hi, row in zip(edges[:-1].tolist(), edges[1:].tolist(), eig)
+    ]
     return {
         "g_min": g_lo,
         "g_max": g_hi,
@@ -431,7 +391,7 @@ def _cmd_hopf(config, args):
                 raise ValueError(f"--t-min {t_min!r} must be below --t-max {t_max!r}")
             points = critical_delays(macro, inv)
             shown = [h for h in points if t_min <= h.value <= t_max]
-            result["hopf_points"] = [_hopf_dict(h) for h in shown]
+            result["hopf_points"] = [asdict(h) for h in shown]
             if len(shown) < len(points):
                 result["note"] = (
                     f"{len(points) - len(shown)} critical delay(s) outside"
@@ -441,7 +401,7 @@ def _cmd_hopf(config, args):
             points = hopf_in_alpha(
                 macro, inv, alpha_range=(opts["alpha_min"], opts["alpha_max"])
             )
-            result["hopf_points"] = [_hopf_dict(h) for h in points]
+            result["hopf_points"] = [asdict(h) for h in points]
         else:
             report = hopf_in_g(macro, inv)
             result.update(
@@ -452,7 +412,7 @@ def _cmd_hopf(config, args):
                     "g1_hopf": report.g1_hopf,
                     "g2_hopf": report.g2_hopf,
                     "g2": report.g2,
-                    "hopf_points": [_hopf_dict(h) for h in report.hopf_points],
+                    "hopf_points": [asdict(h) for h in report.hopf_points],
                     "segments": [
                         {
                             "g_lo": s.lo,

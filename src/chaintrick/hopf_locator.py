@@ -9,11 +9,15 @@ quadratic, respectively the quartic evaluated by
 :func:`hopf_in_T` solves it on the imaginary axis: the modulus gives T as
 an explicit function of the frequency omega, the phase gives the crossings
 as roots in omega, and the crossing direction comes from the analytic
-Re dlambda/dT, with no eigenvalues and no cap on T.  The g and alpha
-directions track the real part of the leading complex eigenvalue pair of
-the equilibrium Jacobian and bisect its sign changes;
-:func:`hopf_in_T_numeric` does the same in T and is kept only as an
-independent reference for the other routes.
+Re dlambda/dT, with no eigenvalues and no cap on T.
+
+The g and alpha scans label every point of a grid from its equilibrium
+eigenvalues, all computed in one batched call, then bisect every bracket
+where neighbouring labels differ together, one batched evaluation per
+step.  The same bisection serves the phase brackets of :func:`hopf_in_T`,
+the CLI's stability scan in g, and :func:`hopf_in_T_numeric`, an
+eigenvalue scan in T kept only as an independent reference for the other
+routes.
 """
 
 import math
@@ -22,15 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import char_poly
-from .chain_system import build, equilibrium_state, jacobian
-from .errors import (
-    DegenerateTransversality,
-    GrowthOutOfRange,
-    NoHopf,
-    NonPositiveEquilibrium,
-    NoStableRegime,
-)
-from .model_core import equilibrium, growth_interval
+from .errors import DegenerateTransversality, DelayNonPositive, NoHopf, NoStableRegime
+from .model_core import equilibrium, growth_interval, investment_derivs, solve_x_star
 
 #: eigenvalues with |Im| below this (times 1 + |lambda|) count as real
 IMAG_TOL = 1e-9
@@ -115,18 +112,111 @@ class GIntervalReport:
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue helpers
+# eigenvalues on a parameter grid, and bracket refinement
+
+
+def _grid_eigenvalues(p, inv, name, values):
+    """Equilibrium eigenvalues at every value of the parameter ``name``
+    ("g", "alpha" or "T"), the others fixed at ``p``, from one batched
+    eigenvalue call: one row per value, NaN where the equilibrium is not
+    positive.
+
+    The Jacobian is the single feedback loop y -> u_1 -> ... -> u_m -> k -> y:
+    a = alpha (Iy* - gamma) - g and b = alpha Ik* in row 0, the r = m/T
+    cascade below, and c = Iy* and e = -x* Iy* in the last row.
+    """
+    values = np.asarray(values, dtype=float)
+    q = {"g": p.g, "alpha": p.alpha, "T": p.T, name: values}
+    g, alpha, T = (np.broadcast_to(q[key], values.shape) for key in ("g", "alpha", "T"))
+    if np.any(T <= 0.0):
+        raise DelayNonPositive(f"chain reduction needs T > 0, got T={np.min(T):g}")
+    xs = solve_x_star(inv, g, p.delta)
+    ok = g * xs + alpha * (p.gamma * xs - (g + p.delta)) > 0.0
+    g, alpha, r, xs = g[ok], alpha[ok], p.m / T[ok], xs[ok]
+    iy, ik = investment_derivs(xs, inv, g, p.delta)
+    m = p.m
+    J = np.zeros((xs.size, m + 2, m + 2))
+    J[:, 0, 0] = alpha * (iy - p.gamma) - g
+    J[:, 0, -1] = alpha * ik
+    stage = np.arange(1, m + 1)
+    J[:, stage, stage - 1] = r[:, None]
+    J[:, stage, stage] = -r[:, None]
+    J[:, -1, m] = iy
+    J[:, -1, -1] = -xs * iy
+    eig = np.full((values.size, m + 2), np.nan, dtype=complex)
+    eig[ok] = np.linalg.eigvals(J)
+    return eig
+
+
+def _split_eigenvalues(eig):
+    """For each row of ``eig``: the numbers of negative and of non-negative
+    real eigenvalues, and the leading complex eigenvalue (the one with the
+    largest real part, NaN when the row is all real)."""
+    cplx = np.abs(eig.imag) > IMAG_TOL * (1.0 + np.abs(eig))
+    real = np.where(cplx, np.nan, eig.real)
+    lead = np.argmax(np.where(cplx, eig.real, -np.inf), axis=-1)[..., None]
+    lead = np.where(cplx.any(axis=-1), np.take_along_axis(eig, lead, -1)[..., 0], np.nan)
+    return np.sum(real < 0.0, axis=-1), np.sum(real >= 0.0, axis=-1), lead
+
+
+def _refine(label, grid, labels, tol):
+    """Bisect together every bracket [grid[i], grid[i+1]] whose end labels
+    differ, all as often as it takes to bring each below its ``tol`` (a
+    scalar, or one value per grid point).  ``label`` labels an array of
+    points in one batched evaluation.  Returns i and the final (lo, hi).
+    """
+    i = np.nonzero(labels[:-1] != labels[1:])[0]
+    lo, hi, want = grid[i], grid[i + 1], labels[i]
+    tol = tol[i] if np.ndim(tol) else tol
+    steps = math.floor(np.max(np.log2(np.abs(hi - lo) / tol), initial=-1.0)) + 1
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        same = label(mid) == want
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return i, lo, hi
+
+
+def _pair_crossings(p, inv, name, grid, tol, step):
+    """Hopf points where the leading pair's real part changes sign between
+    neighbouring points of ``grid``, bisected to ``tol``."""
+
+    def pair_re(x):
+        return _split_eigenvalues(_grid_eigenvalues(p, inv, name, x))[2].real
+
+    re = pair_re(grid)
+    i, lo, hi = _refine(lambda x: pair_re(x) < 0.0, grid, re < 0.0, tol)
+    located = ~np.isnan(re[i]) & ~np.isnan(re[i + 1])
+    return _hopf_points(p, inv, name, (0.5 * (lo + hi))[located], step)
+
+
+def _hopf_points(p, inv, name, x, step):
+    """HopfPoints at the crossings x of the parameter ``name``: omega is the
+    leading pair's |Im| and the crossing speed the central difference of
+    its real part with step ``step * max(1, x)``.  A pair collapsing onto
+    the real axis (omega <= 1e-6) is not an imaginary-axis crossing."""
+    n, h = len(x), step * np.maximum(1.0, x)
+    eig = _grid_eigenvalues(p, inv, name, np.concatenate([x, x + h, x - h]))
+    lead = _split_eigenvalues(eig)[2]
+    slope = (lead.real[n : 2 * n] - lead.real[2 * n :]) / (2.0 * h)
+    return [
+        HopfPoint(
+            parameter=name,
+            value=value,
+            omega=om,
+            crossing="destabilizing" if sl > 0.0 else "stabilizing",
+            transversality=sl,
+        )
+        for value, om, sl in zip(x, np.abs(lead.imag[:n]), slope)
+        if om > 1e-6
+    ]
 
 
 def equilibrium_eigenvalues(p, inv):
     """Eigenvalues of the chain-system Jacobian at the equilibrium."""
-    sys = build(p, inv)
-    return np.linalg.eigvals(jacobian(sys, equilibrium_state(sys)))
-
-
-def _split_eigenvalues(eig):
-    imag_ok = np.abs(eig.imag) > IMAG_TOL * (1.0 + np.abs(eig))
-    return eig[~imag_ok], eig[imag_ok]
+    eig = _grid_eigenvalues(p, inv, "g", [p.g])[0]
+    if np.isnan(eig[0]):
+        equilibrium(p, inv)  # raises GrowthOutOfRange or NonPositiveEquilibrium
+    return eig
 
 
 def pair_max_real(p, inv, m=None):
@@ -137,29 +227,8 @@ def pair_max_real(p, inv, m=None):
     """
     if m is not None:
         p = p.replace(m=m)
-    eig = equilibrium_eigenvalues(p, inv)
-    _, cplx = _split_eigenvalues(eig)
-    if cplx.size == 0:
-        return None
-    i = int(np.argmax(cplx.real))
-    return float(cplx.real[i]), abs(float(cplx.imag[i]))
-
-
-def _bisect(f, lo, hi, flo, xtol, max_iter=200):
-    """Bisection on a sign change of f; returns the midpoint of the final
-    bracket.  f must be defined on [lo, hi]."""
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < xtol:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0.0) == (fm < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    lead = _split_eigenvalues(equilibrium_eigenvalues(p, inv))[2]
+    return None if np.isnan(lead) else (float(lead.real), abs(float(lead.imag)))
 
 
 # ---------------------------------------------------------------------------
@@ -385,25 +454,14 @@ def hopf_in_T(p, inv, m=None):
     omegas = omega_max * (1.0 - v * v)
     if a * e == 0.0:
         omegas = omegas[:-1]  # arg(i omega - a) has no limit at omega = 0
-    phase = _phase(omegas, a, e, bc, m)
+    # a crossing is a root of G = 2 pi k; the label counts the levels below G
     two_pi = 2.0 * math.pi
-    branches = range(math.ceil(phase.min() / two_pi), math.floor(phase.max() / two_pi) + 1)
-    if not branches:
-        raise NoHopf(f"no positive critical delay for m = {m} at these parameters")
-    lo, hi, branch = [], [], []
-    for k in branches:
-        above = phase > two_pi * k
-        idx = np.nonzero(above[:-1] != above[1:])[0]
-        lo.append(omegas[idx])
-        hi.append(omegas[idx + 1])
-        branch.append(np.full(idx.size, two_pi * k))
-    lo, hi, branch = np.concatenate(lo), np.concatenate(hi), np.concatenate(branch)
-
-    above_lo = _phase(lo, a, e, bc, m) > branch
-    for _ in range(BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        same = (_phase(mid, a, e, bc, m) > branch) == above_lo
-        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    phase = _phase(omegas, a, e, bc, m)
+    levels = two_pi * np.arange(math.ceil(phase.min() / two_pi), math.floor(phase.max() / two_pi) + 1)
+    label = lambda om: np.searchsorted(levels, _phase(om, a, e, bc, m))
+    # BISECT_STEPS halvings of every grid interval
+    tol = np.abs(np.diff(omegas)) * 2.0 ** (0.5 - BISECT_STEPS)
+    _, lo, hi = _refine(label, omegas, np.searchsorted(levels, phase), tol)
     omega = 0.5 * (lo + hi)
     with np.errstate(divide="ignore"):
         T = m * _chain_ratio(omega, a, e, bc, m) / omega
@@ -457,47 +515,11 @@ def hopf_in_T_numeric(p, inv, m=None, t_range=(1e-4, 50.0), n_grid=512):
     """
     if m is not None:
         p = p.replace(m=m)
-    lo, hi = t_range
-    ts = np.geomspace(lo, hi, n_grid)
-    vals = np.array(
-        [_pair_real_or_nan(p.replace(T=float(t)), inv) for t in ts]
-    )
-    points = []
-    for i in range(n_grid - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if np.isnan(v0) or np.isnan(v1) or v0 == v1 or (v0 < 0) == (v1 < 0):
-            continue
-        f = lambda t: _pair_real_or_nan(p.replace(T=t), inv)
-        t_star = _bisect(f, float(ts[i]), float(ts[i + 1]), v0, 1e-12 * max(1.0, ts[i]))
-        re_om = pair_max_real(p.replace(T=t_star), inv)
-        if re_om is None:
-            continue
-        _, omega = re_om
-        if omega <= 1e-6:
-            # pair collapsing onto the real axis, not an imaginary-axis crossing
-            continue
-        h = 1e-6 * max(1.0, t_star)
-        slope = (f(t_star + h) - f(t_star - h)) / (2.0 * h)
-        points.append(
-            HopfPoint(
-                parameter="T",
-                value=t_star,
-                omega=omega,
-                crossing="destabilizing" if slope > 0.0 else "stabilizing",
-                transversality=slope,
-            )
-        )
+    ts = np.geomspace(*t_range, n_grid)
+    points = _pair_crossings(p, inv, "T", ts, 1e-12 * np.maximum(1.0, ts), 1e-6)
     if not points:
         raise NoHopf(f"no Hopf crossing in T over {t_range} for m = {p.m}")
     return points
-
-
-def _pair_real_or_nan(p, inv):
-    try:
-        out = pair_max_real(p, inv)
-    except (NonPositiveEquilibrium, GrowthOutOfRange):
-        return math.nan
-    return math.nan if out is None else out[0]
 
 
 def critical_delays(p, inv, m=None):
@@ -523,32 +545,7 @@ def hopf_in_alpha(p, inv, m=None, alpha_range=(0.05, 2.0), n_grid=512):
     lo, hi = alpha_range
     if not (0.0 < lo < hi):
         raise ValueError("alpha_range must satisfy 0 < lo < hi")
-    grid = np.geomspace(lo, hi, n_grid)
-    f = lambda al: _pair_real_or_nan(p.replace(alpha=al), inv)
-    vals = np.array([f(float(al)) for al in grid])
-    points = []
-    for i in range(n_grid - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if np.isnan(v0) or np.isnan(v1) or (v0 < 0) == (v1 < 0):
-            continue
-        a_star = _bisect(f, float(grid[i]), float(grid[i + 1]), v0, 1e-12)
-        re_om = pair_max_real(p.replace(alpha=a_star), inv)
-        if re_om is None:
-            continue
-        _, omega = re_om
-        if omega <= 1e-6:
-            continue
-        h = 1e-7 * max(1.0, a_star)
-        slope = (f(a_star + h) - f(a_star - h)) / (2.0 * h)
-        points.append(
-            HopfPoint(
-                parameter="alpha",
-                value=a_star,
-                omega=omega,
-                crossing="destabilizing" if slope > 0.0 else "stabilizing",
-                transversality=slope,
-            )
-        )
+    points = _pair_crossings(p, inv, "alpha", np.geomspace(lo, hi, n_grid), 1e-12, 1e-7)
     if not points:
         raise NoHopf(f"no Hopf crossing in alpha over {alpha_range}")
     return points
@@ -558,133 +555,68 @@ def hopf_in_alpha(p, inv, m=None, alpha_range=(0.05, 2.0), n_grid=512):
 # growth-rate interval structure
 
 
-def _signature(p, inv):
-    """(physical, n_real_neg, n_real_pos, pair_sign, has_pair) at one g."""
-    try:
-        eig = equilibrium_eigenvalues(p, inv)
-    except (NonPositiveEquilibrium, GrowthOutOfRange):
-        return None
-    real, cplx = _split_eigenvalues(eig)
-    n_neg = int(np.sum(real.real < 0.0))
-    n_pos = int(np.sum(real.real >= 0.0))
-    if cplx.size:
-        pr = float(cplx.real.max())
-        sign = 0 if pr == 0.0 else (1 if pr > 0.0 else -1)
-        return True, n_neg, n_pos, sign, True
-    return True, n_neg, n_pos, 0, False
-
-
 def hopf_in_g(p, inv, m=None, n_grid=2048):
     """Scan the admissible growth interval and report its eigenvalue
     structure.
 
-    The scan walks a uniform grid over (g_min + 1e-6, g_max - 1e-6), then
-    bisects every bracket where (a) the equilibrium enters or leaves the
-    positive quadrant, (b) the complex pair appears or vanishes (for m = 1
-    located on the closed-form cubic discriminant), or (c) the pair's real
-    part changes sign (the Hopf crossings, resolved to 1e-9 in g).
+    Each point of a uniform grid over (g_min + 1e-6, g_max - 1e-6) is
+    labelled by whether the equilibrium is positive, whether the Jacobian
+    has a complex pair, and the sign of the pair's real part.  Every
+    bracket where the label changes is bisected to 1e-11 in g: the
+    equilibrium leaving the positive quadrant, the complex pair appearing
+    or vanishing, or the pair's real part changing sign (the Hopf
+    crossings).
     """
     if m is not None:
         p = p.replace(m=m)
     g_lo, g_hi = growth_interval(inv, p.delta)
     eps = 1e-6
     gs = np.linspace(g_lo + eps, g_hi - eps, n_grid)
-    sigs = [_signature(p.replace(g=float(g)), inv) for g in gs]
 
-    pair_re = lambda g: _pair_real_or_nan(p.replace(g=g), inv)
+    def label(g):
+        # 0: no positive equilibrium, 1: no pair, 2: pair with Re < 0, 3: Re >= 0
+        eig = _grid_eigenvalues(p, inv, "g", g)
+        lead = _split_eigenvalues(eig)[2]
+        return np.select([np.isnan(eig[:, 0]), np.isnan(lead), lead.real < 0.0], [0, 1, 2], 3)
 
-    def physical_flag(g):
-        return 1.0 if _signature(p.replace(g=g), inv) is not None else -1.0
+    labels = label(gs)
+    i, lo, hi = _refine(label, gs, labels, 1e-11)
+    bounds, before, after = 0.5 * (lo + hi), labels[i], labels[i + 1]
+    ups = bounds[(before == 2) & (after == 3)].tolist()
+    downs = bounds[(before == 3) & (after == 2)].tolist()
+    appears = bounds[(before == 1) & (after >= 2)].tolist()
+    vanishes = bounds[(before >= 2) & (after == 1)].tolist()
+    g1_hopf = ups[0] if ups else None
+    g2_hopf = downs[-1] if downs else None
+    g1 = next((g for g in reversed(appears) if g1_hopf is not None and g < g1_hopf), None)
+    g2 = next((g for g in vanishes if g2_hopf is not None and g > g2_hopf), None)
 
-    def pair_flag(g):
-        sig = _signature(p.replace(g=g), inv)
-        if sig is None:
-            return math.nan
-        return 1.0 if sig[4] else -1.0
-
-    boundaries = []  # (g, kind)
-    hopf_ups, hopf_downs, appears, vanishes = [], [], [], []
-    for i in range(n_grid - 1):
-        s0, s1 = sigs[i], sigs[i + 1]
-        lo_g, hi_g = float(gs[i]), float(gs[i + 1])
-        if (s0 is None) != (s1 is None):
-            gb = _bisect(physical_flag, lo_g, hi_g, physical_flag(lo_g), 1e-11)
-            boundaries.append((gb, "physical"))
-            continue
-        if s0 is None:
-            continue
-        if s0[4] != s1[4]:
-            if p.m == 1:
-                eqg = lambda g: equilibrium(p.replace(g=g), inv)
-                disc = lambda g: char_poly.cubic_discriminant(
-                    char_poly.coeffs_m1(eqg(g), p.replace(g=g))
-                )
-                gb = _bisect(disc, lo_g, hi_g, disc(lo_g), 1e-11)
-            else:
-                gb = _bisect(pair_flag, lo_g, hi_g, pair_flag(lo_g), 1e-11)
-            kind = "pair_appears" if s1[4] else "pair_vanishes"
-            boundaries.append((gb, kind))
-            (appears if s1[4] else vanishes).append(gb)
-            continue
-        if s0[4] and s1[4] and (s0[3] < 0) != (s1[3] < 0):
-            gb = _bisect(pair_re, lo_g, hi_g, pair_re(lo_g), 1e-11)
-            up = s1[3] > s0[3]
-            boundaries.append((gb, "hopf_up" if up else "hopf_down"))
-            (hopf_ups if up else hopf_downs).append(gb)
-
-    boundaries.sort()
-    g1_hopf = hopf_ups[0] if hopf_ups else None
-    g2_hopf = hopf_downs[-1] if hopf_downs else None
-    g1 = None
-    if g1_hopf is not None:
-        below = [g for g in appears if g < g1_hopf]
-        g1 = below[-1] if below else None
-    g2 = None
-    if g2_hopf is not None:
-        above = [g for g in vanishes if g > g2_hopf]
-        g2 = above[0] if above else None
-
-    edges = [float(gs[0])] + [g for g, _ in boundaries] + [float(gs[-1])]
-    segments = []
-    for lo_g, hi_g in zip(edges[:-1], edges[1:]):
-        if hi_g - lo_g <= 0.0:
-            continue
-        mid = 0.5 * (lo_g + hi_g)
-        sig = _signature(p.replace(g=mid), inv)
-        if sig is None:
-            segments.append(GSegment(lo=lo_g, hi=hi_g, physical=False))
-        else:
-            _, n_neg, n_pos, sign, has_pair = sig
-            segments.append(
-                GSegment(
-                    lo=lo_g,
-                    hi=hi_g,
-                    physical=True,
-                    n_real_neg=n_neg,
-                    n_real_pos=n_pos,
-                    pair_real_sign=sign,
-                    has_pair=has_pair,
-                )
-            )
-
-    hopf_points = []
-    for gb, kind in boundaries:
-        if kind not in ("hopf_up", "hopf_down"):
-            continue
-        re_om = pair_max_real(p.replace(g=gb), inv)
-        omega = re_om[1] if re_om is not None else math.nan
-        h = 1e-7
-        slope = (pair_re(gb + h) - pair_re(gb - h)) / (2.0 * h)
-        hopf_points.append(
-            HopfPoint(
-                parameter="g",
-                value=gb,
-                omega=omega,
-                crossing="destabilizing" if kind == "hopf_up" else "stabilizing",
-                transversality=slope,
-            )
+    edges = np.concatenate([gs[:1], bounds, gs[-1:]])
+    eig = _grid_eigenvalues(p, inv, "g", 0.5 * (edges[:-1] + edges[1:]))
+    n_neg, n_pos, lead = _split_eigenvalues(eig)
+    has_pair = ~np.isnan(lead)
+    segments = tuple(
+        GSegment(
+            lo=seg_lo,
+            hi=seg_hi,
+            physical=bool(physical),
+            n_real_neg=int(neg),
+            n_real_pos=int(pos),
+            pair_real_sign=int(sign),
+            has_pair=bool(pair),
         )
-
+        for seg_lo, seg_hi, physical, neg, pos, sign, pair in zip(
+            edges[:-1].tolist(),
+            edges[1:].tolist(),
+            ~np.isnan(eig[:, 0]),
+            n_neg,
+            n_pos,
+            np.sign(np.where(has_pair, lead.real, 0.0)),
+            has_pair,
+        )
+    )
+    hopf = (before >= 2) & (after >= 2)
+    hopf_points = tuple(_hopf_points(p, inv, "g", bounds[hopf], 1e-7))
     return GIntervalReport(
         g_min=g_lo,
         g_max=g_hi,
@@ -692,6 +624,6 @@ def hopf_in_g(p, inv, m=None, n_grid=2048):
         g1_hopf=g1_hopf,
         g2_hopf=g2_hopf,
         g2=g2,
-        segments=tuple(segments),
-        hopf_points=tuple(hopf_points),
+        segments=segments,
+        hopf_points=hopf_points,
     )

@@ -11,7 +11,7 @@ two linearization constants Iy_star, Ik_star computed here.
 import math
 from dataclasses import dataclass
 
-from scipy.special import expit
+import numpy as np
 
 from .errors import GrowthOutOfRange, NonPositiveEquilibrium
 
@@ -32,8 +32,8 @@ class InvestmentParams:
 
     def __post_init__(self):
         for name in ("a", "c", "d", "v"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"InvestmentParams.{name} must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"InvestmentParams.{name} must be finite and > 0")
 
 
 #: Dana-Malgrange estimates for the French economy, used as the CLI default.
@@ -84,17 +84,24 @@ class Equilibrium:
     Ik_star: float
 
 
+def _logistic(z):
+    """1 / (1 + exp(-z)) elementwise; below z = -709, exp(-z) overflows to
+    inf, which gives the exact limit 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def phi(x, inv):
     """Investment intensity Phi(x) = c + d / (1 + exp(-a (v x - 1))).
 
     Accepts scalars or arrays; strictly increasing with range (c, c + d).
     """
-    return inv.c + inv.d * expit(inv.a * (inv.v * x - 1.0))
+    return inv.c + inv.d * _logistic(inv.a * (inv.v * x - 1.0))
 
 
 def phi_prime(x, inv):
     """Derivative of the investment intensity with respect to x."""
-    s = expit(inv.a * (inv.v * x - 1.0))
+    s = _logistic(inv.a * (inv.v * x - 1.0))
     return inv.a * inv.d * inv.v * s * (1.0 - s)
 
 
@@ -104,24 +111,30 @@ def growth_interval(inv, delta):
 
 
 def solve_x_star(inv, g, delta):
-    """Invert Phi(x*) = g + delta in closed form.
+    """Invert Phi(x*) = g + delta in closed form, elementwise in g.
 
-    Raises GrowthOutOfRange unless c < g + delta < c + d.
+    A scalar g raises GrowthOutOfRange unless c < g + delta < c + d; in an
+    array such points get NaN.
     """
     target = g + delta
-    if not (inv.c < target < inv.c + inv.d):
+    inside = (inv.c < target) & (target < inv.c + inv.d)
+    scalar = np.isscalar(inside)
+    if scalar and not inside:
         lo, hi = growth_interval(inv, delta)
         raise GrowthOutOfRange(
             f"g={g:g} is outside the admissible interval ({lo:g}, {hi:g})"
             f" (need c < g + delta < c + d)"
         )
-    return (1.0 / inv.v) * (1.0 - math.log(inv.d / (target - inv.c) - 1.0) / inv.a)
+    if not scalar:
+        target = np.where(inside, target, np.nan)
+    xs = (1.0 / inv.v) * (1.0 - np.log(inv.d / (target - inv.c) - 1.0) / inv.a)
+    return float(xs) if scalar else xs
 
 
 def investment_derivs(x_star, inv, g, delta):
-    """Linearization constants (Iy_star, Ik_star) at the equilibrium ratio."""
-    s = expit(inv.a * (inv.v * x_star - 1.0))
-    iy = inv.a * inv.d * inv.v * s * (1.0 - s)
+    """Linearization constants (Iy_star, Ik_star) at the equilibrium ratio,
+    elementwise."""
+    iy = phi_prime(x_star, inv)
     ik = g + delta - x_star * iy
     return iy, ik
 

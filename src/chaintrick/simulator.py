@@ -22,6 +22,7 @@ from ._core import (
 from .chain_system import ChainSystem, equilibrium_point
 from .errors import CapitalNonPositive, InsufficientOscillations, StepFailure
 from .model_core import InvestmentParams, MacroParams
+from .sweep import _write_lines
 
 #: maximum |state component| before integration halts with diverged status
 DIVERGENCE_LIMIT = 1e9
@@ -68,11 +69,7 @@ class Trajectory:
         """Write `t,y,u1..um,k` rows at 17 significant digits."""
         m = self.params.m
         header = ",".join(["t", "y"] + [f"u{i}" for i in range(1, m + 1)] + ["k"])
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(header + "\n")
-            for t, row in zip(self.times, self.states):
-                fields = [f"{t:.17g}"] + [f"{x:.17g}" for x in row]
-                fh.write(",".join(fields) + "\n")
+        _write_lines(path, header, zip(self.times, *self.states.T))
 
 
 @dataclass(frozen=True)

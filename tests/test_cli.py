@@ -32,6 +32,13 @@ class TestEquilibriumCmd:
         assert code == 2
         assert "0.003" in err and "0.029" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_investment_parameter_is_domain_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "equilibrium", "--a", value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: InvestmentParams.a must be finite and > 0")
+
 
 class TestStabilityCmd:
     def test_stable_below_first_crossing(self, capsys):
@@ -77,6 +84,28 @@ class TestStabilityCmd:
         assert [r["stable"] for r in regimes] == [True, False, True]
         assert doc["boundaries"][0] == pytest.approx(0.0101199, abs=2e-6)
         assert doc["boundaries"][1] == pytest.approx(0.0203259, abs=2e-6)
+
+
+    def test_scan_is_pinned(self, capsys):
+        # reference boundaries and regimes from a per-point scan (one
+        # eigenvalue call per grid point and per bisection step)
+        _, out, _ = run_cli(capsys, "stability", "--scan-g", "500")
+        doc = json.loads(out)
+        assert doc["boundaries"] == pytest.approx(
+            [0.010119897978272504, 0.020325855206824582], abs=1e-9
+        )
+        assert [(r["stable"], r["classification"]) for r in doc["regimes"]] == [
+            (True, "1 negative, pair with negative real part"),
+            (False, "1 negative, pair with positive real part"),
+            (True, "1 negative, pair with negative real part"),
+        ]
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_scan_needs_a_point(self, capsys, n):
+        code, out, err = run_cli(capsys, "stability", "--scan-g", n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --scan-g needs at least 1 point")
 
 
 class TestHopfCmd:

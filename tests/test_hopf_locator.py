@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from chaintrick import hopf_locator
+from chaintrick.chain_system import build, equilibrium_state, jacobian
 from chaintrick.char_poly import coeffs_m1, coeffs_m2, cubic_coeffs_at, composites_m1
-from chaintrick.errors import NoHopf, NoStableRegime
+from chaintrick.errors import (
+    GrowthOutOfRange,
+    NoHopf,
+    NonPositiveEquilibrium,
+    NoStableRegime,
+)
 from chaintrick.hopf_locator import (
     critical_delays,
     equilibrium_eigenvalues,
@@ -17,7 +23,7 @@ from chaintrick.hopf_locator import (
     hopf_in_T_numeric,
     pair_max_real,
 )
-from chaintrick.model_core import Equilibrium, MacroParams, equilibrium
+from chaintrick.model_core import Equilibrium, MacroParams, equilibrium, growth_interval
 from oracles import random_model_draw
 
 TABLE_G = {
@@ -203,6 +209,104 @@ class TestTransversality:
         assert t2.transversality == pytest.approx(B * t2.value**2 + 1.0)
         assert t3.transversality == pytest.approx(B * t3.value**2 + 1.0)
         assert t2.transversality > 0.0 > t3.transversality
+
+
+class TestGridEigenvalues:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_the_chain_jacobian_point_by_point(self, inv_dm, baseline, m):
+        g_lo, g_hi = growth_interval(inv_dm, baseline.delta)
+        grids = {
+            # beyond the admissible interval at both ends, and through the
+            # sliver above g_min where the equilibrium is not positive
+            "g": np.concatenate(
+                [np.linspace(g_lo - 1e-3, g_hi + 1e-3, 31), np.linspace(g_lo, g_lo + 8e-5, 9)]
+            ),
+            "alpha": np.geomspace(0.05, 2.0, 25),
+            "T": np.geomspace(1e-3, 50.0, 25),
+        }
+        p = baseline.replace(m=m)
+        # for m >= 6 the cluster of eigenvalues near -m/T is ill-conditioned:
+        # a one-ulp change of the entry alpha Ik* moves it by 3e-12 relative
+        # at m = 8, g = 0.0048, and the two routes round that entry differently
+        tol = 1e-12 if m <= 5 else 1e-11
+        masked = []
+        for name, values in grids.items():
+            eig = hopf_locator._grid_eigenvalues(p, inv_dm, name, values)
+            assert eig.shape == (len(values), m + 2)
+            for value, row in zip(values, eig):
+                q = p.replace(**{name: float(value)})
+                try:
+                    sys_ = build(q, inv_dm)
+                    want = np.linalg.eigvals(jacobian(sys_, equilibrium_state(sys_)))
+                except (GrowthOutOfRange, NonPositiveEquilibrium) as exc:
+                    assert np.all(np.isnan(row))
+                    masked.append(type(exc))
+                    continue
+                scale = np.max(np.abs(want))
+                for w in want:
+                    assert np.min(np.abs(row - w)) <= tol * scale
+        assert masked.count(GrowthOutOfRange) >= 3
+        assert masked.count(NonPositiveEquilibrium) >= 3
+
+    def test_one_point_call_keeps_the_scalar_errors(self, inv_dm, baseline):
+        with pytest.raises(GrowthOutOfRange):
+            equilibrium_eigenvalues(baseline.replace(g=0.05), inv_dm)
+        g_lo, _ = growth_interval(inv_dm, baseline.delta)
+        with pytest.raises(NonPositiveEquilibrium):
+            equilibrium_eigenvalues(baseline.replace(g=g_lo + 2e-5), inv_dm)
+        assert pair_max_real(baseline.replace(g=0.005), inv_dm) is None
+
+
+# reference results at the baseline parameters from a per-point scan (one
+# eigenvalue call per grid point and per bisection step); the batched scan
+# must reproduce them to 1e-9
+PINNED_G = {
+    1: (0.0058258522483900675, 0.010119897979437464, 0.020325855203838887, 0.025403891238645622),
+    2: (0.00499494553270163, 0.010119287761939579, 0.02032673349407864, 0.025549670182817667),
+    3: (None, 0.010119128977364429, 0.02032696215985494, None),
+    4: (None, 0.010119058012123507, 0.02032706438056678, None),
+}
+PINNED_SEGMENTS = {
+    1: [(False, False, 0, 0, 0), (True, False, 0, 3, 0), (True, True, -1, 1, 0),
+        (True, True, 1, 1, 0), (True, True, -1, 1, 0), (True, False, 0, 3, 0)],
+    2: [(False, False, 0, 0, 0), (True, False, 0, 4, 0), (True, True, -1, 0, 0),
+        (True, True, 1, 0, 0), (True, True, -1, 0, 0), (True, False, 0, 4, 0)],
+    3: [(False, False, 0, 0, 0), (True, True, -1, 1, 0), (True, True, 1, 1, 0),
+        (True, True, -1, 1, 0)],
+    4: [(False, False, 0, 0, 0), (True, True, -1, 0, 0), (True, True, 1, 0, 0),
+        (True, True, -1, 0, 0)],
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_growth_structure_is_pinned(inv_dm, baseline, m):
+    rep = hopf_in_g(baseline, inv_dm, m=m)
+    for got, want in zip((rep.g1, rep.g1_hopf, rep.g2_hopf, rep.g2), PINNED_G[m]):
+        if want is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(want, abs=1e-9)
+    segments = [
+        (s.physical, s.has_pair, s.pair_real_sign, s.n_real_neg, s.n_real_pos)
+        for s in rep.segments
+    ]
+    assert segments == PINNED_SEGMENTS[m]
+
+
+@pytest.mark.parametrize(
+    "T, alpha_range, value, omega",
+    [
+        (1.5, (0.05, 2.0), 0.6739375377484669, 0.05454124814087408),
+        (1.5, (0.3, 1.5), 0.6739375377490485, 0.05454124814089007),
+        (0.5, (0.05, 2.0), 0.7315121595865905, 0.05644934189624348),
+        (0.5, (0.3, 1.5), 0.7315121595866372, 0.05644934189624478),
+    ],
+)
+def test_alpha_crossing_is_pinned(inv_dm, baseline, T, alpha_range, value, omega):
+    (pt,) = hopf_in_alpha(baseline.replace(T=T), inv_dm, alpha_range=alpha_range)
+    assert pt.value == pytest.approx(value, abs=1e-9)
+    assert pt.omega == pytest.approx(omega, abs=1e-9)
+    assert pt.crossing == "destabilizing"
 
 
 class TestHopfInG:

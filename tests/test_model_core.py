@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +68,30 @@ class TestPhi:
         with pytest.raises(ValueError):
             InvestmentParams(a=9.0, c=-0.01, d=0.026, v=4.23)
 
+    @pytest.mark.parametrize("name", ["a", "c", "d", "v"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_params_reject_non_finite(self, name, value):
+        fields = {"a": 9.0, "c": 0.01, "d": 0.026, "v": 4.23, name: value}
+        with pytest.raises(ValueError, match="finite"):
+            InvestmentParams(**fields)
+
+    def test_far_tails_saturate_without_warnings(self, inv_dm):
+        x = np.array([-1e300, -1e6, 1e6, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = phi(x, inv_dm)
+            slopes = phi_prime(x, inv_dm)
+        assert vals.tolist() == [inv_dm.c, inv_dm.c, inv_dm.c + inv_dm.d, inv_dm.c + inv_dm.d]
+        assert slopes.tolist() == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, chaintrick; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
+
 
 class TestSolveXStar:
     def test_baseline_hits_logistic_midpoint(self, inv_dm):
@@ -93,6 +120,17 @@ class TestSolveXStar:
             inv, p, _ = random_model_draw(rng)
             xs = solve_x_star(inv, p.g, p.delta)
             assert abs(phi(xs, inv) - (p.g + p.delta)) < 1e-10
+
+    def test_elementwise_on_arrays(self, inv_dm):
+        lo, hi = growth_interval(inv_dm, 0.007)
+        gs = np.array([lo - 1e-3, lo, 0.011, 0.016, hi, hi + 1e-3])
+        xs = solve_x_star(inv_dm, gs, 0.007)
+        assert np.isnan(xs[[0, 1, 4, 5]]).all()
+        assert xs[2] == solve_x_star(inv_dm, 0.011, 0.007)
+        assert xs[3] == solve_x_star(inv_dm, 0.016, 0.007)
+        assert type(solve_x_star(inv_dm, 0.016, 0.007)) is float
+        iy, ik = investment_derivs(xs, inv_dm, gs, 0.007)
+        assert iy[3] == investment_derivs(xs[3], inv_dm, 0.016, 0.007)[0]
 
     def test_x_star_increasing_in_g(self, inv_dm):
         lo, hi = growth_interval(inv_dm, 0.007)
