@@ -1,8 +1,10 @@
 """Pure-Python adaptive Dormand-Prince 5(4) integrator for chain systems.
 
-Reference implementation of the compiled core in ``_chain_cy.pyx``: same
-tableau, same step control, same dense-output interpolant and the same
-status protocol, so the two backends are interchangeable up to roundoff.
+Reference implementation of the compiled core in ``_chain.c``: same
+tableau, same step control, same dense-output interpolant, the same status
+protocol and the same work counters, so the two backends are
+interchangeable up to roundoff.  It is also the fallback when no C compiler
+built the core.
 
 Status codes returned alongside the sampled trajectory:
 
@@ -143,24 +145,34 @@ def integrate_chain(
     atol,
     max_abs=1e9,
     max_step=0.0,
+    counts=None,
 ):
     """Integrate the chain system, sampling on the uniform grid
     t0 + j * sample_dt via the dense-output interpolant.
 
     ``max_step`` caps the step size (0 means 10 * sample_dt); uncapped
     steps at a fixed point would grow until the dense interpolant is pure
-    roundoff.  Returns (times, states, status, t_stop).
+    roundoff.  Returns (times, states, status, t_stop).  When ``counts``
+    is given (a length-3 sequence, e.g. an int array) it receives the
+    work done: RHS evaluations, accepted steps and rejected steps (the
+    error test failed or a stage left k > 0).
     """
     n = m + 2
     if max_step <= 0.0:
         max_step = 10.0 * sample_dt
-    f = make_chain_rhs(m, alpha, gamma, delta, g, G0, T, a, c, d, v)
+    rhs = make_chain_rhs(m, alpha, gamma, delta, g, G0, T, a, c, d, v)
+    work = [0, 0, 0]  # RHS evaluations, accepted steps, rejected steps
+
+    def f(s):
+        work[0] += 1
+        return rhs(s)
+
     y = np.asarray(y0, dtype=float).copy()
     if y.shape != (n,):
         raise ValueError(f"y0 must have shape ({n},)")
     t = float(t0)
 
-    n_samples = int(math.floor((t_end - t0) / sample_dt + 1e-9)) + 1
+    n_samples = sample_count(t0, t_end, sample_dt)
     times = np.empty(n_samples)
     states = np.empty((n_samples, n))
     times[0] = t
@@ -171,6 +183,8 @@ def integrate_chain(
     try:
         K[0] = f(y)
     except _DomainExit:
+        if counts is not None:
+            counts[:] = work
         return times[:1], states[:1], STATUS_CAPITAL, t
     h = min(_initial_step(f, y, K[0], rtol, atol), max_step)
     status = STATUS_OK
@@ -187,6 +201,7 @@ def integrate_chain(
             y_new = y + h_step * (_B @ K[:6])
             K[6] = f(y_new)
         except _DomainExit:
+            work[2] += 1
             h = 0.5 * h_step
             if h < 1e-14 * max(1.0, abs(t)):
                 status = STATUS_CAPITAL
@@ -196,6 +211,7 @@ def integrate_chain(
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = _rms(err / scale)
         if not err_norm <= 1.0:  # NaN-safe: a non-finite norm rejects the step
+            work[2] += 1
             factor = _SAFETY * err_norm**-0.2
             if not math.isfinite(factor):
                 factor = _MIN_FACTOR
@@ -203,6 +219,7 @@ def integrate_chain(
             continue
 
         # accept; emit every grid point inside (t, t_new]
+        work[1] += 1
         t_new = t_end if final else t + h_step
         while j < n_samples:
             ts = t0 + j * sample_dt
@@ -230,4 +247,16 @@ def integrate_chain(
             status = STATUS_CAPITAL
             break
 
+    if counts is not None:
+        counts[:] = work
     return times[:j], states[:j], status, t
+
+
+def sample_count(t0, t_end, sample_dt):
+    """Number of points t0 + j * sample_dt on [t0, t_end]."""
+    n = int(math.floor((t_end - t0) / sample_dt + 1e-9)) + 1
+    if n < 1:
+        raise ValueError(
+            f"empty sample grid: t0={t0!r}, t_end={t_end!r}, sample_dt={sample_dt!r}"
+        )
+    return n

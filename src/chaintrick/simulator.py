@@ -1,11 +1,11 @@
 """Trajectory integration and limit-cycle measurement.
 
-Integration uses an adaptive embedded Runge-Kutta 5(4) pair (compiled core
-when available, pure-Python fallback otherwise) with dense output sampled
-on a uniform grid.  Cycle measurement works on the sampled output series:
-local maxima are refined by quadratic interpolation, the period is the
-mean spacing of the last five maxima, and the amplitude is the
-peak-to-trough excursion of y over the final period.
+Integration uses an adaptive embedded Runge-Kutta 5(4) pair (the C kernel
+``_core/_chain.c`` when it is built, the pure-Python ``_core/_dopri.py``
+otherwise) with dense output sampled on a uniform grid.  Cycle measurement
+works on the sampled output series: local maxima are refined by quadratic
+interpolation, the period is the mean spacing of the last five maxima, and
+the amplitude is the peak-to-trough excursion of y over the final period.
 """
 
 import math
@@ -44,7 +44,9 @@ class Trajectory:
     """Sampled solution with its parameter snapshot.
 
     ``states[:, 0]`` is y, ``states[:, -1]`` is k and the middle columns
-    are the chain stages u_1..u_m.
+    are the chain stages u_1..u_m.  The integrator's work is recorded in
+    ``rhs_evaluations``, ``accepted_steps`` and ``rejected_steps``; both
+    backends count it the same way.
     """
 
     times: np.ndarray
@@ -52,6 +54,9 @@ class Trajectory:
     params: MacroParams
     inv: InvestmentParams
     diverged: bool = False
+    rhs_evaluations: int = 0
+    accepted_steps: int = 0
+    rejected_steps: int = 0
 
     @property
     def y(self):
@@ -115,6 +120,7 @@ def integrate(
         raise CapitalNonPositive(f"initial capital {s0[-1]:g} <= 0", t=t0)
     p, inv = sys.params, sys.inv
     run = get_integrator(backend)
+    counts = np.zeros(3, dtype=np.int64)
     times, states, status, t_stop = run(
         s0,
         p.m,
@@ -134,6 +140,7 @@ def integrate(
         float(rtol),
         float(atol),
         DIVERGENCE_LIMIT,
+        counts=counts,
     )
     if status == STATUS_CAPITAL:
         raise CapitalNonPositive(
@@ -147,27 +154,30 @@ def integrate(
         params=p,
         inv=inv,
         diverged=status == STATUS_DIVERGED,
+        rhs_evaluations=int(counts[0]),
+        accepted_steps=int(counts[1]),
+        rejected_steps=int(counts[2]),
     )
 
 
 def find_local_maxima(times, values):
     """Local maxima refined by a three-point quadratic fit.
 
-    Returns (peak_times, peak_values).  Assumes a uniform sample grid.
+    A maximum is a sample with v[i-1] < v[i] >= v[i+1].  Returns
+    (peak_times, peak_values).  Assumes a uniform sample grid.
     """
-    t_pk, v_pk = [], []
     v = np.asarray(values)
     t = np.asarray(times)
-    for i in range(1, len(v) - 1):
-        if v[i - 1] < v[i] >= v[i + 1]:
-            y0, y1, y2 = v[i - 1], v[i], v[i + 1]
-            denom = y0 - 2.0 * y1 + y2
-            offset = 0.5 * (y0 - y2) / denom if denom != 0.0 else 0.0
-            offset = min(1.0, max(-1.0, offset))
-            dt = t[i + 1] - t[i]
-            t_pk.append(t[i] + offset * dt)
-            v_pk.append(y1 - 0.25 * (y0 - y2) * offset)
-    return np.array(t_pk), np.array(v_pk)
+    i = np.nonzero((v[:-2] < v[1:-1]) & (v[1:-1] >= v[2:]))[0] + 1
+    y0, y1, y2 = v[i - 1], v[i], v[i + 1]
+    denom = y0 - 2.0 * y1 + y2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offset = np.where(denom != 0.0, 0.5 * (y0 - y2) / denom, 0.0)
+    # clamp to [-1, 1]; a NaN offset (from inf samples) becomes -1
+    offset = np.where(offset > -1.0, offset, -1.0)
+    offset = np.where(offset < 1.0, offset, 1.0)
+    dt = t[i + 1] - t[i]
+    return t[i] + offset * dt, y1 - 0.25 * (y0 - y2) * offset
 
 
 def period_from_zero_crossings(traj, transient_fraction=0.5):

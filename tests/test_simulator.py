@@ -195,6 +195,51 @@ class TestFindLocalMaxima:
         )
         np.testing.assert_allclose(pk_y, 1.0, atol=1e-4)
 
+    @staticmethod
+    def _loop_reference(times, values):
+        # the per-sample loop that the vectorised function replaced
+        t_pk, v_pk = [], []
+        v = np.asarray(values)
+        t = np.asarray(times)
+        for i in range(1, len(v) - 1):
+            if v[i - 1] < v[i] >= v[i + 1]:
+                y0, y1, y2 = v[i - 1], v[i], v[i + 1]
+                denom = y0 - 2.0 * y1 + y2
+                offset = 0.5 * (y0 - y2) / denom if denom != 0.0 else 0.0
+                offset = min(1.0, max(-1.0, offset))
+                dt = t[i + 1] - t[i]
+                t_pk.append(t[i] + offset * dt)
+                v_pk.append(y1 - 0.25 * (y0 - y2) * offset)
+        return np.array(t_pk), np.array(v_pk)
+
+    def _assert_same_as_loop(self, t, v):
+        got_t, got_v = find_local_maxima(t, v)
+        with np.errstate(invalid="ignore"):
+            ref_t, ref_v = self._loop_reference(t, v)
+        assert np.array_equal(got_t, ref_t)
+        assert np.array_equal(got_v, ref_v)
+
+    def test_matches_loop_on_cycle(self, cycle_traj):
+        self._assert_same_as_loop(cycle_traj.times, cycle_traj.y)
+        self._assert_same_as_loop(cycle_traj.times, cycle_traj.k)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, 2.0, 2.0, 1.0],  # plateau peak: its first sample counts
+            [0.0, 1.0, 1.0, 1.0, 1.0],  # flat tail
+            [3.0, 3.0, 3.0],  # constant
+            [0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.5],
+            [1.0, 2.0, 2.0, 2.0, 3.0, 1.0],
+            [0.0, 1.0, -np.inf],  # NaN offset, clamped to -1
+            [1.0, 2.0],
+            [],
+        ],
+    )
+    def test_matches_loop_on_plateaus(self, values):
+        t = 0.5 * np.arange(len(values))
+        self._assert_same_as_loop(t, np.array(values))
+
 
 class TestTrajectoryCsv:
     def test_round_trip(self, cycle_sys, tmp_path):
