@@ -18,27 +18,6 @@ from .model_core import InvestmentParams, MacroParams, equilibrium, phi, phi_pri
 
 
 @dataclass(frozen=True)
-class ChainState:
-    """Convenience container for a chain-system state.
-
-    The numerical routines work on flat arrays; this wrapper names the
-    components and round-trips through :meth:`as_array`.
-    """
-
-    y: float
-    u: tuple
-    k: float
-
-    def as_array(self):
-        return np.array([self.y, *self.u, self.k], dtype=float)
-
-    @classmethod
-    def from_array(cls, arr):
-        arr = np.asarray(arr, dtype=float)
-        return cls(y=float(arr[0]), u=tuple(arr[1:-1]), k=float(arr[-1]))
-
-
-@dataclass(frozen=True)
 class ChainSystem:
     params: MacroParams
     inv: InvestmentParams
@@ -62,8 +41,6 @@ def build(p, inv):
 
 
 def _as_state_array(sys, state):
-    if isinstance(state, ChainState):
-        state = state.as_array()
     s = np.asarray(state, dtype=float)
     if s.shape != (sys.dimension,):
         raise ValueError(f"state must have shape ({sys.dimension},), got {s.shape}")

@@ -28,7 +28,6 @@ from .errors import (
     KernelOrderInvalid,
     NoHopf,
     NonPositiveEquilibrium,
-    NoStableRegime,
     StepFailure,
 )
 from .hopf_locator import (
@@ -427,7 +426,7 @@ def _cmd_hopf(config, args):
                     ],
                 }
             )
-    except (NoHopf, NoStableRegime) as exc:
+    except NoHopf as exc:
         result["note"] = str(exc)
     return result
 

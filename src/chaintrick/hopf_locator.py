@@ -2,22 +2,21 @@
 adjustment speed alpha.
 
 In T every kernel order shares one characteristic equation,
-(lambda - a)(lambda - e)(lambda + m/T)^m = bc (m/T)^m.  For m = 1 and
-m = 2 its critical delays are roots of closed-form polynomials in T (a
-quadratic, respectively the quartic evaluated by
-:func:`chaintrick.char_poly.phi_quartic`).  For m >= 3,
-:func:`hopf_in_T` solves it on the imaginary axis: the modulus gives T as
-an explicit function of the frequency omega, the phase gives the crossings
-as roots in omega, and the crossing direction comes from the analytic
-Re dlambda/dT, with no eigenvalues and no cap on T.
+(lambda - a)(lambda - e)(lambda + m/T)^m = bc (m/T)^m, and one route
+solves it: :func:`hopf_in_T` works on the imaginary axis, where the
+modulus gives T as an explicit function of the frequency omega, the phase
+gives the crossings as roots in omega, and the crossing direction comes
+from the analytic Re dlambda/dT, with no eigenvalues and no cap on T.  The
+same solver takes a whole batch of (alpha, g) cells in one call, which is
+how the sweeps use it.  The closed forms for m = 1 (a quadratic in T) and
+m = 2 (the quartic of :func:`chaintrick.char_poly.phi_quartic`) are kept
+as independent references.
 
 The g and alpha scans label every point of a grid from its equilibrium
 eigenvalues, all computed in one batched call, then bisect every bracket
 where neighbouring labels differ together, one batched evaluation per
-step.  The same bisection serves the phase brackets of :func:`hopf_in_T`,
-the CLI's stability scan in g, and :func:`hopf_in_T_numeric`, an
-eigenvalue scan in T kept only as an independent reference for the other
-routes.
+step.  The same bisection serves the phase brackets of every cell of
+:func:`hopf_in_T` and the CLI's stability scan in g.
 """
 
 import math
@@ -51,7 +50,13 @@ class HopfPoint:
     ``omega`` is the imaginary-axis crossing frequency, ``crossing`` is
     "destabilizing" when the pair moves left to right as the parameter
     increases and "stabilizing" otherwise, and ``transversality`` is the
-    signed crossing-speed expression (nonzero by construction).
+    signed crossing-speed expression (nonzero by construction).  Which
+    expression depends on the route: Re dlambda/dT from :func:`hopf_in_T`
+    (and so from :func:`critical_delays` for every m), B T*^2 + 1 from the
+    m = 1 reference :func:`hopf_in_T_m1`, -psi'(T*) from the m = 2
+    reference :func:`hopf_in_T_m2`, and a central difference of the
+    leading pair's real part in g or alpha from :func:`hopf_in_g` and
+    :func:`hopf_in_alpha`.
     """
 
     parameter: str
@@ -115,34 +120,45 @@ class GIntervalReport:
 # eigenvalues on a parameter grid, and bracket refinement
 
 
+def _loop_coefficients(p, inv, alpha, g):
+    """Gains of the equilibrium's single feedback loop
+    y -> u_1 -> ... -> u_m -> k -> y, elementwise in the arrays ``alpha``
+    and ``g``: a = alpha (Iy* - gamma) - g (y on y), b = alpha Ik* (k on y),
+    c = Iy* (u_m on k) and e = -x* Iy* (k on k).  All four are NaN where
+    the equilibrium is not positive."""
+    xs = solve_x_star(inv, g, p.delta)
+    ok = g * xs + alpha * (p.gamma * xs - (g + p.delta)) > 0.0
+    xs = np.where(ok, xs, np.nan)
+    iy, ik = investment_derivs(xs, inv, g, p.delta)
+    return alpha * (iy - p.gamma) - g, alpha * ik, iy, -xs * iy
+
+
 def _grid_eigenvalues(p, inv, name, values):
     """Equilibrium eigenvalues at every value of the parameter ``name``
     ("g", "alpha" or "T"), the others fixed at ``p``, from one batched
     eigenvalue call: one row per value, NaN where the equilibrium is not
     positive.
 
-    The Jacobian is the single feedback loop y -> u_1 -> ... -> u_m -> k -> y:
-    a = alpha (Iy* - gamma) - g and b = alpha Ik* in row 0, the r = m/T
-    cascade below, and c = Iy* and e = -x* Iy* in the last row.
+    The Jacobian holds the loop gains of :func:`_loop_coefficients`: a and
+    b in row 0, the r = m/T cascade below, and c and e in the last row.
     """
     values = np.asarray(values, dtype=float)
     q = {"g": p.g, "alpha": p.alpha, "T": p.T, name: values}
     g, alpha, T = (np.broadcast_to(q[key], values.shape) for key in ("g", "alpha", "T"))
     if np.any(T <= 0.0):
         raise DelayNonPositive(f"chain reduction needs T > 0, got T={np.min(T):g}")
-    xs = solve_x_star(inv, g, p.delta)
-    ok = g * xs + alpha * (p.gamma * xs - (g + p.delta)) > 0.0
-    g, alpha, r, xs = g[ok], alpha[ok], p.m / T[ok], xs[ok]
-    iy, ik = investment_derivs(xs, inv, g, p.delta)
+    a, b, c, e = _loop_coefficients(p, inv, alpha, g)
+    ok = ~np.isnan(e)
+    r = p.m / T[ok]
     m = p.m
-    J = np.zeros((xs.size, m + 2, m + 2))
-    J[:, 0, 0] = alpha * (iy - p.gamma) - g
-    J[:, 0, -1] = alpha * ik
+    J = np.zeros((r.size, m + 2, m + 2))
+    J[:, 0, 0] = a[ok]
+    J[:, 0, -1] = b[ok]
     stage = np.arange(1, m + 1)
     J[:, stage, stage - 1] = r[:, None]
     J[:, stage, stage] = -r[:, None]
-    J[:, -1, m] = iy
-    J[:, -1, -1] = -xs * iy
+    J[:, -1, m] = c[ok]
+    J[:, -1, -1] = e[ok]
     eig = np.full((values.size, m + 2), np.nan, dtype=complex)
     eig[ok] = np.linalg.eigvals(J)
     return eig
@@ -159,21 +175,25 @@ def _split_eigenvalues(eig):
     return np.sum(real < 0.0, axis=-1), np.sum(real >= 0.0, axis=-1), lead
 
 
-def _refine(label, grid, labels, tol):
-    """Bisect together every bracket [grid[i], grid[i+1]] whose end labels
-    differ, all as often as it takes to bring each below its ``tol`` (a
-    scalar, or one value per grid point).  ``label`` labels an array of
-    points in one batched evaluation.  Returns i and the final (lo, hi).
+def _refine(label, grid, labels, tol, *rows):
+    """Bisect together every bracket [grid[..., j], grid[..., j+1]] along
+    the last axis whose end labels differ, all as often as it takes to
+    bring each below its ``tol`` (a scalar, or one value per grid point).
+    ``label(x, *r)`` labels an array of points in one batched evaluation,
+    where ``r`` holds each of ``rows`` (one value per grid row) taken at
+    every point's row.  Returns the index of each bracket's lower end, one
+    array per axis, then the final (lo, hi).
     """
-    i = np.nonzero(labels[:-1] != labels[1:])[0]
-    lo, hi, want = grid[i], grid[i + 1], labels[i]
-    tol = tol[i] if np.ndim(tol) else tol
+    idx = np.nonzero(labels[..., :-1] != labels[..., 1:])
+    lo, hi, want = grid[idx], grid[idx[:-1] + (idx[-1] + 1,)], labels[idx]
+    tol = tol[idx] if np.ndim(tol) else tol
+    rows = [r[idx[:-1]] for r in rows]
     steps = math.floor(np.max(np.log2(np.abs(hi - lo) / tol), initial=-1.0)) + 1
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        same = label(mid) == want
+        same = label(mid, *rows) == want
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    return i, lo, hi
+    return *idx, lo, hi
 
 
 def _pair_crossings(p, inv, name, grid, tol, step):
@@ -232,7 +252,7 @@ def pair_max_real(p, inv, m=None):
 
 
 # ---------------------------------------------------------------------------
-# closed-form location in T
+# closed-form references in T for m = 1 and m = 2
 
 
 def _imag_axis_residual(monic_coeffs, omega):
@@ -242,7 +262,8 @@ def _imag_axis_residual(monic_coeffs, omega):
 
 def hopf_in_T_m1(eq, p):
     """Critical delays for m = 1 from the quadratic
-    (AB) T^2 + (A^2 + alpha Ik* Iy*) T - A = 0.
+    (AB) T^2 + (A^2 + alpha Ik* Iy*) T - A = 0, a reference for
+    :func:`hopf_in_T`.
 
     Requires A < 0 (otherwise the equilibrium is unstable for every delay
     and NoStableRegime is raised).  Each positive root T* yields a Hopf
@@ -305,7 +326,8 @@ def _positive_quadratic_roots(qa, qb, qc):
 
 
 def hopf_in_T_m2(eq, p):
-    """Critical delays for m = 2 from the quartic criticality polynomial.
+    """Critical delays for m = 2 from the quartic criticality polynomial, a
+    reference for :func:`hopf_in_T`.
 
     Positive simple roots T* of phi(T) = 0 with a1, a3 > 0 give
     omega* = sqrt(a3(T*) / a1(T*)); the remaining two roots are checked to
@@ -396,7 +418,7 @@ def _phase(omega, a, e, bc, m):
         np.arctan2(omega, -a)
         + np.arctan2(omega, -e)
         + m * np.arctan(_chain_ratio(omega, a, e, bc, m))
-        - math.atan2(0.0, bc)
+        - np.arctan2(0.0, bc)
     )
 
 
@@ -416,57 +438,68 @@ def _newton_step(omega, T, a, e, bc, m):
     return d_om, d_T
 
 
-def hopf_in_T(p, inv, m=None):
-    """Critical delays for any kernel order m, located on the imaginary axis.
+def _axis_crossings(p, inv, alpha, g):
+    """Every critical delay of every cell (alpha[i], g[i]) at kernel order
+    p.m, located on the imaginary axis in one batched computation.
 
     With lambda = i omega, Q(lambda) = (lambda - a)(lambda - e) and
     s = omega T / m, the characteristic equation splits into a modulus
     condition that gives T explicitly,
     T(omega) = (m/omega) sqrt((|bc| / |Q(i omega)|)^(2/m) - 1), valid on
     (0, omega_max] where |Q(i omega_max)| = |bc|, and a phase condition
-    G(omega) = arg Q(i omega) + m atan(s) - arg(bc) = 2 pi k.  G is
-    scanned on an N_GRID-point omega grid (dense near omega_max, where T
-    vanishes, and reaching omega = 0, where T is unbounded), every bracket
-    of every branch k is bisected at once, and each root is polished by
-    Newton steps on the complex equation in (omega, T).  The crossing
-    direction is the sign of Re dlambda/dT =
-    Re[-(m Q lambda / T) / (Q'(lambda)(lambda + m/T) + m Q)].
+    G(omega) = arg Q(i omega) + m atan(s) - arg(bc) = 2 pi k.  Each cell
+    scans G on its own N_GRID-point omega grid (dense near omega_max,
+    where T vanishes, and reaching omega = 0, where T is unbounded); every
+    bracket where floor(G / 2 pi) changes, over all cells, is bisected at
+    once, and each root is polished by Newton steps on the complex
+    equation in (omega, T).  The crossing speed is
+    Re dlambda/dT = Re[-(m Q lambda / T) / (Q'(lambda)(lambda + m/T) + m Q)].
 
-    Raises NoHopf when no positive critical delay exists and
-    DegenerateTransversality when a crossing has Re dlambda/dT ~ 0.
+    Returns (cell, T, omega, speed), one entry per crossing, ordered by
+    cell and then by T.  Cells without a positive equilibrium or with
+    |bc| <= |ae| have no entry.  Raises DegenerateTransversality when a
+    crossing has Re dlambda/dT ~ 0.
     """
-    if m is not None:
-        p = p.replace(m=m)
     m = p.m
-    # the m = 2 composites (M, N, P) are (a, e, -bc) for every order
-    a, e, minus_bc = char_poly.composites_m2(equilibrium(p, inv), p)
-    bc = -minus_bc
-    # omega_max^2 solves (w + a^2)(w + e^2) = bc^2, a quadratic in w
+    alpha, g = np.asarray(alpha, dtype=float), np.asarray(g, dtype=float)
+    a, b, c, e = _loop_coefficients(p, inv, alpha, g)
+    bc = b * c
+    # omega_max^2 solves (x + a^2)(x + e^2) = bc^2, a quadratic in x
     excess = bc * bc - a * a * e * e
-    if not excess > 0.0:
-        raise NoHopf(f"|bc| <= |ae|: no positive critical delay for m = {m}")
-    root = math.sqrt((a * a - e * e) ** 2 + 4.0 * bc * bc)
-    omega_max = math.sqrt(2.0 * excess / (a * a + e * e + root))
+    cell = np.nonzero(excess > 0.0)[0]
+    a, e, bc, excess = a[cell], e[cell], bc[cell], excess[cell]
+    root = np.sqrt((a * a - e * e) ** 2 + 4.0 * bc * bc)
+    omega_max = np.sqrt(2.0 * excess / (a * a + e * e + root))
 
-    # omega runs from omega_max (T = 0) down to 0 (T unbounded); the
-    # quadratic spacing resolves the square-root behaviour of T at omega_max
+    # every cell scans omega = omega_max w on one grid of w running from 1
+    # (T = 0) down to 0 (T unbounded); the quadratic spacing resolves the
+    # square-root behaviour of T at omega_max
     v = np.linspace(0.0, 1.0, N_GRID)
-    omegas = omega_max * (1.0 - v * v)
-    if a * e == 0.0:
-        omegas = omegas[:-1]  # arg(i omega - a) has no limit at omega = 0
-    # a crossing is a root of G = 2 pi k; the label counts the levels below G
-    two_pi = 2.0 * math.pi
-    phase = _phase(omegas, a, e, bc, m)
-    levels = two_pi * np.arange(math.ceil(phase.min() / two_pi), math.floor(phase.max() / two_pi) + 1)
-    label = lambda om: np.searchsorted(levels, _phase(om, a, e, bc, m))
+    w = 1.0 - v * v
+    # a crossing is a root of G = 2 pi k: the label is floor(G / 2 pi)
+    label = lambda x, om_max, *coeffs: np.floor(_phase(om_max * x, *coeffs, m) / (2.0 * math.pi))
+    # the grid is labelled 64 cells at a time, which bounds the temporaries
+    # of the phase to about 0.7 MB however many cells there are
+    labels = np.empty((cell.size, N_GRID), dtype=np.int32)
+    for start in range(0, cell.size, 64):
+        rows = slice(start, start + 64)
+        labels[rows] = label(w, *(x[rows, None] for x in (omega_max, a, e, bc)))
+    # arg(i omega - a) has no limit at omega = 0 when ae = 0: no bracket there
+    no_limit = a * e == 0.0
+    labels[no_limit, -1] = labels[no_limit, -2]
     # BISECT_STEPS halvings of every grid interval
-    tol = np.abs(np.diff(omegas)) * 2.0 ** (0.5 - BISECT_STEPS)
-    _, lo, hi = _refine(label, omegas, np.searchsorted(levels, phase), tol)
-    omega = 0.5 * (lo + hi)
+    tol = np.abs(np.diff(w)) * 2.0 ** (0.5 - BISECT_STEPS)
+    row, _, lo, hi = _refine(
+        label, np.broadcast_to(w, labels.shape), labels,
+        np.broadcast_to(tol, (cell.size, N_GRID - 1)), omega_max, a, e, bc,
+    )
+    omega_max, a, e, bc, cell = omega_max[row], a[row], e[row], bc[row], cell[row]
+    omega = omega_max * (0.5 * (lo + hi))
     with np.errstate(divide="ignore"):
         T = m * _chain_ratio(omega, a, e, bc, m) / omega
     keep = (omega > 0.0) & (T > 0.0) & np.isfinite(T)
-    omega, T, width = omega[keep], T[keep], np.abs(hi - lo)[keep]
+    omega, T, width = omega[keep], T[keep], (omega_max * np.abs(hi - lo))[keep]
+    a, e, bc, cell = a[keep], e[keep], bc[keep], cell[keep]
     centre = omega
     # the root lies in its bracket: a Newton step that leaves it (with one
     # bracket width to spare for rounding in the phase) is refused
@@ -476,62 +509,47 @@ def hopf_in_T(p, inv, m=None):
         ok = (np.abs(om_new - centre) <= width) & (T_new > 0.0)
         omega, T = np.where(ok, om_new, omega), np.where(ok, T_new, T)
 
-    points = []
-    for om, t_star in sorted(zip(omega.tolist(), T.tolist()), key=lambda pair: pair[1]):
-        lam = 1j * om
-        q = (lam - a) * (lam - e)
-        slope = -(m * q * lam / t_star) / ((2.0 * lam - a - e) * (lam + m / t_star) + m * q)
-        if abs(slope.real) <= TRANSVERSALITY_TOL * abs(slope):
-            raise DegenerateTransversality(
-                f"crossing speed vanishes at T* = {t_star:g}"
-            )
-        points.append(
-            HopfPoint(
-                parameter="T",
-                value=t_star,
-                omega=om,
-                crossing="destabilizing" if slope.real > 0.0 else "stabilizing",
-                transversality=slope.real,
-            )
+    lam = 1j * omega
+    q = (lam - a) * (lam - e)
+    slope = -(m * q * lam / T) / ((2.0 * lam - a - e) * (lam + m / T) + m * q)
+    flat = np.abs(slope.real) <= TRANSVERSALITY_TOL * np.abs(slope)
+    if flat.any():
+        i = np.argmax(flat)
+        raise DegenerateTransversality(
+            f"crossing speed vanishes at T* = {T[i]:g}"
+            f" (alpha = {alpha[cell[i]]:g}, g = {g[cell[i]]:g})"
         )
-    if not points:
-        raise NoHopf(f"no positive critical delay for m = {m} at these parameters")
-    return points
+    order = np.lexsort((T, cell))
+    return cell[order], T[order], omega[order], slope.real[order]
 
 
-# ---------------------------------------------------------------------------
-# eigenvalue reference (any m)
+def hopf_in_T(p, inv, m=None):
+    """Critical delays for any kernel order m, located on the imaginary
+    axis by :func:`_axis_crossings` on the single cell (p.alpha, p.g).
 
-
-def hopf_in_T_numeric(p, inv, m=None, t_range=(1e-4, 50.0), n_grid=512):
-    """Locate critical delays for arbitrary kernel order by eigenvalue
-    bisection on a geometric T grid.
-
-    An independent reference for :func:`hopf_in_T` and the closed forms,
-    on no production path: it also bisects jumps of the leading pair's
-    real part where an unstable pair turns real, which it reports as
-    spurious crossings.  Raises NoHopf when the leading pair never changes
-    sign on the grid.
+    Raises NoHopf when no positive critical delay exists and
+    DegenerateTransversality when a crossing has Re dlambda/dT ~ 0.
     """
     if m is not None:
         p = p.replace(m=m)
-    ts = np.geomspace(*t_range, n_grid)
-    points = _pair_crossings(p, inv, "T", ts, 1e-12 * np.maximum(1.0, ts), 1e-6)
-    if not points:
-        raise NoHopf(f"no Hopf crossing in T over {t_range} for m = {p.m}")
-    return points
+    equilibrium(p, inv)  # raises GrowthOutOfRange or NonPositiveEquilibrium
+    _, T, omega, speed = _axis_crossings(p, inv, [p.alpha], [p.g])
+    if not T.size:
+        raise NoHopf(f"no positive critical delay for m = {p.m} at these parameters")
+    return [
+        HopfPoint(
+            parameter="T",
+            value=t_star,
+            omega=om,
+            crossing="destabilizing" if sl > 0.0 else "stabilizing",
+            transversality=sl,
+        )
+        for t_star, om, sl in zip(T.tolist(), omega.tolist(), speed.tolist())
+    ]
 
 
-def critical_delays(p, inv, m=None):
-    """Critical delays by the preferred route: closed form for m <= 2,
-    :func:`hopf_in_T` on the imaginary axis otherwise."""
-    if m is not None:
-        p = p.replace(m=m)
-    if p.m in (1, 2):
-        eq = equilibrium(p, inv)
-        locate = hopf_in_T_m1 if p.m == 1 else hopf_in_T_m2
-        return locate(eq, p)
-    return hopf_in_T(p, inv)
+#: the critical delays of any kernel order: :func:`hopf_in_T` is the one route
+critical_delays = hopf_in_T
 
 
 def hopf_in_alpha(p, inv, m=None, alpha_range=(0.05, 2.0), n_grid=512):

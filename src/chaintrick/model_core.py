@@ -83,6 +83,10 @@ class Equilibrium:
     Iy_star: float
     Ik_star: float
 
+    def __post_init__(self):
+        for name in ("x_star", "y_star", "k_star", "Iy_star", "Ik_star"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+
 
 def _logistic(z):
     """1 / (1 + exp(-z)) elementwise; below z = -709, exp(-z) overflows to

@@ -1,12 +1,13 @@
 """Parameter-space scans: bifurcation curves, the (alpha, g) surface of
 critical delays, and the per-order table of growth-rate Hopf points.
 
-Grid cells are independent pure evaluations, computed serially in grid
-order (a thread pool measured slower than serial on these sub-millisecond
-cells), so output is deterministic.  Cells with no Hopf point carry NaN
-internally and the ``NA`` sentinel in CSV; a critical delay of exactly
-zero is meaningful (the all-T instability threshold) and is never used as
-a gap marker.
+A curve or a surface is one batched call of the imaginary-axis solver
+behind :func:`chaintrick.hopf_locator.hopf_in_T`, which treats every
+(alpha, g) cell on its own with elementwise arithmetic, so a cell's value
+does not depend on the grid around it and output is deterministic.  Cells
+with no Hopf point carry NaN internally and the ``NA`` sentinel in CSV; a
+critical delay of exactly zero is meaningful (the all-T instability
+threshold) and is never used as a gap marker.
 """
 
 import json
@@ -17,13 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._version import __version__
-from .errors import (
-    GrowthOutOfRange,
-    NoHopf,
-    NonPositiveEquilibrium,
-    NoStableRegime,
-)
-from .hopf_locator import critical_delays, hopf_in_g
+from .hopf_locator import _axis_crossings, hopf_in_g
 
 
 @dataclass(frozen=True)
@@ -64,14 +59,25 @@ class SurfaceResult:
     fixed: dict
 
 
+def _smallest_delays(p, inv, m, alphas, gs):
+    """First positive critical delay of every cell of the (alphas, gs)
+    grid, shape (len(alphas), len(gs)), from one batched call; NaN where a
+    cell has no Hopf point."""
+    if m is not None:
+        p = p.replace(m=m)
+    alpha, g = np.meshgrid(alphas, gs, indexing="ij")
+    cell, T, _, _ = _axis_crossings(p, inv, alpha.ravel(), g.ravel())
+    # crossings come ordered by cell and then by T
+    cells, first = np.unique(cell, return_index=True)
+    out = np.full(alpha.size, np.nan)
+    out[cells] = T[first]
+    return out.reshape(alpha.shape)
+
+
 def smallest_critical_delay(p, inv, m=None):
     """First positive critical delay (the boundary of the small-T stable
     region), or NaN when the cell has no Hopf point."""
-    try:
-        points = critical_delays(p, inv, m=m)
-    except (NoHopf, NoStableRegime, NonPositiveEquilibrium, GrowthOutOfRange):
-        return math.nan
-    return min(h.value for h in points)
+    return float(_smallest_delays(p, inv, m, [p.alpha], [p.g])[0, 0])
 
 
 def curve_T_vs_alpha(p, inv, m, alphas):
@@ -82,9 +88,7 @@ def curve_T_vs_alpha(p, inv, m, alphas):
     threshold above which no delay stabilizes the equilibrium.
     """
     alphas = np.asarray(alphas, dtype=float)
-    tb = np.array(
-        [smallest_critical_delay(p.replace(alpha=float(al)), inv, m=m) for al in alphas]
-    )
+    tb = _smallest_delays(p, inv, m, alphas, [p.g])[:, 0]
     fit = _fit(np.column_stack([np.ones_like(alphas), 1.0 / alphas]), tb,
                model="c0 + c1/alpha")
     if fit is not None and fit.coefficients[0] != 0.0:
@@ -105,9 +109,7 @@ def curve_T_vs_g(p, inv, m, gs):
     """Critical delay versus growth rate at fixed alpha, with the quadratic
     fit T_bi = a0 + a1 g + a2 g^2."""
     gs = np.asarray(gs, dtype=float)
-    tb = np.array(
-        [smallest_critical_delay(p.replace(g=float(g)), inv, m=m) for g in gs]
-    )
+    tb = _smallest_delays(p, inv, m, [p.alpha], gs)[0]
     fit = _fit(np.column_stack([np.ones_like(gs), gs, gs**2]), tb,
                model="a0 + a1*g + a2*g^2")
     fixed = {"alpha": p.alpha, "gamma": p.gamma, "delta": p.delta, "G0": p.G0}
@@ -135,22 +137,14 @@ def _fit(basis, tb, model):
 def surface_T(p, inv, m, alphas, gs):
     """Critical delay on the (alpha, g) grid.
 
-    Cells reuse :func:`smallest_critical_delay`, so any slice agrees with
-    the corresponding curve operation exactly.
+    Cells are computed as in :func:`smallest_critical_delay` and the
+    curves, so any slice agrees with the corresponding curve exactly.
     """
     alphas = np.asarray(alphas, dtype=float)
     gs = np.asarray(gs, dtype=float)
     if len(alphas) < 16 or len(gs) < 16:
         raise ValueError("surface grids need at least 16 points per axis")
-    grid = np.array(
-        [
-            [
-                smallest_critical_delay(p.replace(alpha=float(al), g=float(g)), inv, m=m)
-                for g in gs
-            ]
-            for al in alphas
-        ]
-    )
+    grid = _smallest_delays(p, inv, m, alphas, gs)
     fixed = {"gamma": p.gamma, "delta": p.delta, "G0": p.G0}
     return SurfaceResult(alphas=alphas, gs=gs, t_bi=grid, m=m or p.m, fixed=fixed)
 

@@ -3,13 +3,15 @@
 Everything here deliberately avoids the code paths it checks: x* by
 bisection instead of the closed-form inverse, Jacobians by finite
 differences, characteristic coefficients reassembled from numerically
-computed eigenvalues, critical delays by eigenvalue bisection, and
-trajectories cross-checked against scipy's own integrator.
+computed eigenvalues, critical delays by eigenvalue bisection in T
+instead of on the imaginary axis, and trajectories cross-checked against
+scipy's own integrator.
 """
 
 import numpy as np
 
-from chaintrick.errors import GrowthOutOfRange, NonPositiveEquilibrium
+from chaintrick.errors import GrowthOutOfRange, NoHopf, NonPositiveEquilibrium
+from chaintrick.hopf_locator import _pair_crossings
 from chaintrick.model_core import (
     InvestmentParams,
     MacroParams,
@@ -117,3 +119,22 @@ def pair_real_from_matrix(J, imag_tol=1e-9):
     if cplx.size == 0:
         return None
     return float(cplx.real.max())
+
+
+def hopf_in_T_numeric(p, inv, m=None, t_range=(1e-4, 50.0), n_grid=512):
+    """Critical delays for any kernel order by eigenvalue bisection on a
+    geometric T grid.
+
+    An independent reference for :func:`chaintrick.hopf_locator.hopf_in_T`
+    and the closed forms: it also bisects jumps of the leading pair's real
+    part where an unstable pair turns real, which it reports as spurious
+    crossings.  Raises NoHopf when the leading pair never changes sign on
+    the grid.
+    """
+    if m is not None:
+        p = p.replace(m=m)
+    ts = np.geomspace(*t_range, n_grid)
+    points = _pair_crossings(p, inv, "T", ts, 1e-12 * np.maximum(1.0, ts), 1e-6)
+    if not points:
+        raise NoHopf(f"no Hopf crossing in T over {t_range} for m = {p.m}")
+    return points

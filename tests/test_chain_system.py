@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from chaintrick.chain_system import (
-    ChainState,
     build,
     constant_history_state,
     equilibrium_state,
@@ -99,12 +98,6 @@ class TestRhs:
         expected = (baseline.alpha * (eq.Iy_star - baseline.gamma) - baseline.g) * eps
         got = rhs(sys_, s_pert)[0]
         assert got == pytest.approx(expected, rel=1e-5)
-
-    def test_chain_state_round_trip(self):
-        st = ChainState(y=1.0, u=(2.0, 3.0), k=4.0)
-        arr = st.as_array()
-        np.testing.assert_array_equal(arr, [1.0, 2.0, 3.0, 4.0])
-        assert ChainState.from_array(arr) == st
 
 
 class TestJacobian:

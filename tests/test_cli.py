@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chaintrick.cli import main
+from chaintrick.hopf_locator import pair_max_real
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +159,27 @@ class TestHopfCmd:
             capsys, "hopf", "--vary", "T", "--alpha", "0.7", "--m", "2", "--t-min", "2"
         )
         assert json.loads(out)["hopf_points"] == []
+
+    def test_vary_T_m2_where_the_quartic_refuses_the_crossing_speed(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "hopf", "--vary", "T", "--m", "2", "--alpha", "0.6",
+            "--g", "0.008363636363636365",
+        )
+        assert code == 0
+        points = json.loads(out)["hopf_points"]
+        assert [h["crossing"] for h in points] == ["destabilizing", "stabilizing"]
+        assert points[0]["value"] == pytest.approx(29.156, abs=1e-3)
+        assert points[1]["value"] == pytest.approx(38716, rel=1e-4)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("alpha", [0.62, 0.7])
+    def test_vary_T_transversality_is_re_dlambda_dT(self, capsys, inv_dm, baseline, m, alpha):
+        _, out, _ = run_cli(capsys, "hopf", "--vary", "T", "--m", str(m), "--alpha", str(alpha))
+        (h,) = json.loads(out)["hopf_points"]
+        p, step = baseline.replace(alpha=alpha, m=m), 1e-4 * h["value"]
+        up = pair_max_real(p.replace(T=h["value"] + step), inv_dm)[0]
+        dn = pair_max_real(p.replace(T=h["value"] - step), inv_dm)[0]
+        assert h["transversality"] == pytest.approx((up - dn) / (2.0 * step), rel=1e-6)
 
     def test_vary_T_empty_window_is_domain_error(self, capsys):
         code, _, err = run_cli(

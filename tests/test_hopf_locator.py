@@ -20,11 +20,10 @@ from chaintrick.hopf_locator import (
     hopf_in_T,
     hopf_in_T_m1,
     hopf_in_T_m2,
-    hopf_in_T_numeric,
     pair_max_real,
 )
 from chaintrick.model_core import Equilibrium, MacroParams, equilibrium, growth_interval
-from oracles import random_model_draw
+from oracles import hopf_in_T_numeric, random_model_draw
 
 TABLE_G = {
     1: (0.01011989, 0.02032586),

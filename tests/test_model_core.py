@@ -173,6 +173,11 @@ class TestEquilibrium:
         # definitional identity
         assert eq.y_star == eq.x_star * eq.k_star
 
+    def test_fields_are_python_floats(self, inv_dm, baseline):
+        eq = equilibrium(baseline, inv_dm)
+        for name in ("x_star", "y_star", "k_star", "Iy_star", "Ik_star"):
+            assert type(getattr(eq, name)) is float
+
     def test_stationarity_oracle(self, inv_dm, baseline):
         # the closed form must zero both structural equations
         eq = equilibrium(baseline, inv_dm)

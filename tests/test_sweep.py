@@ -1,9 +1,19 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chaintrick.char_poly import coeffs_m1, routh_hurwitz_cubic
+from chaintrick.errors import (
+    DegenerateTransversality,
+    GrowthOutOfRange,
+    NoHopf,
+    NonPositiveEquilibrium,
+    NoStableRegime,
+)
+from chaintrick.hopf_locator import equilibrium_eigenvalues, hopf_in_T_m1, hopf_in_T_m2
 from chaintrick.model_core import equilibrium, growth_interval
 from chaintrick.sweep import (
     curve_T_vs_alpha,
@@ -198,3 +208,72 @@ def test_smallest_critical_delay_returns_nan_outside_range(inv_dm, baseline):
     assert math.isnan(
         smallest_critical_delay(baseline.replace(alpha=0.9), inv_dm, m=1)
     )
+
+
+# the grids of acceptance criterion 8 (m = 1), of the benchmark's surfaces
+# and a wide (alpha, g) grid
+CURVE_ALPHAS = np.linspace(0.6, 0.764, 83)
+BENCH = (np.linspace(0.6, 0.75, 16), np.linspace(0.012, 0.019, 16))
+WIDE = (np.linspace(0.05, 2.0, 40), np.linspace(0.004, 0.028, 23))
+
+
+def _closed_form_delays(p, inv, m, alphas, gs):
+    """Smallest critical delay of every cell from the m = 1 and m = 2 closed
+    forms, one call per cell: NaN where a cell has no Hopf point, -1 where
+    the closed form refuses a crossing as degenerate."""
+    locate = hopf_in_T_m1 if m == 1 else hopf_in_T_m2
+    out = np.empty((len(alphas), len(gs)))
+    for i, al in enumerate(alphas):
+        for j, g in enumerate(gs):
+            q = p.replace(alpha=float(al), g=float(g), m=m)
+            try:
+                out[i, j] = min(h.value for h in locate(equilibrium(q, inv), q))
+            except (NoHopf, NoStableRegime, NonPositiveEquilibrium, GrowthOutOfRange):
+                out[i, j] = math.nan
+            except DegenerateTransversality:
+                out[i, j] = -1.0
+    return out
+
+
+def _assert_same_cells(got, want):
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * want[finite])
+
+
+class TestBatchedCells:
+    """Every cell of one batched sweep against the per-cell routes it
+    replaced: the closed forms for m = 1 and m = 2, and pinned values of
+    one hopf_in_T call per cell for m >= 3."""
+
+    def test_m1_and_m2_match_the_closed_forms(self, inv_dm, baseline):
+        curve = curve_T_vs_alpha(baseline, inv_dm, 1, CURVE_ALPHAS)
+        want = _closed_form_delays(baseline, inv_dm, 1, CURVE_ALPHAS, [baseline.g])
+        _assert_same_cells(curve.t_bi, want[:, 0])
+        # only the m = 2 quartic refuses crossings, at 9 cells of the wide grid
+        for m, (alphas, gs), n_refused in ((1, BENCH, 0), (2, BENCH, 0), (1, WIDE, 0), (2, WIDE, 9)):
+            got = surface_T(baseline, inv_dm, m, alphas, gs).t_bi
+            want = _closed_form_delays(baseline, inv_dm, m, alphas, gs)
+            refused = want == -1.0
+            assert refused.sum() == n_refused
+            assert np.all(np.isfinite(got[refused]))
+            _assert_same_cells(got[~refused], want[~refused])
+
+    def test_m3_to_m6_match_the_per_cell_values(self, inv_dm, baseline):
+        path = Path(__file__).parent / "data" / "smallest_delays_m3_to_m6.json"
+        pinned = json.loads(path.read_text(encoding="utf-8"))["t_bi"]
+        cases = [("bench_m3", 3, BENCH)] + [(f"wide_m{m}", m, WIDE) for m in (3, 4, 5, 6)]
+        for name, m, (alphas, gs) in cases:
+            got = surface_T(baseline, inv_dm, m, alphas, gs).t_bi
+            _assert_same_cells(got, np.array(pinned[name], dtype=float))
+
+    def test_cells_the_m2_quartic_refuses_are_true_crossings(self, inv_dm, baseline):
+        alphas, gs = WIDE
+        surf = surface_T(baseline, inv_dm, 2, alphas, gs)
+        refused = _closed_form_delays(baseline, inv_dm, 2, alphas, gs) == -1.0
+        for i, j in zip(*np.nonzero(refused)):
+            tb = surf.t_bi[i, j]
+            p = baseline.replace(alpha=float(alphas[i]), g=float(gs[j]), m=2)
+            below = equilibrium_eigenvalues(p.replace(T=0.999 * tb), inv_dm)
+            above = equilibrium_eigenvalues(p.replace(T=1.001 * tb), inv_dm)
+            assert np.max(below.real) < 0.0 < np.max(above.real)
