@@ -13,7 +13,9 @@ N = Ik* - (g + delta) = -x* Iy* < 0 and P = -alpha Ik* Iy*.
 Stability in T is governed by sign combinations of these coefficients; the
 criticality condition a1 a2 a3 - a3^2 - a1^2 a4 = 0 (m = 2) is equivalent
 to the vanishing of a quartic polynomial in T, evaluated here by
-:func:`phi_quartic`.
+:func:`phi_quartic`.  The verdicts work on the coefficients alone; the
+equilibrium's eigenvalues come from
+:func:`chaintrick.hopf_locator.equilibrium_eigenvalues`.
 """
 
 from dataclasses import dataclass
@@ -59,7 +61,7 @@ class CharCoeffsM2:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Routh-Hurwitz verdict with per-condition values and eigenvalues.
+    """Routh-Hurwitz verdict with per-condition values.
 
     ``stable`` is True iff every condition value is positive; ``marginal``
     flags any condition within MARGINAL_TOL of zero (a Hopf candidate when
@@ -70,7 +72,6 @@ class StabilityVerdict:
     stable: bool
     marginal: bool
     conditions: tuple
-    eigenvalues: np.ndarray
     notes: dict
 
 
@@ -139,30 +140,7 @@ def quartic_coeffs_deriv_at(M, N, P, T):
     return da1, da2, da3, da4
 
 
-def companion_roots(monic_coeffs):
-    """Roots of a monic polynomial via the companion-matrix eigenvalues.
-
-    ``monic_coeffs`` lists [a1, ..., an] of
-    lambda^n + a1 lambda^(n-1) + ... + an.  A residual check
-    |p(root)| < 1e-8 * (1 + |root|^n) guards against ill conditioning.
-    """
-    coeffs = np.asarray(monic_coeffs, dtype=float)
-    n = len(coeffs)
-    comp = np.zeros((n, n))
-    comp[0, :] = -coeffs
-    comp[1:, :-1] = np.eye(n - 1)
-    roots = np.linalg.eigvals(comp)
-    full = np.concatenate(([1.0], coeffs))
-    for r in roots:
-        res = abs(np.polyval(full, r))
-        if res > 1e-8 * (1.0 + abs(r) ** n):
-            raise ArithmeticError(
-                f"companion root residual {res:g} too large for root {r}"
-            )
-    return roots
-
-
-def _verdict(values, names, eigenvalues, notes):
+def _verdict(values, names, notes):
     conditions = tuple(
         (name, value, value > 0.0) for name, value in zip(names, values)
     )
@@ -172,7 +150,6 @@ def _verdict(values, names, eigenvalues, notes):
         stable=stable,
         marginal=marginal,
         conditions=conditions,
-        eigenvalues=eigenvalues,
         notes=notes,
     )
 
@@ -185,14 +162,13 @@ def routh_hurwitz_cubic(c):
     """
     values = (c.a1, c.a3, c.a1 * c.a2 - c.a3)
     names = ("a1 > 0", "a3 > 0", "a1*a2 - a3 > 0")
-    eig = companion_roots([c.a1, c.a2, c.a3])
     notes = {
         "A": c.A,
         "B": c.B,
         "B_plus_alpha_ik_iy": c.B + c.alpha_ik_iy,
         "discriminant": cubic_discriminant(c),
     }
-    return _verdict(values, names, eig, notes)
+    return _verdict(values, names, notes)
 
 
 def routh_hurwitz_quartic(c):
@@ -205,7 +181,6 @@ def routh_hurwitz_quartic(c):
     combo = c.a1 * c.a2 * c.a3 - c.a3**2 - c.a1**2 * c.a4
     values = (c.a1, c.a3, c.a4, combo)
     names = ("a1 > 0", "a3 > 0", "a4 > 0", "a1*a2*a3 - a3^2 - a1^2*a4 > 0")
-    eig = companion_roots([c.a1, c.a2, c.a3, c.a4])
     notes = {
         "M": c.M,
         "N": c.N,
@@ -214,7 +189,7 @@ def routh_hurwitz_quartic(c):
         "MN_plus_P": c.M * c.N + c.P,
         "T_bound_if_M_positive": (c.M + c.N) / (c.M * c.N) if c.M > 0 else None,
     }
-    return _verdict(values, names, eig, notes)
+    return _verdict(values, names, notes)
 
 
 def monic_cubic_discriminant(a1, a2, a3):

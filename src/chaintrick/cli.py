@@ -5,6 +5,11 @@ Every command accepts the model parameters as flags, a JSON config file
 (flags override file values), ``--emit-config`` to write the fully
 resolved configuration back out, and ``--json`` for compact output.
 Exit codes: 0 success, 2 domain error, 3 numeric failure.
+
+``stability`` reports the Routh-Hurwitz verdict of char_poly for m = 1
+and m = 2 beside the equilibrium eigenvalues; ``stability --scan-g N``
+merges the segments of :func:`chaintrick.hopf_locator.hopf_in_g` on an
+N-point grid into stable and unstable regimes.
 """
 
 import argparse
@@ -31,15 +36,13 @@ from .errors import (
     StepFailure,
 )
 from .hopf_locator import (
-    _grid_eigenvalues,
-    _refine,
     _split_eigenvalues,
     critical_delays,
     equilibrium_eigenvalues,
     hopf_in_alpha,
     hopf_in_g,
 )
-from .model_core import equilibrium, growth_interval
+from .model_core import equilibrium
 
 CONFIG_VERSION = 1
 
@@ -84,7 +87,6 @@ _OPTION_DEFAULTS = {
         "horizon": 4000.0,
         "sample_dt": 0.2,
         "transient": 0.5,
-        "backend": "auto",
     },
     "sweep": {
         "curve": "T-vs-alpha",
@@ -165,9 +167,6 @@ def _build_parser():
     sp.add_argument("--horizon", type=float, default=None)
     sp.add_argument("--sample-dt", dest="sample_dt", type=float, default=None)
     sp.add_argument("--transient", type=float, default=None)
-    sp.add_argument(
-        "--backend", choices=("auto", "python", "compiled"), default=None
-    )
 
     sp = subs.add_parser("sweep", help="bifurcation curves and surfaces")
     add_common(sp)
@@ -345,34 +344,24 @@ def _cmd_stability(config, args):
 
     if scan < 1:
         raise ValueError(f"--scan-g needs at least 1 point, got {scan}")
-    g_lo, g_hi = growth_interval(inv, macro.delta)
-    gs = np.linspace(g_lo, g_hi, int(scan) + 2)[1:-1]
-
-    def label(g):
-        # 0: no positive equilibrium, 1: stable, 2: unstable
-        eig = _grid_eigenvalues(macro, inv, "g", g)
-        return np.select([np.isnan(eig[:, 0]), np.all(eig.real < 0.0, axis=1)], [0, 1], 2)
-
-    _, lo, hi = _refine(label, gs, label(gs), 1e-11)
-    boundaries = (0.5 * (lo + hi)).tolist()
-    edges = np.array([gs[0]] + boundaries + [gs[-1]])
-    eig = _grid_eigenvalues(macro, inv, "g", 0.5 * (edges[:-1] + edges[1:]))
-    regimes = [
-        {
-            "g_lo": seg_lo,
-            "g_hi": seg_hi,
-            "stable": None if np.isnan(row[0]) else bool(np.all(row.real < 0.0)),
-            "classification": (
-                "no positive equilibrium" if np.isnan(row[0]) else _classification(row)
-            ),
-        }
-        for seg_lo, seg_hi, row in zip(edges[:-1].tolist(), edges[1:].tolist(), eig)
-    ]
+    report = hopf_in_g(macro, inv, n_grid=int(scan))
+    regimes = []
+    for s in report.segments:
+        if regimes and regimes[-1]["stable"] == s.stable:
+            regimes[-1]["g_hi"] = s.hi
+        else:
+            regimes.append({"g_lo": s.lo, "g_hi": s.hi, "stable": s.stable})
+    for r in regimes:
+        mid = macro.replace(g=0.5 * (r["g_lo"] + r["g_hi"]))
+        r["classification"] = (
+            "no positive equilibrium" if r["stable"] is None
+            else _classification(equilibrium_eigenvalues(mid, inv))
+        )
     return {
-        "g_min": g_lo,
-        "g_max": g_hi,
+        "g_min": report.g_min,
+        "g_max": report.g_max,
         "n_grid": int(scan),
-        "boundaries": boundaries,
+        "boundaries": [r["g_lo"] for r in regimes[1:]],
         "regimes": regimes,
     }
 
@@ -436,15 +425,9 @@ def _cmd_simulate(config, args):
     opts = config["options"]
     sys_ = build(macro, inv)
     s0 = constant_history_state(sys_, opts["y0"], opts["k0"])
-    traj = simulator.integrate(
-        sys_,
-        s0,
-        opts["horizon"],
-        sample_dt=opts["sample_dt"],
-        backend=opts["backend"],
-    )
+    traj = simulator.integrate(sys_, s0, opts["horizon"], sample_dt=opts["sample_dt"])
     result = {
-        "backend": backend_name() if opts["backend"] == "auto" else opts["backend"],
+        "backend": backend_name(),
         "diverged": traj.diverged,
         "final_state": [float(x) for x in traj.states[-1]],
         "csv": args.out,

@@ -12,11 +12,13 @@ how the sweeps use it.  The closed forms for m = 1 (a quadratic in T) and
 m = 2 (the quartic of :func:`chaintrick.char_poly.phi_quartic`) are kept
 as independent references.
 
-The g and alpha scans label every point of a grid from its equilibrium
-eigenvalues, all computed in one batched call, then bisect every bracket
-where neighbouring labels differ together, one batched evaluation per
-step.  The same bisection serves the phase brackets of every cell of
-:func:`hopf_in_T` and the CLI's stability scan in g.
+The g and alpha scans share one labelled scan, :func:`_scan`: every point
+of a grid is labelled from its equilibrium eigenvalues, all computed in
+one batched call, and every bracket where neighbouring labels differ is
+bisected together, one batched evaluation per step.  :func:`hopf_in_g`
+reads the growth-rate structure and the stability regimes from its label
+changes, :func:`hopf_in_alpha` the Hopf crossings.  The same bisection
+serves the phase brackets of every cell of :func:`hopf_in_T`.
 """
 
 import math
@@ -40,6 +42,9 @@ TRANSVERSALITY_TOL = 1e-10
 N_GRID = 256
 BISECT_STEPS = 12
 NEWTON_STEPS = 3
+
+#: points of the geometric alpha grid scanned by :func:`hopf_in_alpha`
+ALPHA_GRID = 512
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,14 @@ class GSegment:
     n_real_pos: int = 0
     pair_real_sign: int = 0
     has_pair: bool = False
+
+    @property
+    def stable(self):
+        """Whether every eigenvalue has a negative real part; None where
+        the equilibrium is not positive."""
+        if not self.physical:
+            return None
+        return self.n_real_pos == 0 and (not self.has_pair or self.pair_real_sign < 0)
 
 
 @dataclass(frozen=True)
@@ -196,17 +209,28 @@ def _refine(label, grid, labels, tol, *rows):
     return *idx, lo, hi
 
 
+def _scan(p, inv, name, grid, tol):
+    """Label every point of ``grid`` of the parameter ``name``: 0 where the
+    equilibrium is not positive, 1 where the Jacobian has no complex pair,
+    2 where the leading pair has Re < 0 and 3 where it has Re >= 0.  Every
+    bracket where neighbouring labels differ is bisected to ``tol``.
+    Returns the change points and the labels before and after each."""
+
+    def label(x):
+        eig = _grid_eigenvalues(p, inv, name, x)
+        lead = _split_eigenvalues(eig)[2]
+        return np.where(np.isnan(lead), ~np.isnan(eig[:, 0]), 2 + (lead.real >= 0.0))
+
+    labels = label(grid)
+    i, lo, hi = _refine(label, grid, labels, tol)
+    return 0.5 * (lo + hi), labels[i], labels[i + 1]
+
+
 def _pair_crossings(p, inv, name, grid, tol, step):
     """Hopf points where the leading pair's real part changes sign between
     neighbouring points of ``grid``, bisected to ``tol``."""
-
-    def pair_re(x):
-        return _split_eigenvalues(_grid_eigenvalues(p, inv, name, x))[2].real
-
-    re = pair_re(grid)
-    i, lo, hi = _refine(lambda x: pair_re(x) < 0.0, grid, re < 0.0, tol)
-    located = ~np.isnan(re[i]) & ~np.isnan(re[i + 1])
-    return _hopf_points(p, inv, name, (0.5 * (lo + hi))[located], step)
+    x, before, after = _scan(p, inv, name, grid, tol)
+    return _hopf_points(p, inv, name, x[(before >= 2) & (after >= 2)], step)
 
 
 def _hopf_points(p, inv, name, x, step):
@@ -529,13 +553,22 @@ def hopf_in_T(p, inv, m=None):
 
     Raises NoHopf when no positive critical delay exists and
     DegenerateTransversality when a crossing has Re dlambda/dT ~ 0.
+    Without a crossing the equilibrium is as stable for every delay as in
+    the limit T -> 0, where the leading eigenvalues solve
+    lambda^2 - (a + e) lambda + (ae - bc) = 0 with ae - bc > 0, so the
+    sign of a + e says which, and NoHopf says it too.
     """
     if m is not None:
         p = p.replace(m=m)
     equilibrium(p, inv)  # raises GrowthOutOfRange or NonPositiveEquilibrium
     _, T, omega, speed = _axis_crossings(p, inv, [p.alpha], [p.g])
     if not T.size:
-        raise NoHopf(f"no positive critical delay for m = {p.m} at these parameters")
+        a, _, _, e = _loop_coefficients(p, inv, np.float64(p.alpha), np.float64(p.g))
+        trace = float(a + e)
+        raise NoHopf(
+            f"no positive critical delay for m = {p.m}: a + e = {trace:.4g}, equilibrium"
+            f" {'unstable' if trace >= 0.0 else 'stable'} for every delay"
+        )
     return [
         HopfPoint(
             parameter="T",
@@ -552,18 +585,19 @@ def hopf_in_T(p, inv, m=None):
 critical_delays = hopf_in_T
 
 
-def hopf_in_alpha(p, inv, m=None, alpha_range=(0.05, 2.0), n_grid=512):
+def hopf_in_alpha(p, inv, m=None, alpha_range=(0.05, 2.0)):
     """Hopf crossings as the adjustment speed alpha varies at fixed T, g.
 
-    Bisects sign changes of the leading pair's real part on a geometric
-    alpha grid; raises NoHopf when there is no sign change.
+    Bisects sign changes of the leading pair's real part on an
+    ALPHA_GRID-point geometric alpha grid; raises NoHopf when there is no
+    sign change.
     """
     if m is not None:
         p = p.replace(m=m)
     lo, hi = alpha_range
     if not (0.0 < lo < hi):
         raise ValueError("alpha_range must satisfy 0 < lo < hi")
-    points = _pair_crossings(p, inv, "alpha", np.geomspace(lo, hi, n_grid), 1e-12, 1e-7)
+    points = _pair_crossings(p, inv, "alpha", np.geomspace(lo, hi, ALPHA_GRID), 1e-12, 1e-7)
     if not points:
         raise NoHopf(f"no Hopf crossing in alpha over {alpha_range}")
     return points
@@ -577,29 +611,20 @@ def hopf_in_g(p, inv, m=None, n_grid=2048):
     """Scan the admissible growth interval and report its eigenvalue
     structure.
 
-    Each point of a uniform grid over (g_min + 1e-6, g_max - 1e-6) is
-    labelled by whether the equilibrium is positive, whether the Jacobian
-    has a complex pair, and the sign of the pair's real part.  Every
-    bracket where the label changes is bisected to 1e-11 in g: the
-    equilibrium leaving the positive quadrant, the complex pair appearing
-    or vanishing, or the pair's real part changing sign (the Hopf
-    crossings).
+    :func:`_scan` labels the ``n_grid`` interior points of a uniform grid
+    of ``n_grid + 2`` points over (g_min, g_max) and bisects every label
+    change to 1e-11 in g: the equilibrium leaving the positive quadrant,
+    the complex pair appearing or vanishing, or the pair's real part
+    changing sign (the Hopf crossings).  On the physical range
+    ae - bc = Iy* (g x* + alpha (gamma x* - g - delta)) > 0, so no real
+    eigenvalue crosses zero and every change of ``GSegment.stable`` is
+    one of these label changes.
     """
     if m is not None:
         p = p.replace(m=m)
     g_lo, g_hi = growth_interval(inv, p.delta)
-    eps = 1e-6
-    gs = np.linspace(g_lo + eps, g_hi - eps, n_grid)
-
-    def label(g):
-        # 0: no positive equilibrium, 1: no pair, 2: pair with Re < 0, 3: Re >= 0
-        eig = _grid_eigenvalues(p, inv, "g", g)
-        lead = _split_eigenvalues(eig)[2]
-        return np.select([np.isnan(eig[:, 0]), np.isnan(lead), lead.real < 0.0], [0, 1, 2], 3)
-
-    labels = label(gs)
-    i, lo, hi = _refine(label, gs, labels, 1e-11)
-    bounds, before, after = 0.5 * (lo + hi), labels[i], labels[i + 1]
+    gs = np.linspace(g_lo, g_hi, n_grid + 2)[1:-1]
+    bounds, before, after = _scan(p, inv, "g", gs, 1e-11)
     ups = bounds[(before == 2) & (after == 3)].tolist()
     downs = bounds[(before == 3) & (after == 2)].tolist()
     appears = bounds[(before == 1) & (after >= 2)].tolist()

@@ -9,7 +9,6 @@ from chaintrick.char_poly import (
     CharCoeffsM2,
     coeffs_m1,
     coeffs_m2,
-    companion_roots,
     composites_m1,
     cubic_coeffs_at,
     cubic_discriminant,
@@ -67,6 +66,14 @@ class TestCoeffsM1:
         with pytest.raises(DelayNonPositive):
             coeffs_m1(eq, baseline.replace(T=0.0))
 
+    def test_cubic_coeffs_at_consistency(self, inv_dm, baseline):
+        eq = equilibrium(baseline, inv_dm)
+        c = coeffs_m1(eq, baseline)
+        A, B, aik = composites_m1(eq, baseline)
+        assert cubic_coeffs_at(A, B, aik, baseline.T) == pytest.approx(
+            (c.a1, c.a2, c.a3), rel=1e-15
+        )
+
 
 class TestCoeffsM2:
     def test_N_equals_minus_x_iy(self, rng):
@@ -111,8 +118,9 @@ class TestRouthHurwitz:
             v = routh_hurwitz_cubic(c)
             if any(abs(val) < 1e-8 for _, val, _ in v.conditions):
                 continue
-            eig_stable = bool(np.all(v.eigenvalues.real < 0.0))
-            assert v.stable == eig_stable
+            sys_ = build(p, inv)
+            eig = np.linalg.eigvals(jacobian(sys_, equilibrium_state(sys_)))
+            assert v.stable == bool(np.all(eig.real < 0.0))
             checked += 1
         assert checked > 900
 
@@ -124,7 +132,9 @@ class TestRouthHurwitz:
             v = routh_hurwitz_quartic(c)
             if any(abs(val) < 1e-8 for _, val, _ in v.conditions):
                 continue
-            assert v.stable == bool(np.all(v.eigenvalues.real < 0.0))
+            sys_ = build(p, inv)
+            eig = np.linalg.eigvals(jacobian(sys_, equilibrium_state(sys_)))
+            assert v.stable == bool(np.all(eig.real < 0.0))
             checked += 1
         assert checked > 900
 
@@ -204,7 +214,7 @@ class TestDiscriminant:
             disc = monic_cubic_discriminant(*coeffs)
             if abs(disc) < 1e-10:
                 continue
-            roots = companion_roots(list(coeffs))
+            roots = np.roots(np.concatenate(([1.0], coeffs)))
             n_complex = int(np.sum(np.abs(roots.imag) > 1e-7 * (1 + np.abs(roots))))
             if disc > 0.0:
                 assert n_complex == 0
@@ -256,17 +266,3 @@ class TestPhiQuartic:
             h = 1e-6 * T
             fd = (phi_quartic(c, T + h) - phi_quartic(c, T - h)) / (2 * h)
             assert phi_quartic_deriv(c, T) == pytest.approx(fd, rel=1e-6)
-
-
-class TestCompanionRoots:
-    def test_known_cubic(self):
-        roots = np.sort_complex(companion_roots([-6.0, 11.0, -6.0]))
-        np.testing.assert_allclose(roots, [1.0, 2.0, 3.0], rtol=1e-10)
-
-    def test_cubic_coeffs_at_consistency(self, inv_dm, baseline):
-        eq = equilibrium(baseline, inv_dm)
-        c = coeffs_m1(eq, baseline)
-        A, B, aik = composites_m1(eq, baseline)
-        assert cubic_coeffs_at(A, B, aik, baseline.T) == pytest.approx(
-            (c.a1, c.a2, c.a3), rel=1e-15
-        )

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +109,34 @@ class TestStabilityCmd:
         assert out == ""
         assert err.startswith("error: --scan-g needs at least 1 point")
 
+    def test_scan_matches_recorded_outputs(self, capsys):
+        path = Path(__file__).parent / "data" / "stability_scan_g.json"
+        cases = json.loads(path.read_text(encoding="utf-8"))["cases"]
+        assert len(cases) == 108
+        for case in cases:
+            argv = ["--m", str(case["m"]), "--alpha", repr(case["alpha"]), "--T", repr(case["T"])]
+            code, out, _ = run_cli(capsys, "stability", "--scan-g", str(case["n_grid"]), *argv)
+            assert code == 0
+            got, want = json.loads(out), case["out"]
+            assert got["boundaries"] == pytest.approx(want["boundaries"], rel=0, abs=1e-12)
+            assert len(got["regimes"]) == len(want["regimes"])
+            assert [(r["stable"], r["classification"]) for r in got["regimes"]] == [
+                (r["stable"], r["classification"]) for r in want["regimes"]
+            ]
+            assert got["regimes"][0]["g_lo"] == want["regimes"][0]["g_lo"]
+            assert got["regimes"][-1]["g_hi"] == want["regimes"][-1]["g_hi"]
+            for key in ("g_min", "g_max", "n_grid"):
+                assert got[key] == want[key]
+
+    @pytest.mark.parametrize("T", ["1e-5", "1e-7", "1e-9"])
+    def test_m2_verdict_at_tiny_delay(self, capsys, T):
+        # the equilibrium is unstable there: a3 < 0 and the eigenvalues agree
+        code, out, err = run_cli(capsys, "stability", "--m", "2", "--T", T)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["stable"] is False
+        assert max(re for re, _ in doc["eigenvalues"]) > 0.0
+
 
 class TestHopfCmd:
     def test_vary_g_matches_table(self, capsys):
@@ -130,6 +159,17 @@ class TestHopfCmd:
         assert code == 0
         assert doc["hopf_points"] == []
         assert "note" in doc
+
+    @pytest.mark.parametrize(
+        "flag, value, verdict",
+        [("--alpha", "0.9", "unstable for every delay"), ("--g", "0.005", "stable for every delay")],
+    )
+    def test_vary_T_without_crossing_says_why(self, capsys, flag, value, verdict):
+        code, out, _ = run_cli(capsys, "hopf", "--vary", "T", flag, value)
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["hopf_points"] == []
+        assert doc["note"].endswith(f"equilibrium {verdict}")
 
     def test_vary_T_any_order_through_critical_delays(self, capsys):
         _, out, _ = run_cli(capsys, "hopf", "--vary", "T", "--alpha", "0.7", "--m", "3")
@@ -290,6 +330,17 @@ class TestConfigRoundTrip:
         run_cli(capsys, "equilibrium", "--emit-config", str(cfg))
         code, _, err = run_cli(capsys, "stability", "--config", str(cfg))
         assert code == 2
+
+    def test_backend_option_rejected(self, capsys, tmp_path):
+        # simulate always runs the active backend; the option is gone
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"version": 1, "options": {"backend": "python"}}), encoding="utf-8"
+        )
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "options.backend" in err
 
     def test_bad_version_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -343,6 +343,13 @@ class TestHopfInG:
         real_only = [s for s in phys if not s.has_pair]
         assert all(s.n_real_neg == 3 and s.n_real_pos == 0 for s in real_only)
 
+    def test_segment_stability(self, inv_dm, baseline):
+        # stable between the nonphysical sliver and g1_hopf and again past
+        # g2_hopf, whether or not the Jacobian has a complex pair there
+        rep = hopf_in_g(baseline, inv_dm, m=1)
+        assert [s.stable for s in rep.segments] == [None, True, True, False, True, True]
+        assert [s.hi for s in rep.segments if s.stable is False] == [rep.g2_hopf]
+
     def test_hopf_points_have_directions_and_omegas(self, inv_dm, baseline):
         rep = hopf_in_g(baseline, inv_dm, m=1)
         assert [h.crossing for h in rep.hopf_points] == [
