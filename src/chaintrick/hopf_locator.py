@@ -1,24 +1,23 @@
 """Hopf bifurcation location in the delay T, the growth rate g and the
 adjustment speed alpha.
 
-In T every kernel order shares one characteristic equation,
-(lambda - a)(lambda - e)(lambda + m/T)^m = bc (m/T)^m, and one route
-solves it: :func:`hopf_in_T` works on the imaginary axis, where the
-modulus gives T as an explicit function of the frequency omega, the phase
-gives the crossings as roots in omega, and the crossing direction comes
-from the analytic Re dlambda/dT, with no eigenvalues and no cap on T.  The
-same solver takes a whole batch of (alpha, g) cells in one call, which is
-how the sweeps use it.  The closed forms for m = 1 (a quadratic in T) and
-m = 2 (the quartic of :func:`chaintrick.char_poly.phi_quartic`) are kept
-as independent references.
+Every kernel order shares one characteristic equation,
+(lambda - a)(lambda - e)(lambda + m/T)^m = bc (m/T)^m, and every Hopf
+point is found on the imaginary axis, with no eigenvalues.  In T the
+modulus gives T as an explicit function of the frequency omega and the
+phase gives the crossings as roots in omega, with no cap on T; one call of
+:func:`hopf_in_T`'s solver takes a whole batch of (alpha, g) cells, as the
+sweeps do.  In g and alpha at fixed T the modulus gives omega at every
+grid point and the phase labels it.  Every route bisects with
+:func:`_refine` and takes the direction from the analytic
+Re dlambda/d(parameter).  The closed forms for m = 1 (a quadratic in T)
+and m = 2 (the quartic of :func:`chaintrick.char_poly.phi_quartic`) are
+kept as independent references.
 
-The g and alpha scans share one labelled scan, :func:`_scan`: every point
-of a grid is labelled from its equilibrium eigenvalues, all computed in
-one batched call, and every bracket where neighbouring labels differ is
-bisected together, one batched evaluation per step.  :func:`hopf_in_g`
-reads the growth-rate structure and the stability regimes from its label
-changes, :func:`hopf_in_alpha` the Hopf crossings.  The same bisection
-serves the phase brackets of every cell of :func:`hopf_in_T`.
+Eigenvalues serve only the growth-rate structure: :func:`_scan` labels a
+g grid from its equilibrium eigenvalues, all computed in one batched call,
+and bisects every label change, from which :func:`hopf_in_g` reads g1, g2
+and the stability regimes.
 """
 
 import math
@@ -45,6 +44,8 @@ NEWTON_STEPS = 3
 
 #: points of the geometric alpha grid scanned by :func:`hopf_in_alpha`
 ALPHA_GRID = 512
+#: interior points of the g grid of :func:`hopf_in_g` and of the table
+G_GRID = 2048
 
 
 @dataclass(frozen=True)
@@ -55,13 +56,12 @@ class HopfPoint:
     ``omega`` is the imaginary-axis crossing frequency, ``crossing`` is
     "destabilizing" when the pair moves left to right as the parameter
     increases and "stabilizing" otherwise, and ``transversality`` is the
-    signed crossing-speed expression (nonzero by construction).  Which
-    expression depends on the route: Re dlambda/dT from :func:`hopf_in_T`
-    (and so from :func:`critical_delays` for every m), B T*^2 + 1 from the
-    m = 1 reference :func:`hopf_in_T_m1`, -psi'(T*) from the m = 2
-    reference :func:`hopf_in_T_m2`, and a central difference of the
-    leading pair's real part in g or alpha from :func:`hopf_in_g` and
-    :func:`hopf_in_alpha`.
+    signed crossing speed (nonzero by construction).  It is
+    Re dlambda/d(parameter) on the T, g and alpha routes:
+    :func:`hopf_in_T` (and so :func:`critical_delays` for every m),
+    :func:`hopf_in_g` and :func:`hopf_in_alpha`.  Only the closed-form
+    references differ: B T*^2 + 1 from the m = 1 :func:`hopf_in_T_m1`
+    and -psi'(T*) from the m = 2 :func:`hopf_in_T_m2`.
     """
 
     parameter: str
@@ -73,6 +73,21 @@ class HopfPoint:
     def __post_init__(self):
         for name in ("value", "omega", "transversality"):
             object.__setattr__(self, name, float(getattr(self, name)))
+
+
+def _as_points(name, values, omega, speed):
+    """HopfPoints in the parameter ``name``, one per (value, omega, crossing
+    speed)."""
+    return [
+        HopfPoint(
+            parameter=name,
+            value=value,
+            omega=om,
+            crossing="destabilizing" if sl > 0.0 else "stabilizing",
+            transversality=sl,
+        )
+        for value, om, sl in zip(values, omega, speed)
+    ]
 
 
 @dataclass(frozen=True)
@@ -226,35 +241,6 @@ def _scan(p, inv, name, grid, tol):
     return 0.5 * (lo + hi), labels[i], labels[i + 1]
 
 
-def _pair_crossings(p, inv, name, grid, tol, step):
-    """Hopf points where the leading pair's real part changes sign between
-    neighbouring points of ``grid``, bisected to ``tol``."""
-    x, before, after = _scan(p, inv, name, grid, tol)
-    return _hopf_points(p, inv, name, x[(before >= 2) & (after >= 2)], step)
-
-
-def _hopf_points(p, inv, name, x, step):
-    """HopfPoints at the crossings x of the parameter ``name``: omega is the
-    leading pair's |Im| and the crossing speed the central difference of
-    its real part with step ``step * max(1, x)``.  A pair collapsing onto
-    the real axis (omega <= 1e-6) is not an imaginary-axis crossing."""
-    n, h = len(x), step * np.maximum(1.0, x)
-    eig = _grid_eigenvalues(p, inv, name, np.concatenate([x, x + h, x - h]))
-    lead = _split_eigenvalues(eig)[2]
-    slope = (lead.real[n : 2 * n] - lead.real[2 * n :]) / (2.0 * h)
-    return [
-        HopfPoint(
-            parameter=name,
-            value=value,
-            omega=om,
-            crossing="destabilizing" if sl > 0.0 else "stabilizing",
-            transversality=sl,
-        )
-        for value, om, sl in zip(x, np.abs(lead.imag[:n]), slope)
-        if om > 1e-6
-    ]
-
-
 def equilibrium_eigenvalues(p, inv):
     """Eigenvalues of the chain-system Jacobian at the equilibrium."""
     eig = _grid_eigenvalues(p, inv, "g", [p.g])[0]
@@ -315,18 +301,10 @@ def hopf_in_T_m1(eq, p):
             raise DegenerateTransversality(
                 f"crossing speed vanishes at T* = {t_star:g}"
             )
-        points.append(
-            HopfPoint(
-                parameter="T",
-                value=t_star,
-                omega=omega,
-                crossing="destabilizing" if trans > 0.0 else "stabilizing",
-                transversality=trans,
-            )
-        )
+        points.append((t_star, omega, trans))
     if not points:
         raise NoHopf("no positive critical delay for m = 1 at these parameters")
-    return sorted(points, key=lambda h: h.value)
+    return _as_points("T", *zip(*sorted(points)))
 
 
 def _positive_quadratic_roots(qa, qb, qc):
@@ -395,18 +373,10 @@ def hopf_in_T_m2(eq, p):
                 f"crossing speed vanishes at T* = {t_star:g}"
             )
         trans = -psi_prime
-        points.append(
-            HopfPoint(
-                parameter="T",
-                value=t_star,
-                omega=omega,
-                crossing="destabilizing" if trans > 0.0 else "stabilizing",
-                transversality=trans,
-            )
-        )
+        points.append((t_star, omega, trans))
     if not points:
         raise NoHopf("no positive critical delay for m = 2 at these parameters")
-    return sorted(points, key=lambda h: h.value)
+    return _as_points("T", *zip(*sorted(points)))
 
 
 def _psi_prime_m2(M, N, P, T):
@@ -425,7 +395,7 @@ def _psi_prime_m2(M, N, P, T):
 
 
 # ---------------------------------------------------------------------------
-# location in T on the imaginary axis (any m)
+# location in T, g and alpha on the imaginary axis (any m)
 
 
 def _chain_ratio(omega, a, e, bc, m):
@@ -435,15 +405,26 @@ def _chain_ratio(omega, a, e, bc, m):
     return np.sqrt(np.maximum((bc * bc / q2) ** (1.0 / m) - 1.0, 0.0))
 
 
-def _phase(omega, a, e, bc, m):
+def _phase(omega, a, e, bc, m, s=None):
     """G(omega) = arg Q(i omega) + m atan(s) - arg(bc), continuous for
-    omega > 0; a multiple of 2 pi exactly at a crossing."""
-    return (
-        np.arctan2(omega, -a)
-        + np.arctan2(omega, -e)
-        + m * np.arctan(_chain_ratio(omega, a, e, bc, m))
-        - np.arctan2(0.0, bc)
+    omega > 0; a multiple of 2 pi exactly at a crossing.  s = omega T / m
+    comes from the modulus condition unless given."""
+    s = _chain_ratio(omega, a, e, bc, m) if s is None else s
+    return np.arctan2(omega, -a) + np.arctan2(omega, -e) + m * np.arctan(s) - np.arctan2(0.0, bc)
+
+
+def _crossing_speed(omega, a, e, r, m, da, de, dbc, dlnr):
+    """Re dlambda/dx at the root lambda = i omega of
+    (lambda - a)(lambda - e)(lambda + r)^m = bc r^m from the derivatives
+    a', e', (bc)'/bc and (ln r)' in the varied parameter x, and the mask
+    of crossings too flat to give a direction:
+    dlambda/dx = [a'/(lambda - a) + e'/(lambda - e) + (bc)'/bc
+    + m lambda (ln r)'/(lambda + r)] / [1/(lambda - a) + 1/(lambda - e) + m/(lambda + r)]."""
+    lam = 1j * omega
+    slope = (da / (lam - a) + de / (lam - e) + dbc + m * lam * dlnr / (lam + r)) / (
+        1.0 / (lam - a) + 1.0 / (lam - e) + m / (lam + r)
     )
+    return slope.real, np.abs(slope.real) <= TRANSVERSALITY_TOL * np.abs(slope)
 
 
 def _newton_step(omega, T, a, e, bc, m):
@@ -476,8 +457,8 @@ def _axis_crossings(p, inv, alpha, g):
     where T vanishes, and reaching omega = 0, where T is unbounded); every
     bracket where floor(G / 2 pi) changes, over all cells, is bisected at
     once, and each root is polished by Newton steps on the complex
-    equation in (omega, T).  The crossing speed is
-    Re dlambda/dT = Re[-(m Q lambda / T) / (Q'(lambda)(lambda + m/T) + m Q)].
+    equation in (omega, T).  The crossing speed Re dlambda/dT is that of
+    :func:`_crossing_speed` with a, e and bc fixed and (ln r)' = -1/T.
 
     Returns (cell, T, omega, speed), one entry per crossing, ordered by
     cell and then by T.  Cells without a positive equilibrium or with
@@ -533,10 +514,7 @@ def _axis_crossings(p, inv, alpha, g):
         ok = (np.abs(om_new - centre) <= width) & (T_new > 0.0)
         omega, T = np.where(ok, om_new, omega), np.where(ok, T_new, T)
 
-    lam = 1j * omega
-    q = (lam - a) * (lam - e)
-    slope = -(m * q * lam / T) / ((2.0 * lam - a - e) * (lam + m / T) + m * q)
-    flat = np.abs(slope.real) <= TRANSVERSALITY_TOL * np.abs(slope)
+    speed, flat = _crossing_speed(omega, a, e, m / T, m, 0.0, 0.0, 0.0, -1.0 / T)
     if flat.any():
         i = np.argmax(flat)
         raise DegenerateTransversality(
@@ -544,7 +522,7 @@ def _axis_crossings(p, inv, alpha, g):
             f" (alpha = {alpha[cell[i]]:g}, g = {g[cell[i]]:g})"
         )
     order = np.lexsort((T, cell))
-    return cell[order], T[order], omega[order], slope.real[order]
+    return cell[order], T[order], omega[order], speed[order]
 
 
 def hopf_in_T(p, inv, m=None):
@@ -569,68 +547,129 @@ def hopf_in_T(p, inv, m=None):
             f"no positive critical delay for m = {p.m}: a + e = {trace:.4g}, equilibrium"
             f" {'unstable' if trace >= 0.0 else 'stable'} for every delay"
         )
-    return [
-        HopfPoint(
-            parameter="T",
-            value=t_star,
-            omega=om,
-            crossing="destabilizing" if sl > 0.0 else "stabilizing",
-            transversality=sl,
-        )
-        for t_star, om, sl in zip(T.tolist(), omega.tolist(), speed.tolist())
-    ]
+    return _as_points("T", T, omega, speed)
 
 
 #: the critical delays of any kernel order: :func:`hopf_in_T` is the one route
 critical_delays = hopf_in_T
 
 
+def _param_crossings(p, inv, name, grid, tol):
+    """Hopf points in the parameter ``name`` ("g" or "alpha") at fixed T,
+    found on the imaginary axis between neighbouring ``grid`` points and
+    bisected to ``tol``.
+
+    With r = m/T the modulus condition in u = omega^2,
+    F(u) = ln(u + a^2) + ln(u + e^2) + m ln(1 + u/r^2) - ln(bc^2) = 0,
+    has one root where bc^2 > a^2 e^2 and none elsewhere.  F increases,
+    is convex in ln u and is >= 0 at omega_max^2, so Newton steps in ln u
+    from there fall monotonically onto the root; a point stops once its
+    residual is no longer positive.  The point is labelled
+    floor(G / 2 pi) from the phase G at that omega (-inf without a root).
+    Raises DegenerateTransversality when a crossing has Re dlambda/dx ~ 0.
+    """
+    if p.T <= 0.0:
+        raise DelayNonPositive(f"chain reduction needs T > 0, got T={p.T:g}")
+    m, r = p.m, p.m / p.T
+
+    def axis(x):
+        q = {"g": p.g, "alpha": p.alpha, name: x}
+        alpha, g = (np.broadcast_to(q[key], x.shape) for key in ("alpha", "g"))
+        a, b, c, e = _loop_coefficients(p, inv, alpha, g)
+        a2, e2, bc2 = a * a, e * e, (b * c) ** 2
+        a2, e2, bc2 = (np.where(bc2 > a2 * e2, v, np.nan) for v in (a2, e2, bc2))
+        w = np.log(2.0 * (bc2 - a2 * e2) / (a2 + e2 + np.sqrt((a2 - e2) ** 2 + 4.0 * bc2)))
+        log_bc2 = np.log(bc2)
+        for _ in range(60):
+            u = np.exp(w)
+            f = np.log(u + a2) + np.log(u + e2) + m * np.log1p(u / (r * r)) - log_bc2
+            step = w - f / (u / (u + a2) + u / (u + e2) + m * u / (u + r * r))
+            down = (f > 0.0) & (step < w)
+            if not down.any():
+                break
+            w = np.where(down, step, w)
+        return np.exp(0.5 * w), alpha, g, a, b, c, e
+
+    def label(x):
+        omega, _, _, a, b, c, e = axis(x)
+        phase = _phase(omega, a, e, b * c, m, omega / r)
+        return np.where(np.isnan(omega), -np.inf, np.floor(phase / (2.0 * math.pi)))
+
+    labels = label(grid)
+    i, lo, hi = _refine(label, grid, labels, tol)
+    # a bracket that ends where no pair sits on the axis is not a crossing
+    keep = np.isfinite(labels[i]) & np.isfinite(label(hi))
+    x = 0.5 * (lo + hi)[keep]
+    omega, alpha, g, a, b, c, e = axis(x)
+    if name == "alpha":
+        da, de, dbc = (a + g) / alpha, 0.0, 1.0 / alpha
+    else:
+        # dx*/dg = 1/Iy*, so dIy*/dg = a v (1 - 2 s), s = (g + delta - c)/d the logistic at x*
+        diy = inv.a * inv.v * (1.0 - 2.0 * (g + p.delta - inv.c) / inv.d)
+        da, de, dbc = alpha * diy - 1.0, -1.0 + e / c * diy, diy * (b + alpha * e) / (b * c)
+    speed, flat = _crossing_speed(omega, a, e, r, m, da, de, dbc, 0.0)
+    if flat.any():
+        raise DegenerateTransversality(
+            f"crossing speed vanishes at {name} = {x[np.argmax(flat)]:g}")
+    return _as_points(name, x, omega, speed)
+
+
 def hopf_in_alpha(p, inv, m=None, alpha_range=(0.05, 2.0)):
     """Hopf crossings as the adjustment speed alpha varies at fixed T, g.
 
-    Bisects sign changes of the leading pair's real part on an
-    ALPHA_GRID-point geometric alpha grid; raises NoHopf when there is no
-    sign change.
+    :func:`_param_crossings` scans an ALPHA_GRID-point geometric alpha grid
+    on the imaginary axis and bisects every crossing to 1e-12; the
+    ``transversality`` of each point is Re dlambda/dalpha.  Raises NoHopf
+    when there is no crossing.
     """
     if m is not None:
         p = p.replace(m=m)
     lo, hi = alpha_range
     if not (0.0 < lo < hi):
         raise ValueError("alpha_range must satisfy 0 < lo < hi")
-    points = _pair_crossings(p, inv, "alpha", np.geomspace(lo, hi, ALPHA_GRID), 1e-12, 1e-7)
+    points = _param_crossings(p, inv, "alpha", np.geomspace(lo, hi, ALPHA_GRID), 1e-12)
     if not points:
         raise NoHopf(f"no Hopf crossing in alpha over {alpha_range}")
     return points
+
+
+def _growth_hopf(p, inv, n_grid):
+    """(grid, points, g1_hopf, g2_hopf): the ``n_grid`` interior points of
+    a uniform grid over (g_min, g_max), the Hopf points in g bisected to
+    1e-11 on it, the first destabilizing and the last stabilizing one."""
+    gs = np.linspace(*growth_interval(inv, p.delta), n_grid + 2)[1:-1]
+    points = _param_crossings(p, inv, "g", gs, 1e-11)
+    ups = [h.value for h in points if h.crossing == "destabilizing"]
+    downs = [h.value for h in points if h.crossing == "stabilizing"]
+    return gs, points, (ups[0] if ups else None), (downs[-1] if downs else None)
 
 
 # ---------------------------------------------------------------------------
 # growth-rate interval structure
 
 
-def hopf_in_g(p, inv, m=None, n_grid=2048):
+def hopf_in_g(p, inv, m=None, n_grid=G_GRID):
     """Scan the admissible growth interval and report its eigenvalue
     structure.
 
-    :func:`_scan` labels the ``n_grid`` interior points of a uniform grid
-    of ``n_grid + 2`` points over (g_min, g_max) and bisects every label
-    change to 1e-11 in g: the equilibrium leaving the positive quadrant,
-    the complex pair appearing or vanishing, or the pair's real part
-    changing sign (the Hopf crossings).  On the physical range
+    The Hopf points (``transversality`` Re dlambda/dg), g1_hopf and
+    g2_hopf are found on the imaginary axis by :func:`_growth_hopf`.
+    :func:`_scan` labels the same ``n_grid`` points from their eigenvalues
+    and bisects every label change to 1e-11 in g: the equilibrium leaving
+    the positive quadrant, the complex pair appearing or vanishing, or the
+    leading pair's real part changing sign.  These bound the ``segments``
+    and give g1 and g2.  On the physical range
     ae - bc = Iy* (g x* + alpha (gamma x* - g - delta)) > 0, so no real
-    eigenvalue crosses zero and every change of ``GSegment.stable`` is
-    one of these label changes.
+    eigenvalue crosses zero and every change of ``GSegment.stable`` is one
+    of these label changes.
     """
     if m is not None:
         p = p.replace(m=m)
     g_lo, g_hi = growth_interval(inv, p.delta)
-    gs = np.linspace(g_lo, g_hi, n_grid + 2)[1:-1]
+    gs, hopf_points, g1_hopf, g2_hopf = _growth_hopf(p, inv, n_grid)
     bounds, before, after = _scan(p, inv, "g", gs, 1e-11)
-    ups = bounds[(before == 2) & (after == 3)].tolist()
-    downs = bounds[(before == 3) & (after == 2)].tolist()
     appears = bounds[(before == 1) & (after >= 2)].tolist()
     vanishes = bounds[(before >= 2) & (after == 1)].tolist()
-    g1_hopf = ups[0] if ups else None
-    g2_hopf = downs[-1] if downs else None
     g1 = next((g for g in reversed(appears) if g1_hopf is not None and g < g1_hopf), None)
     g2 = next((g for g in vanishes if g2_hopf is not None and g > g2_hopf), None)
 
@@ -658,8 +697,6 @@ def hopf_in_g(p, inv, m=None, n_grid=2048):
             has_pair,
         )
     )
-    hopf = (before >= 2) & (after >= 2)
-    hopf_points = tuple(_hopf_points(p, inv, "g", bounds[hopf], 1e-7))
     return GIntervalReport(
         g_min=g_lo,
         g_max=g_hi,
@@ -668,5 +705,5 @@ def hopf_in_g(p, inv, m=None, n_grid=2048):
         g2_hopf=g2_hopf,
         g2=g2,
         segments=segments,
-        hopf_points=hopf_points,
+        hopf_points=tuple(hopf_points),
     )

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._version import __version__
-from .hopf_locator import _axis_crossings, hopf_in_g
+from .hopf_locator import G_GRID, _axis_crossings, _growth_hopf
 
 
 @dataclass(frozen=True)
@@ -151,13 +151,15 @@ def surface_T(p, inv, m, alphas, gs):
 
 def table_g_bifurcations(p, inv, m_list):
     """Rows (m, g_bi1, g_bi2) of the growth-rate Hopf points per kernel
-    order; NaN when a crossing is absent."""
+    order, located on the imaginary axis as in
+    :func:`chaintrick.hopf_locator.hopf_in_g` (the first destabilizing and
+    the last stabilizing crossing); NaN when a crossing is absent."""
     def row(m):
-        report = hopf_in_g(p, inv, m=m)
+        _, _, g_bi1, g_bi2 = _growth_hopf(p.replace(m=m), inv, G_GRID)
         return (
             m,
-            report.g1_hopf if report.g1_hopf is not None else math.nan,
-            report.g2_hopf if report.g2_hopf is not None else math.nan,
+            g_bi1 if g_bi1 is not None else math.nan,
+            g_bi2 if g_bi2 is not None else math.nan,
         )
 
     return [row(m) for m in m_list]

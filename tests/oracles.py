@@ -11,7 +11,7 @@ scipy's own integrator.
 import numpy as np
 
 from chaintrick.errors import GrowthOutOfRange, NoHopf, NonPositiveEquilibrium
-from chaintrick.hopf_locator import _pair_crossings
+from chaintrick.hopf_locator import _as_points, _grid_eigenvalues, _scan, _split_eigenvalues
 from chaintrick.model_core import (
     InvestmentParams,
     MacroParams,
@@ -121,6 +121,29 @@ def pair_real_from_matrix(J, imag_tol=1e-9):
     return float(cplx.real.max())
 
 
+def pair_crossings(p, inv, name, grid, tol, step):
+    """Hopf points where the leading pair's real part changes sign between
+    neighbouring points of the grid of the parameter ``name`` ("T", "g" or
+    "alpha"), bisected to ``tol`` by the eigenvalue scan.  omega is the
+    leading pair's |Im| and the crossing speed the central difference of
+    its real part with step ``step * max(1, x)``.  A pair collapsing onto
+    the real axis (omega <= 1e-6) is not an imaginary-axis crossing.
+
+    Where the leading pair changes identity or an unstable pair turns into
+    two positive real eigenvalues the sign change is a jump, not a
+    crossing, and is reported all the same.
+    """
+    x, before, after = _scan(p, inv, name, grid, tol)
+    x = x[(before >= 2) & (after >= 2)]
+    n, h = len(x), step * np.maximum(1.0, x)
+    eig = _grid_eigenvalues(p, inv, name, np.concatenate([x, x + h, x - h]))
+    lead = _split_eigenvalues(eig)[2]
+    slope = (lead.real[n : 2 * n] - lead.real[2 * n :]) / (2.0 * h)
+    omega = np.abs(lead.imag[:n])
+    keep = omega > 1e-6
+    return _as_points(name, x[keep], omega[keep], slope[keep])
+
+
 def hopf_in_T_numeric(p, inv, m=None, t_range=(1e-4, 50.0), n_grid=512):
     """Critical delays for any kernel order by eigenvalue bisection on a
     geometric T grid.
@@ -134,7 +157,7 @@ def hopf_in_T_numeric(p, inv, m=None, t_range=(1e-4, 50.0), n_grid=512):
     if m is not None:
         p = p.replace(m=m)
     ts = np.geomspace(*t_range, n_grid)
-    points = _pair_crossings(p, inv, "T", ts, 1e-12 * np.maximum(1.0, ts), 1e-6)
+    points = pair_crossings(p, inv, "T", ts, 1e-12 * np.maximum(1.0, ts), 1e-6)
     if not points:
         raise NoHopf(f"no Hopf crossing in T over {t_range} for m = {p.m}")
     return points

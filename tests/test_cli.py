@@ -236,6 +236,25 @@ class TestHopfCmd:
         doc = json.loads(out)
         assert doc["hopf_points"][0]["value"] == pytest.approx(0.7644, abs=1e-3)
 
+    def test_vary_alpha_skips_a_pair_turning_real(self, capsys):
+        # near alpha = 1.79 the unstable pair 0.0737 +- 0.0006i splits into
+        # two positive real eigenvalues: a jump of the leading pair's real
+        # part, not a crossing of the imaginary axis
+        _, out, _ = run_cli(capsys, "hopf", "--vary", "alpha", "--m", "2", "--T", "5")
+        (h,) = json.loads(out)["hopf_points"]
+        assert h["value"] == pytest.approx(0.531748, abs=1e-6)
+        assert h["crossing"] == "destabilizing"
+
+    def test_vary_g_skips_a_pair_collapsing_onto_the_real_axis(self, capsys):
+        # near g = 0.0127398 the leading pair has |Im| ~ 1.6e-6 and changes
+        # identity; only the two genuine crossings remain
+        _, out, _ = run_cli(capsys, "hopf", "--vary", "g", "--m", "2", "--alpha", "3", "--T", "1")
+        doc = json.loads(out)
+        values = [h["value"] for h in doc["hopf_points"]]
+        assert all(abs(v - 0.0127398) > 1e-5 for v in values)
+        assert [h["crossing"] for h in doc["hopf_points"]] == ["destabilizing", "stabilizing"]
+        assert values == [doc["g1_hopf"], doc["g2_hopf"]]
+
 
 class TestSimulateCmd:
     def test_cycle_metrics_m2(self, capsys, tmp_path):

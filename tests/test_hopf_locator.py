@@ -22,8 +22,15 @@ from chaintrick.hopf_locator import (
     hopf_in_T_m2,
     pair_max_real,
 )
-from chaintrick.model_core import Equilibrium, MacroParams, equilibrium, growth_interval
-from oracles import hopf_in_T_numeric, random_model_draw
+from chaintrick.model_core import (
+    Equilibrium,
+    InvestmentParams,
+    MacroParams,
+    equilibrium,
+    growth_interval,
+)
+from chaintrick.sweep import table_g_bifurcations
+from oracles import hopf_in_T_numeric, pair_crossings, random_model_draw
 
 TABLE_G = {
     1: (0.01011989, 0.02032586),
@@ -382,6 +389,110 @@ class TestHopfInAlpha:
     def test_no_sign_change_raises(self, inv_dm, baseline):
         with pytest.raises(NoHopf):
             hopf_in_alpha(baseline, inv_dm, alpha_range=(0.1, 0.2))
+
+
+#: the case grid of the imaginary-axis checks in g and alpha
+AXIS_M = (1, 2, 3, 4, 6)
+AXIS_ALPHA = (0.3, 0.6, 1.0, 1.5, 3.0)
+AXIS_T = (0.2, 1.0, 5.0, 30.0)
+AXIS_N = (3, 50, 500, 2048)
+AXIS_G = (0.008, 0.012, 0.016, 0.02)
+
+
+def _nearest_eigenvalue(p, inv, omega):
+    """The eigenvalue of the chain Jacobian at the equilibrium closest to
+    i omega, and its distance from i omega or -i omega."""
+    sys = build(p, inv)
+    eig = np.linalg.eigvals(jacobian(sys, equilibrium_state(sys)))
+    near = eig[np.argmin(np.abs(eig - 1j * omega))]
+    return near, min(np.min(np.abs(eig - 1j * omega)), np.min(np.abs(eig + 1j * omega)))
+
+
+def _check_axis_points(p, inv, points, step):
+    """Every point has an eigenvalue on the axis at +-i omega, and its
+    transversality is the central difference of that eigenvalue's real
+    part with step ``step * max(1, x)``."""
+    for h in points:
+        _, dist = _nearest_eigenvalue(p.replace(**{h.parameter: h.value}), inv, h.omega)
+        assert dist < 1e-9 * (1.0 + h.omega), h
+        dx = step * max(1.0, h.value)
+        up, _ = _nearest_eigenvalue(p.replace(**{h.parameter: h.value + dx}), inv, h.omega)
+        dn, _ = _nearest_eigenvalue(p.replace(**{h.parameter: h.value - dx}), inv, h.omega)
+        assert h.transversality == pytest.approx((up.real - dn.real) / (2.0 * dx), rel=1e-6), h
+
+
+def _check_oracle_points_matched(p, inv, got, want, tol):
+    """Every point of the eigenvalue-scan oracle that has an eigenvalue on
+    the axis is one of ``got``, within the bisection tolerance."""
+    for r in want:
+        if _nearest_eigenvalue(p.replace(**{r.parameter: r.value}), inv, r.omega)[1] > 1e-9:
+            continue
+        h = min(got, key=lambda h: abs(h.value - r.value), default=None)
+        assert h is not None and abs(h.value - r.value) <= tol and h.crossing == r.crossing, (r, h)
+
+
+class TestAxisCrossingsInGAndAlpha:
+    @pytest.mark.parametrize("m", AXIS_M)
+    def test_g_points_on_the_axis_and_oracle_agreement(self, inv_dm, baseline, m):
+        for alpha in AXIS_ALPHA:
+            for T in AXIS_T:
+                p = baseline.replace(m=m, alpha=alpha, T=T)
+                for n in AXIS_N:
+                    gs, got, _, _ = hopf_locator._growth_hopf(p, inv_dm, n)
+                    _check_axis_points(p, inv_dm, got, 1e-7)
+                    want = pair_crossings(p, inv_dm, "g", gs, 1e-11, 1e-7)
+                    _check_oracle_points_matched(p, inv_dm, got, want, 1e-11)
+
+    @pytest.mark.parametrize("m", AXIS_M)
+    def test_alpha_points_on_the_axis_and_oracle_agreement(self, inv_dm, baseline, m):
+        alphas = np.geomspace(0.05, 5.0, hopf_locator.ALPHA_GRID)
+        for g in AXIS_G:
+            for T in AXIS_T:
+                p = baseline.replace(m=m, g=g, T=T)
+                try:
+                    got = hopf_in_alpha(p, inv_dm, alpha_range=(0.05, 5.0))
+                except NoHopf:
+                    got = []
+                _check_axis_points(p, inv_dm, got, 1e-6)
+                want = pair_crossings(p, inv_dm, "alpha", alphas, 1e-12, 1e-7)
+                _check_oracle_points_matched(p, inv_dm, got, want, 1e-12)
+
+    def test_no_point_where_a_grid_interval_spans_a_stretch_without_one(self):
+        # |bc| <= |ae| inside this one grid interval, where bc changes sign:
+        # the phase labels at its ends differ (-1 and 0), but no pair sits
+        # on the axis in between
+        inv = InvestmentParams(a=13.678170607444452, c=0.01828097557223656,
+                               d=0.021344759579789173, v=1.6345970898203253)
+        p = MacroParams(alpha=1.170403680889611, gamma=0.03257840038446474,
+                        delta=0.011747911425799305, g=0.021357294972646112,
+                        G0=3.7398235002650644, T=0.24907816370109956)
+        grid = np.array([0.016850676000301854, 0.022735022367836834])
+        assert hopf_locator._param_crossings(p, inv, "g", grid, 1e-11) == []
+
+    def test_hopf_in_g_reports_the_axis_points(self, inv_dm, baseline):
+        for m, alpha, T, n in ((1, 1.0, 1.0, 2048), (2, 3.0, 1.0, 500), (4, 0.6, 30.0, 50)):
+            p = baseline.replace(m=m, alpha=alpha, T=T)
+            _, points, g1_hopf, g2_hopf = hopf_locator._growth_hopf(p, inv_dm, n)
+            rep = hopf_in_g(p, inv_dm, n_grid=n)
+            assert rep.hopf_points == tuple(points)
+            assert (rep.g1_hopf, rep.g2_hopf) == (g1_hopf, g2_hopf)
+
+    @pytest.mark.parametrize("alpha, T", [(1.0, 1.0), (0.6, 5.0), (3.0, 0.2)])
+    def test_table_rows_are_the_g_hopf_points(self, inv_dm, baseline, alpha, T):
+        p = baseline.replace(alpha=alpha, T=T)
+        for m, *row in table_g_bifurcations(p, inv_dm, [1, 2, 3, 4, 6]):
+            rep = hopf_in_g(p, inv_dm, m=m)
+            assert [None if math.isnan(v) else v for v in row] == [rep.g1_hopf, rep.g2_hopf]
+
+    def test_table_and_alpha_scan_compute_no_eigenvalues(self, inv_dm, baseline, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or eigvals(a))
+        table_g_bifurcations(baseline, inv_dm, [1, 2, 3, 4])
+        hopf_in_alpha(baseline.replace(T=1.5), inv_dm, alpha_range=(0.3, 1.5))
+        assert calls == []
+        hopf_in_g(baseline, inv_dm, m=1)
+        assert calls
 
 
 def _closed_form(p, inv):
