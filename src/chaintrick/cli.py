@@ -3,8 +3,11 @@
 Subcommands: equilibrium | stability | hopf | simulate | sweep | table2.
 Every command accepts the model parameters as flags, a JSON config file
 (flags override file values), ``--emit-config`` to write the fully
-resolved configuration back out, and ``--json`` for compact output.
-Exit codes: 0 success, 2 domain error, 3 numeric failure.
+resolved configuration back out, and ``--json`` for compact output;
+``simulate``, ``sweep`` and ``table2`` also take ``--out``.  Each setting
+is declared once, in ``_SETTINGS``, and a flag's text and a config value
+pass the same check.  Exit codes: 0 success, 2 domain error (including a
+bad flag, config value or unreadable config file), 3 numeric failure.
 
 ``stability`` reports the Routh-Hurwitz verdict of char_poly for m = 1
 and m = 2 beside the equilibrium eigenvalues; ``stability --scan-g N``
@@ -60,182 +63,163 @@ _NUMERIC_ERRORS = (
     ArithmeticError,
 )
 
-_INVESTMENT_DEFAULTS = {"a": 9.0, "c": 0.01, "d": 0.026, "v": 4.23}
-_MACRO_DEFAULTS = {
-    "alpha": 1.0,
-    "gamma": 0.15,
-    "delta": 0.007,
-    "g": 0.016,
-    "G0": 2.0,
-    "T": 1.0,
-    "m": 1,
+# Every setting, declared once: section -> key -> (kind, default[, help]),
+# with the options per command.  A kind is float, int, list (kernel
+# orders) or a tuple of allowed values; the flag is "--" + key, "_" -> "-".
+_SETTINGS = {
+    "investment": {
+        "a": (float, 9.0), "c": (float, 0.01), "d": (float, 0.026), "v": (float, 4.23),
+    },
+    "macro": {
+        "alpha": (float, 1.0), "gamma": (float, 0.15), "delta": (float, 0.007),
+        "g": (float, 0.016), "G0": (float, 2.0), "T": (float, 1.0), "m": (int, 1),
+    },
+    "options": {
+        "equilibrium": {},
+        "stability": {
+            "scan_g": (int, None, "classify a SCAN_G-point growth-rate grid into regimes"),
+        },
+        "hopf": {
+            "vary": (("T", "g", "alpha"), "T"),
+            "alpha_min": (float, 0.05), "alpha_max": (float, 2.0),
+            "t_min": (float, None,
+                      "--vary T reports only critical delays >= T_MIN (default: no bound)"),
+            "t_max": (float, None,
+                      "--vary T reports only critical delays <= T_MAX (default: no bound)"),
+        },
+        "simulate": {
+            "y0": (float, 15.0), "k0": (float, 100.0), "horizon": (float, 4000.0),
+            "sample_dt": (float, 0.2), "transient": (float, 0.5),
+        },
+        "sweep": {
+            "curve": (("T-vs-alpha", "T-vs-g", "surface"), "T-vs-alpha"),
+            "alpha_min": (float, 0.6), "alpha_max": (float, 0.764), "alpha_count": (int, 83),
+            "g_min": (float, 0.01), "g_max": (float, 0.02), "g_count": (int, 64),
+        },
+        "table2": {
+            "m_list": (list, [1, 2, 3, 4], "comma-separated kernel orders, e.g. 1,2,3,4"),
+        },
+    },
 }
+_WRITES_CSV = ("simulate", "sweep", "table2")
 
-_OPTION_DEFAULTS = {
-    "equilibrium": {},
-    "stability": {"scan_g": None},
-    "hopf": {
-        "vary": "T",
-        "alpha_min": 0.05,
-        "alpha_max": 2.0,
-        "t_min": None,
-        "t_max": None,
-    },
-    "simulate": {
-        "y0": 15.0,
-        "k0": 100.0,
-        "horizon": 4000.0,
-        "sample_dt": 0.2,
-        "transient": 0.5,
-    },
-    "sweep": {
-        "curve": "T-vs-alpha",
-        "alpha_min": 0.6,
-        "alpha_max": 0.764,
-        "alpha_count": 83,
-        "g_min": 0.01,
-        "g_max": 0.02,
-        "g_count": 64,
-    },
-    "table2": {"m_list": [1, 2, 3, 4]},
-}
+
+def _table(command):
+    """The three sections of ``command``'s settings."""
+    return {**_SETTINGS, "options": _SETTINGS["options"][command]}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a domain error instead of exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chaintrick",
         description="Stability, Hopf bifurcation and cycle analysis of the"
         " delayed-investment growth model via its chain-trick ODE reductions.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        for key in _INVESTMENT_DEFAULTS:
-            sp.add_argument(f"--{key}", type=float, default=None)
-        for key in ("alpha", "gamma", "delta", "g", "G0", "T"):
-            sp.add_argument(f"--{key}", type=float, default=None)
-        sp.add_argument("--m", type=int, default=None)
-        sp.add_argument("--config", default=None, help="JSON config file")
+    for command, handler in _HANDLERS.items():
+        sp = subs.add_parser(command, help=handler.__doc__)
+        for entries in _table(command).values():
+            for key, (kind, _, *doc) in entries.items():
+                metavar = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else None
+                sp.add_argument(_flag(key), dest=key, metavar=metavar,
+                                help=doc[0] if doc else None)
+        sp.add_argument("--config", help="JSON config file")
         sp.add_argument(
             "--emit-config",
-            default=None,
             metavar="PATH",
             help="write the resolved configuration to PATH and continue",
         )
-        sp.add_argument("--out", default=None, help="output CSV path")
+        if command in _WRITES_CSV:
+            sp.add_argument("--out", help="output CSV path")
         sp.add_argument("--json", action="store_true", help="compact JSON output")
-
-    sp = subs.add_parser("equilibrium", help="fixed point and linearization")
-    add_common(sp)
-
-    sp = subs.add_parser("stability", help="Routh-Hurwitz verdict and eigenvalues")
-    add_common(sp)
-    sp.add_argument(
-        "--scan-g",
-        dest="scan_g",
-        type=int,
-        default=None,
-        metavar="N",
-        help="classify an N-point growth-rate grid and report regimes",
-    )
-
-    sp = subs.add_parser("hopf", help="locate Hopf bifurcations")
-    add_common(sp)
-    sp.add_argument("--vary", choices=("T", "g", "alpha"), default=None)
-    sp.add_argument("--alpha-min", dest="alpha_min", type=float, default=None)
-    sp.add_argument("--alpha-max", dest="alpha_max", type=float, default=None)
-    sp.add_argument(
-        "--t-min",
-        dest="t_min",
-        type=float,
-        default=None,
-        help="--vary T reports only critical delays >= T_MIN (default: no bound)",
-    )
-    sp.add_argument(
-        "--t-max",
-        dest="t_max",
-        type=float,
-        default=None,
-        help="--vary T reports only critical delays <= T_MAX (default: no bound)",
-    )
-
-    sp = subs.add_parser("simulate", help="integrate and measure cycles")
-    add_common(sp)
-    sp.add_argument("--y0", type=float, default=None)
-    sp.add_argument("--k0", type=float, default=None)
-    sp.add_argument("--horizon", type=float, default=None)
-    sp.add_argument("--sample-dt", dest="sample_dt", type=float, default=None)
-    sp.add_argument("--transient", type=float, default=None)
-
-    sp = subs.add_parser("sweep", help="bifurcation curves and surfaces")
-    add_common(sp)
-    sp.add_argument(
-        "--curve", choices=("T-vs-alpha", "T-vs-g", "surface"), default=None
-    )
-    sp.add_argument("--alpha-min", dest="alpha_min", type=float, default=None)
-    sp.add_argument("--alpha-max", dest="alpha_max", type=float, default=None)
-    sp.add_argument("--alpha-count", dest="alpha_count", type=int, default=None)
-    sp.add_argument("--g-min", dest="g_min", type=float, default=None)
-    sp.add_argument("--g-max", dest="g_max", type=float, default=None)
-    sp.add_argument("--g-count", dest="g_count", type=int, default=None)
-
-    sp = subs.add_parser("table2", help="growth-rate Hopf points per kernel order")
-    add_common(sp)
-    sp.add_argument(
-        "--m-list",
-        dest="m_list",
-        default=None,
-        help="comma-separated kernel orders, e.g. 1,2,3,4",
-    )
     return parser
+
+
+def _check(name, spec, value):
+    """Convert ``value`` for the setting ``name`` declared by ``spec``: a
+    string is parsed as flag text, a JSON value must already have the
+    declared kind (an int passes as a float, a bool never as a number), and
+    null passes only where the default is null.  Raises ValueError naming
+    the setting otherwise."""
+    kind, default, *_ = spec
+    if value is None and default is None:
+        return None
+    if isinstance(kind, tuple):
+        if isinstance(value, str) and value in kind:
+            return value
+        raise ValueError(f"{name}: {value!r} is not one of {', '.join(kind)}")
+    try:
+        if isinstance(value, str):
+            if kind is list:
+                return [int(tok) for tok in value.split(",") if tok.strip()]
+            return kind(value)
+        if kind is float and type(value) in (int, float):
+            return float(value)
+        if kind is int and type(value) is int:
+            return value
+        if kind is list and type(value) is list and all(type(x) is int for x in value):
+            return value
+    except (ValueError, OverflowError):
+        pass
+    want = {float: "a number", int: "an integer", list: "a list of integers"}[kind]
+    raise ValueError(f"{name}: {value!r} is not {want}")
+
+
+def _load_config(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"--config {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"--config {path}: not JSON ({exc})") from None
+    if not isinstance(loaded, dict):
+        raise ValueError(f"--config {path}: not a JSON object")
+    return loaded
 
 
 def _resolve_config(args):
     """Merge defaults, config file and explicit flags into one dict."""
     command = args.command
-    config = {
-        "version": CONFIG_VERSION,
-        "command": command,
-        "investment": dict(_INVESTMENT_DEFAULTS),
-        "macro": dict(_MACRO_DEFAULTS),
-        "options": dict(_OPTION_DEFAULTS[command]),
-    }
+    table = _table(command)
+    config = {"version": CONFIG_VERSION, "command": command}
+    for section, entries in table.items():
+        config[section] = {key: spec[1] for key, spec in entries.items()}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if loaded.get("version") != CONFIG_VERSION:
-            raise ValueError(
-                f"config version {loaded.get('version')!r} is not {CONFIG_VERSION}"
-            )
+        loaded = _load_config(args.config)
+        version = loaded.get("version")
+        if type(version) is not int or version != CONFIG_VERSION:
+            raise ValueError(f"config version {version!r} is not {CONFIG_VERSION}")
         if "command" in loaded and loaded["command"] != command:
             raise ValueError(
                 f"config is for command {loaded['command']!r}, not {command!r}"
             )
-        for section in ("investment", "macro", "options"):
-            for key, value in loaded.get(section, {}).items():
-                if key not in config[section]:
+        for section, entries in table.items():
+            values = loaded.get(section, {})
+            if not isinstance(values, dict):
+                raise ValueError(f"config section {section} is not an object")
+            for key, value in values.items():
+                if key not in entries:
                     raise ValueError(f"unknown config key {section}.{key}")
-                config[section][key] = value
-    for key in config["investment"]:
-        val = getattr(args, key, None)
-        if val is not None:
-            config["investment"][key] = val
-    for key in config["macro"]:
-        val = getattr(args, key, None)
-        if val is not None:
-            config["macro"][key] = val
-    for key in config["options"]:
-        val = getattr(args, key, None)
-        if val is not None:
-            config["options"][key] = _parse_option(key, val)
+                config[section][key] = _check(f"{section}.{key}", entries[key], value)
+    for section, entries in table.items():
+        for key, spec in entries.items():
+            text = getattr(args, key)
+            if text is not None:
+                config[section][key] = _check(_flag(key), spec, text)
     return config
-
-
-def _parse_option(key, val):
-    if key == "m_list" and isinstance(val, str):
-        return [int(tok) for tok in val.split(",") if tok.strip()]
-    return val
 
 
 def _params_from(config):
@@ -292,6 +276,7 @@ def _eig_list(eig):
 
 
 def _cmd_equilibrium(config, args):
+    """fixed point and linearization"""
     inv, macro = _params_from(config)
     return asdict(equilibrium(macro, inv))
 
@@ -337,6 +322,7 @@ def _stability_point(inv, macro):
 
 
 def _cmd_stability(config, args):
+    """Routh-Hurwitz verdict and eigenvalues"""
     inv, macro = _params_from(config)
     scan = config["options"].get("scan_g")
     if scan is None:
@@ -367,6 +353,7 @@ def _cmd_stability(config, args):
 
 
 def _cmd_hopf(config, args):
+    """locate Hopf bifurcations"""
     inv, macro = _params_from(config)
     opts = config["options"]
     vary = opts["vary"]
@@ -391,36 +378,18 @@ def _cmd_hopf(config, args):
             )
             result["hopf_points"] = [asdict(h) for h in points]
         else:
-            report = hopf_in_g(macro, inv)
-            result.update(
-                {
-                    "g_min": report.g_min,
-                    "g_max": report.g_max,
-                    "g1": report.g1,
-                    "g1_hopf": report.g1_hopf,
-                    "g2_hopf": report.g2_hopf,
-                    "g2": report.g2,
-                    "hopf_points": [asdict(h) for h in report.hopf_points],
-                    "segments": [
-                        {
-                            "g_lo": s.lo,
-                            "g_hi": s.hi,
-                            "physical": s.physical,
-                            "n_real_neg": s.n_real_neg,
-                            "n_real_pos": s.n_real_pos,
-                            "pair_real_sign": s.pair_real_sign,
-                            "has_pair": s.has_pair,
-                        }
-                        for s in report.segments
-                    ],
-                }
-            )
+            result.update(asdict(hopf_in_g(macro, inv)))
+            result["segments"] = [  # a segment's lo and hi print as g_lo and g_hi
+                {"g_lo": seg.pop("lo"), "g_hi": seg.pop("hi"), **seg}
+                for seg in result["segments"]
+            ]
     except NoHopf as exc:
         result["note"] = str(exc)
     return result
 
 
 def _cmd_simulate(config, args):
+    """integrate and measure cycles"""
     inv, macro = _params_from(config)
     opts = config["options"]
     sys_ = build(macro, inv)
@@ -434,12 +403,7 @@ def _cmd_simulate(config, args):
     }
     try:
         metrics = simulator.cycle_metrics(traj, transient_fraction=opts["transient"])
-        result["metrics"] = {
-            "kind": metrics.kind,
-            "period": metrics.period,
-            "amplitude": metrics.amplitude,
-            "decay_rate": metrics.decay_rate,
-        }
+        result["metrics"] = asdict(metrics)
     except InsufficientOscillations as exc:
         result["metrics"] = None
         result["note"] = str(exc)
@@ -448,60 +412,48 @@ def _cmd_simulate(config, args):
     return result
 
 
+def _grid(opts, name):
+    count = opts[f"{name}_count"]
+    if count < 1:
+        raise ValueError(f"--{name}-count needs at least 1 point, got {count}")
+    return np.linspace(opts[f"{name}_min"], opts[f"{name}_max"], count)
+
+
 def _cmd_sweep(config, args):
+    """bifurcation curves and surfaces"""
     inv, macro = _params_from(config)
     opts = config["options"]
     if not args.out:
         raise ValueError("sweep requires --out CSV path")
-    kind = opts["curve"]
-    if kind == "T-vs-alpha":
-        grid = np.linspace(opts["alpha_min"], opts["alpha_max"], opts["alpha_count"])
-        curve = sweep.curve_T_vs_alpha(macro, inv, macro.m, grid)
-        sweep.write_curve_csv(curve, args.out)
-        return _curve_summary(curve, args.out)
-    if kind == "T-vs-g":
-        grid = np.linspace(opts["g_min"], opts["g_max"], opts["g_count"])
-        curve = sweep.curve_T_vs_g(macro, inv, macro.m, grid)
-        sweep.write_curve_csv(curve, args.out)
-        return _curve_summary(curve, args.out)
-    alphas = np.linspace(opts["alpha_min"], opts["alpha_max"], opts["alpha_count"])
-    gs = np.linspace(opts["g_min"], opts["g_max"], opts["g_count"])
-    surface = sweep.surface_T(macro, inv, macro.m, alphas, gs)
-    sweep.write_surface_csv(surface, args.out)
-    n_gaps = int(np.sum(~np.isfinite(surface.t_bi)))
-    return {
-        "kind": "surface",
-        "m": surface.m,
-        "cells": int(surface.t_bi.size),
-        "gaps": n_gaps,
-        "csv": args.out,
-        "meta": sweep.sidecar_path(args.out),
-    }
-
-
-def _curve_summary(curve, out):
-    fit = None
-    if curve.fit is not None:
-        fit = {
-            "model": curve.fit.model,
-            "coefficients": list(curve.fit.coefficients),
-            "residual_norm": curve.fit.residual_norm,
-            "relative_residual": curve.fit.relative_residual,
-            "threshold_alpha": curve.fit.threshold_alpha,
+    if opts["curve"] == "surface":
+        surface = sweep.surface_T(macro, inv, macro.m, _grid(opts, "alpha"), _grid(opts, "g"))
+        sweep.write_surface_csv(surface, args.out)
+        return {
+            "kind": "surface",
+            "m": surface.m,
+            "cells": int(surface.t_bi.size),
+            "gaps": int(np.sum(~np.isfinite(surface.t_bi))),
+            "csv": args.out,
+            "meta": sweep.sidecar_path(args.out),
         }
+    name = opts["curve"].removeprefix("T-vs-")
+    along = sweep.curve_T_vs_alpha if name == "alpha" else sweep.curve_T_vs_g
+    curve = along(macro, inv, macro.m, _grid(opts, name))
+    sweep.write_curve_csv(curve, args.out)
     return {
         "kind": "curve",
         "parameter": curve.parameter,
         "m": curve.m,
         "points": int(np.sum(np.isfinite(curve.t_bi))),
         "gaps": int(np.sum(~np.isfinite(curve.t_bi))),
-        "fit": fit,
-        "csv": out,
-        "meta": sweep.sidecar_path(out),
+        "fit": None if curve.fit is None else asdict(curve.fit),
+        "csv": args.out,
+        "meta": sweep.sidecar_path(args.out),
     }
 
 
 def _cmd_table2(config, args):
+    """growth-rate Hopf points per kernel order"""
     inv, macro = _params_from(config)
     rows = sweep.table_g_bifurcations(macro, inv, config["options"]["m_list"])
     if args.out:
@@ -527,9 +479,8 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = _resolve_config(args)
         if args.emit_config:
             with open(args.emit_config, "w", encoding="utf-8", newline="") as fh:

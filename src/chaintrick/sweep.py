@@ -62,7 +62,10 @@ class SurfaceResult:
 def _smallest_delays(p, inv, m, alphas, gs):
     """First positive critical delay of every cell of the (alphas, gs)
     grid, shape (len(alphas), len(gs)), from one batched call; NaN where a
-    cell has no Hopf point."""
+    cell has no Hopf point.  An empty grid raises ValueError."""
+    for name, grid in (("alpha", alphas), ("g", gs)):
+        if np.size(grid) == 0:
+            raise ValueError(f"the {name} grid is empty")
     if m is not None:
         p = p.replace(m=m)
     alpha, g = np.meshgrid(alphas, gs, indexing="ij")
@@ -138,12 +141,11 @@ def surface_T(p, inv, m, alphas, gs):
     """Critical delay on the (alpha, g) grid.
 
     Cells are computed as in :func:`smallest_critical_delay` and the
-    curves, so any slice agrees with the corresponding curve exactly.
+    curves, so any slice agrees with the corresponding curve exactly, and
+    a grid of any size from one point per axis up gives the same cells.
     """
     alphas = np.asarray(alphas, dtype=float)
     gs = np.asarray(gs, dtype=float)
-    if len(alphas) < 16 or len(gs) < 16:
-        raise ValueError("surface grids need at least 16 points per axis")
     grid = _smallest_delays(p, inv, m, alphas, gs)
     fixed = {"gamma": p.gamma, "delta": p.delta, "G0": p.G0}
     return SurfaceResult(alphas=alphas, gs=gs, t_bi=grid, m=m or p.m, fixed=fixed)

@@ -1,10 +1,17 @@
+import argparse
+import contextlib
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chaintrick.cli import main
+from chaintrick.cli import _SETTINGS, _build_parser, _resolve_config, _table, main
 from chaintrick.hopf_locator import pair_max_real
 
 
@@ -308,6 +315,31 @@ class TestSweepCmd:
         assert code == 2
         assert "--out" in err
 
+    @pytest.mark.parametrize(
+        "curve, flag, count",
+        [("T-vs-alpha", "--alpha-count", "0"), ("T-vs-g", "--g-count", "0"),
+         ("T-vs-alpha", "--alpha-count", "-1"), ("surface", "--g-count", "0")],
+    )
+    def test_count_below_one_names_the_flag(self, capsys, tmp_path, curve, flag, count):
+        out_csv = tmp_path / "c.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--curve", curve, flag, count, "--out", str(out_csv)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} needs at least 1 point, got {count}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_surface_takes_any_grid_size(self, capsys, tmp_path):
+        out_csv = tmp_path / "s.csv"
+        code, out, _ = run_cli(
+            capsys, "sweep", "--curve", "surface", "--alpha-count", "2", "--g-count", "3",
+            "--out", str(out_csv),
+        )
+        assert code == 0
+        assert json.loads(out)["cells"] == 6
+        assert len(out_csv.read_text(encoding="utf-8").strip().split("\n")) == 7
+
 
 class TestTable2Cmd:
     def test_rows_and_csv(self, capsys, tmp_path):
@@ -371,3 +403,182 @@ class TestConfigRoundTrip:
         _, out1, _ = run_cli(capsys, "hopf", "--vary", "g")
         _, out2, _ = run_cli(capsys, "hopf", "--vary", "g")
         assert out1 == out2
+
+
+def write_config(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return str(path)
+
+
+class TestBadInput:
+    """Every bad flag or config value exits 2 with one error line naming it."""
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("equilibrium", None, "--config"),
+            ("equilibrium", "{not json", "--config"),
+            ("equilibrium", "[1, 2]", "--config"),
+            ("sweep", {"options": {"alpha_count": 2.5}}, "options.alpha_count"),
+            ("equilibrium", {"macro": {"alpha": "x"}}, "macro.alpha"),
+            ("equilibrium", {"macro": {"alpha": True}}, "macro.alpha"),
+            ("equilibrium", {"macro": {"alpha": None}}, "macro.alpha"),
+            ("hopf", {"options": {"vary": "q"}}, "options.vary"),
+            ("sweep", {"options": {"curve": "cube"}}, "options.curve"),
+            ("table2", {"options": {"m_list": [1, 2.5]}}, "options.m_list"),
+            ("equilibrium", {"investment": {"a": 10**400}}, "investment.a"),
+            ("equilibrium", {"version": True}, "config version"),
+            ("equilibrium", {"options": []}, "config section options"),
+        ],
+    )
+    def test_config_file(self, capsys, tmp_path, command, text, key):
+        cfg = tmp_path / "cfg.json"
+        if isinstance(text, dict):
+            write_config(cfg, {"version": 1, **text})
+        elif text is not None:
+            cfg.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["equilibrium", "--out", "x.csv"], "--out"),
+            (["stability", "--out", "x.csv"], "--out"),
+            (["hopf", "--vary", "q"], "--vary"),
+            (["sweep", "--alpha-count", "2.5", "--out", "x.csv"], "--alpha-count"),
+            (["table2", "--m-list", "1,x"], "--m-list"),
+            (["simulate", "--T", "fast"], "--T"),
+        ],
+    )
+    def test_flag(self, capsys, tmp_path, monkeypatch, argv, key):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_m_list_text_in_config(self, capsys, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {"version": 1, "options": {"m_list": "1,2"}})
+        code, out, _ = run_cli(capsys, "table2", "--config", cfg)
+        assert code == 0
+        _, by_flag, _ = run_cli(capsys, "table2", "--m-list", "1,2")
+        assert json.loads(out)["rows"] == json.loads(by_flag)["rows"]
+        assert len(json.loads(out)["rows"]) == 2
+
+
+_COMMON_FLAGS = {
+    "-h", "--help", "--a", "--c", "--d", "--v", "--alpha", "--gamma", "--delta", "--g",
+    "--G0", "--T", "--m", "--config", "--emit-config", "--json",
+}
+_INVESTMENT = {"a": 9.0, "c": 0.01, "d": 0.026, "v": 4.23}
+_MACRO = {"G0": 2.0, "T": 1.0, "alpha": 1.0, "delta": 0.007, "g": 0.016, "gamma": 0.15, "m": 1}
+_SURFACE = {
+    "equilibrium": (set(), {}),
+    "stability": ({"--scan-g"}, {"scan_g": None}),
+    "hopf": (
+        {"--vary", "--alpha-min", "--alpha-max", "--t-min", "--t-max"},
+        {"alpha_max": 2.0, "alpha_min": 0.05, "t_max": None, "t_min": None, "vary": "T"},
+    ),
+    "simulate": (
+        {"--out", "--y0", "--k0", "--horizon", "--sample-dt", "--transient"},
+        {"horizon": 4000.0, "k0": 100.0, "sample_dt": 0.2, "transient": 0.5, "y0": 15.0},
+    ),
+    "sweep": (
+        {"--out", "--curve", "--alpha-min", "--alpha-max", "--alpha-count", "--g-min",
+         "--g-max", "--g-count"},
+        {"alpha_count": 83, "alpha_max": 0.764, "alpha_min": 0.6, "curve": "T-vs-alpha",
+         "g_count": 64, "g_max": 0.02, "g_min": 0.01},
+    ),
+    "table2": ({"--out", "--m-list"}, {"m_list": [1, 2, 3, 4]}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SURFACE))
+def test_cli_surface_is_pinned(capsys, tmp_path, command):
+    """Each subcommand's flags and the bytes of its default configuration."""
+    extra, options = _SURFACE[command]
+    (subs,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {s for action in subs.choices[command]._actions for s in action.option_strings}
+    assert flags == _COMMON_FLAGS | extra
+    cfg = tmp_path / "cfg.json"
+    run_cli(capsys, command, "--emit-config", str(cfg))
+    want = {"command": command, "investment": _INVESTMENT, "macro": _MACRO,
+            "options": options, "version": 1}
+    assert cfg.read_text(encoding="utf-8") == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+def _conforms(spec, value):
+    kind, default, *_ = spec
+    if value is None:
+        return default is None
+    if isinstance(kind, tuple):
+        return value in kind
+    if kind is list:
+        return type(value) is list and all(type(x) is int for x in value)
+    return type(value) is kind
+
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["1.5", "-2", "7", "nan", "1e400", "1,2", "0, 3", "T", "alpha", "surface", ""]),
+    st.lists(st.one_of(st.integers(-3, 6), st.booleans(), st.floats(), st.text(max_size=2)),
+             max_size=4),
+)
+
+
+@st.composite
+def _config_docs(draw, commands=tuple(_SETTINGS["options"])):
+    """(command, config document) with random JSON values for random keys."""
+    command = draw(st.sampled_from(commands))
+    doc = {"version": 1}
+    for section, entries in _table(command).items():
+        keys = draw(st.lists(st.sampled_from(sorted(entries)), unique=True)) if entries else []
+        doc[section] = {key: draw(_JSON_VALUES) for key in keys}
+    return command, doc
+
+
+def _main_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestConfigProperty:
+    @given(case=_config_docs())
+    @settings(max_examples=300, deadline=None)
+    def test_resolved_values_have_their_declared_kind(self, case):
+        command, doc = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(os.path.join(tmp, "cfg.json"), doc)
+            args = _build_parser().parse_args([command, "--config", path])
+            try:
+                config = _resolve_config(args)
+            except ValueError:
+                return
+        for section, entries in _table(command).items():
+            for key, spec in entries.items():
+                assert _conforms(spec, config[section][key]), (section, key)
+
+    @given(case=_config_docs(commands=("equilibrium",)))
+    @settings(max_examples=200, deadline=None)
+    def test_equilibrium_exits_0_2_or_3(self, case):
+        _, doc = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(os.path.join(tmp, "cfg.json"), doc)
+            code, out, err = _main_quietly(["equilibrium", "--config", path])
+        assert code in (0, 2, 3)
+        assert (out == "") == (code != 0)
+        if code:
+            assert err.count("\n") == 1

@@ -127,11 +127,29 @@ class TestSurface:
                 assert v_lo.stable
                 assert not v_hi.stable
 
-    def test_small_grid_rejected(self, inv_dm, baseline):
-        with pytest.raises(ValueError):
-            surface_T(
-                baseline, inv_dm, 1, np.linspace(0.6, 0.7, 4), np.linspace(0.012, 0.018, 16)
-            )
+    @pytest.mark.parametrize("n_alpha, n_g", [(1, 1), (4, 2), (3, 16)])
+    def test_any_grid_size_is_accepted(self, inv_dm, baseline, n_alpha, n_g):
+        # every cell is computed on its own, so a small grid holds the
+        # same values as one cell at a time
+        alphas, gs = np.linspace(0.6, 0.7, n_alpha), np.linspace(0.012, 0.018, n_g)
+        surf = surface_T(baseline, inv_dm, 1, alphas, gs)
+        assert surf.t_bi.shape == (n_alpha, n_g)
+        for i, al in enumerate(alphas):
+            for j, g in enumerate(gs):
+                p = baseline.replace(alpha=float(al), g=float(g))
+                assert surf.t_bi[i, j] == smallest_critical_delay(p, inv_dm)
+
+    def test_empty_grid_rejected(self, inv_dm, baseline):
+        alphas, gs = np.linspace(0.6, 0.7, 4), np.linspace(0.012, 0.018, 4)
+        calls = [
+            lambda: curve_T_vs_alpha(baseline, inv_dm, 1, []),
+            lambda: curve_T_vs_g(baseline, inv_dm, 1, np.array([])),
+            lambda: surface_T(baseline, inv_dm, 1, [], gs),
+            lambda: surface_T(baseline, inv_dm, 1, alphas, []),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="grid is empty"):
+                call()
 
 
 class TestTable:
