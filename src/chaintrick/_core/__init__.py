@@ -1,14 +1,18 @@
-"""Integrator backends: compiled C core with pure-Python fallback.
+"""Integrator front end over two DOPRI5 kernels: compiled C with a
+pure-Python fallback.
 
 The C kernel ``_chain.c`` is built by ``setup.py`` as an optional plain
 shared library (no CPython API) and loaded here with ctypes; when it is
-missing (no compiler at build time) the pure-Python implementation of the
-same algorithm in ``_dopri.py`` is used.  ``backend_name()`` reports which
-one is active and ``get_integrator(backend)`` lets callers (tests,
-benchmarks) force one.
+missing (no compiler at build time) the pure-Python kernel
+``_dopri.chain_integrate`` is used.  Both kernels take the same argument
+list and fill buffers their caller sized; :func:`_front_end` is the one
+place that checks the inputs, allocates those buffers, caps the step and
+slices the output.  ``backend_name()`` reports which kernel is active and
+``get_integrator(backend)`` lets callers (tests, benchmarks) force one.
 """
 
 import ctypes
+import math
 import os
 from importlib.machinery import EXTENSION_SUFFIXES
 
@@ -22,54 +26,72 @@ from ._dopri import (
     STATUS_STEP_UNDERFLOW,
 )
 
-_dbl_p = ctypes.POINTER(ctypes.c_double)
-_i64_p = ctypes.POINTER(ctypes.c_int64)
 
+def _front_end(kernel):
+    """Wrap a kernel with the buffer protocol ``(y, m, par, t0, t_end,
+    sample_dt, rtol, atol, max_abs, max_step, times, states, counts) ->
+    (status, n_written, t_stop)`` as ``integrate_chain``.
 
-def _load_kernel(path):
-    """Load a built ``_chain.c`` and return its ``integrate_chain``, with
-    the signature and return value of ``_dopri.integrate_chain``."""
-    kernel = ctypes.CDLL(os.fspath(path)).chain_integrate
-    kernel.restype = None
-    kernel.argtypes = (
-        [_dbl_p, ctypes.c_int, _dbl_p] + [ctypes.c_double] * 7
-        + [ctypes.c_int64, _dbl_p, _dbl_p, _dbl_p, _i64_p]
-        + [ctypes.POINTER(ctypes.c_int), _i64_p, _dbl_p]
-    )
+    ``integrate_chain`` returns (times, states, status, t_stop); when
+    ``counts`` is given (a length-3 sequence, e.g. an int array) it
+    receives the work done: RHS evaluations, accepted steps and rejected
+    steps.
+    """
 
     def integrate_chain(y0, m, alpha, gamma, delta, g, G0, T, a, c, d, v,
-                        t0, t_end, sample_dt, rtol, atol, max_abs=1e9,
-                        max_step=0.0, counts=None):
-        # every buffer the kernel touches is sized here: the state has
-        # m + 2 >= 2 components and the kernel reads s[m] and s[m + 1]
+                        t0, t_end, sample_dt, rtol, atol, max_abs=1e9, counts=None):
+        # every buffer a kernel touches is sized here: the state has
+        # m + 2 >= 2 components and the kernels read s[m] and s[m + 1]
         if m < 0:
             raise ValueError(f"kernel order must be >= 0, got {m}")
         n = m + 2
         y = np.array(y0, dtype=np.float64)
         if y.shape != (n,):
             raise ValueError(f"y0 must have shape ({n},)")
-        if max_step <= 0.0:
-            max_step = 10.0 * sample_dt
-        n_samples = _dopri.sample_count(t0, t_end, sample_dt)
+        if not np.isfinite(y).all():
+            raise ValueError(f"initial state must be finite, got {y.tolist()}")
+        n_samples = int(math.floor((t_end - t0) / sample_dt + 1e-9)) + 1
+        if n_samples < 1:
+            raise ValueError(
+                f"empty sample grid: t0={t0!r}, t_end={t_end!r}, sample_dt={sample_dt!r}"
+            )
         times = np.empty(n_samples)
         states = np.empty((n_samples, n))
-        work = np.empty((8, n))
-        par = np.array([alpha, gamma, delta, g, G0, T, a, c, d, v], dtype=np.float64)
         done = np.zeros(3, dtype=np.int64)
-        status, n_written, t_stop = ctypes.c_int(), ctypes.c_int64(), ctypes.c_double()
-        kernel(
-            y.ctypes.data_as(_dbl_p), m, par.ctypes.data_as(_dbl_p),
-            t0, t_end, sample_dt, rtol, atol, max_abs, max_step, n_samples,
-            times.ctypes.data_as(_dbl_p), states.ctypes.data_as(_dbl_p),
-            work.ctypes.data_as(_dbl_p), done.ctypes.data_as(_i64_p),
-            ctypes.byref(status), ctypes.byref(n_written), ctypes.byref(t_stop),
-        )
+        par = np.array([alpha, gamma, delta, g, G0, T, a, c, d, v], dtype=np.float64)
+        # uncapped steps at a fixed point would grow until the dense
+        # interpolant is pure roundoff
+        status, j, t_stop = kernel(y, m, par, t0, t_end, sample_dt, rtol, atol, max_abs,
+                                   10.0 * sample_dt, times, states, done)
         if counts is not None:
             counts[:] = done
-        j = n_written.value
-        return times[:j], states[:j], status.value, t_stop.value
+        return times[:j], states[:j], status, t_stop
 
     return integrate_chain
+
+
+def _load_kernel(path):
+    """Load a built ``_chain.c`` and return its ``integrate_chain``, with
+    the signature and return value of the pure-Python backend's."""
+    kernel = ctypes.CDLL(os.fspath(path)).chain_integrate
+    kernel.restype = None
+    kernel.argtypes = (
+        [ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p] + [ctypes.c_double] * 7
+        + [ctypes.c_int64] + [ctypes.c_void_p] * 4
+        + [ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_int64),
+           ctypes.POINTER(ctypes.c_double)]
+    )
+
+    def chain_integrate(y, m, par, t0, t_end, sample_dt, rtol, atol, max_abs, max_step,
+                        times, states, counts):
+        work = np.empty((8, m + 2))
+        out = ctypes.c_int(), ctypes.c_int64(), ctypes.c_double()
+        kernel(y.ctypes.data, m, par.ctypes.data, t0, t_end, sample_dt, rtol, atol,
+               max_abs, max_step, len(times), times.ctypes.data, states.ctypes.data,
+               work.ctypes.data, counts.ctypes.data, *map(ctypes.byref, out))
+        return tuple(x.value for x in out)
+
+    return _front_end(chain_integrate)
 
 
 def _find_kernel():
@@ -82,6 +104,7 @@ def _find_kernel():
     return None
 
 
+_python = _front_end(_dopri.chain_integrate)
 _compiled = None
 _path = _find_kernel()
 if _path is not None:
@@ -104,9 +127,9 @@ def get_integrator(backend="auto"):
     RuntimeError.
     """
     if backend == "auto":
-        return _compiled if HAVE_COMPILED else _dopri.integrate_chain
+        return _compiled if HAVE_COMPILED else _python
     if backend == "python":
-        return _dopri.integrate_chain
+        return _python
     if backend == "compiled":
         if not HAVE_COMPILED:
             raise RuntimeError("compiled integrator core is not available")

@@ -1,11 +1,15 @@
 /* Adaptive Dormand-Prince 5(4) integrator for chain systems, in plain C.
  *
- * Line-for-line port of ``integrate_chain`` in ``_dopri.py``: same tableau,
- * FSAL step, step control, initial-step heuristic, dense-output
- * interpolant, status codes and work counters.  The file includes no
- * CPython or numpy header: ``_core/__init__.py`` loads the built library
- * with ctypes and passes buffers it allocated with numpy, so the state
- * dimension m + 2 has no compile-time cap.
+ * Line-for-line port of ``chain_integrate`` in ``_dopri.py``: same argument
+ * list and buffer protocol, tableau, FSAL step, step control,
+ * initial-step heuristic, dense-output interpolant, status codes and work
+ * counters.  Like the reference it fills buffers its caller sized and
+ * checks nothing.  C needs a few arguments more: ``n_samples`` (the length
+ * of ``times``), ``work`` (8 * (m + 2) doubles of scratch) and pointers for
+ * the three results ``status``, ``n_written`` and ``t_stop``; the ctypes
+ * adapter in ``_core/__init__.py`` supplies them.  The file includes
+ * no CPython or numpy header, so the state dimension m + 2 has no
+ * compile-time cap.
  *
  * Build by hand (``python setup.py build_ext --inplace`` does the same):
  *     cc -O3 -shared -fPIC _chain.c -o _chain.so -lm

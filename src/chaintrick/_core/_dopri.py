@@ -1,10 +1,14 @@
 """Pure-Python adaptive Dormand-Prince 5(4) integrator for chain systems.
 
-Reference implementation of the compiled core in ``_chain.c``: same
-tableau, same step control, same dense-output interpolant, the same status
-protocol and the same work counters, so the two backends are
-interchangeable up to roundoff.  It is also the fallback when no C compiler
-built the core.
+Reference implementation of the compiled kernel in ``_chain.c``, which is a
+line-for-line port of :func:`chain_integrate` here: same argument list and
+buffer protocol, same tableau, step control, dense-output interpolant,
+status codes and work counters, so the two kernels are interchangeable up
+to roundoff.  Neither allocates the output, checks the inputs or defaults
+the step cap: the one front end in ``_core/__init__.py`` does that for
+both.  This kernel is also the fallback when no C compiler built the
+other one, and :func:`make_chain_rhs` is the one Python copy of the chain
+equations.
 
 Status codes returned alongside the sampled trajectory:
 
@@ -125,67 +129,37 @@ def _initial_step(f, y0, f0, rtol, atol):
     return h
 
 
-def integrate_chain(
-    y0,
-    m,
-    alpha,
-    gamma,
-    delta,
-    g,
-    G0,
-    T,
-    a,
-    c,
-    d,
-    v,
-    t0,
-    t_end,
-    sample_dt,
-    rtol,
-    atol,
-    max_abs=1e9,
-    max_step=0.0,
-    counts=None,
-):
-    """Integrate the chain system, sampling on the uniform grid
-    t0 + j * sample_dt via the dense-output interpolant.
+def chain_integrate(y, m, par, t0, t_end, sample_dt, rtol, atol, max_abs, max_step,
+                    times, states, counts):
+    """Integrate the chain system from state ``y``, sampling on the uniform
+    grid t0 + j * sample_dt via the dense-output interpolant.
 
-    ``max_step`` caps the step size (0 means 10 * sample_dt); uncapped
-    steps at a fixed point would grow until the dense interpolant is pure
-    roundoff.  Returns (times, states, status, t_stop).  When ``counts``
-    is given (a length-3 sequence, e.g. an int array) it receives the
-    work done: RHS evaluations, accepted steps and rejected steps (the
-    error test failed or a stage left k > 0).
+    The buffer protocol of ``chain_integrate`` in ``_chain.c``: ``par`` is
+    (alpha, gamma, delta, g, G0, T, a, c, d, v); the caller sizes ``times``
+    to the grid and ``states`` to (len(times), m + 2), and every step is
+    capped at ``max_step``.  ``counts`` receives the work done: RHS
+    evaluations, accepted steps and rejected steps (the error test failed
+    or a stage left k > 0).  Returns (status, n_written, t_stop).
     """
-    n = m + 2
-    if max_step <= 0.0:
-        max_step = 10.0 * sample_dt
-    rhs = make_chain_rhs(m, alpha, gamma, delta, g, G0, T, a, c, d, v)
+    n_samples = len(times)
+    rhs = make_chain_rhs(m, *map(float, par))
     work = [0, 0, 0]  # RHS evaluations, accepted steps, rejected steps
 
     def f(s):
         work[0] += 1
         return rhs(s)
 
-    y = np.asarray(y0, dtype=float).copy()
-    if y.shape != (n,):
-        raise ValueError(f"y0 must have shape ({n},)")
     t = float(t0)
-
-    n_samples = sample_count(t0, t_end, sample_dt)
-    times = np.empty(n_samples)
-    states = np.empty((n_samples, n))
     times[0] = t
     states[0] = y
     j = 1
 
-    K = np.empty((7, n))
+    K = np.empty((7, m + 2))
     try:
         K[0] = f(y)
     except _DomainExit:
-        if counts is not None:
-            counts[:] = work
-        return times[:1], states[:1], STATUS_CAPITAL, t
+        counts[:] = work
+        return STATUS_CAPITAL, j, t
     h = min(_initial_step(f, y, K[0], rtol, atol), max_step)
     status = STATUS_OK
 
@@ -247,16 +221,6 @@ def integrate_chain(
             status = STATUS_CAPITAL
             break
 
-    if counts is not None:
-        counts[:] = work
-    return times[:j], states[:j], status, t
+    counts[:] = work
+    return status, j, t
 
-
-def sample_count(t0, t_end, sample_dt):
-    """Number of points t0 + j * sample_dt on [t0, t_end]."""
-    n = int(math.floor((t_end - t0) / sample_dt + 1e-9)) + 1
-    if n < 1:
-        raise ValueError(
-            f"empty sample grid: t0={t0!r}, t_end={t_end!r}, sample_dt={sample_dt!r}"
-        )
-    return n

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._core._dopri import make_chain_rhs
 from .errors import CapitalNonPositive, DelayNonPositive, KernelOrderInvalid
 from .model_core import InvestmentParams, MacroParams, equilibrium, phi, phi_prime
 
@@ -53,20 +54,11 @@ def rhs(sys, state):
     Requires k > 0 so that the ratios y/k and u_m/k are defined.
     """
     s = _as_state_array(sys, state)
+    if s[-1] <= 0.0:
+        raise CapitalNonPositive(f"rhs undefined for k={s[-1]:g} <= 0")
     p, inv = sys.params, sys.inv
-    y, k = s[0], s[-1]
-    if k <= 0.0:
-        raise CapitalNonPositive(f"rhs undefined for k={k:g} <= 0")
-    u = s[1:-1]
-    out = np.empty_like(s)
-    out[0] = p.alpha * (k * phi(y / k, inv) - p.gamma * y + p.G0) - p.g * y
-    rate = p.m / p.T
-    prev = y
-    for i in range(p.m):
-        out[1 + i] = rate * (prev - u[i])
-        prev = u[i]
-    out[-1] = k * phi(u[-1] / k, inv) - (p.g + p.delta) * k
-    return out
+    f = make_chain_rhs(p.m, p.alpha, p.gamma, p.delta, p.g, p.G0, p.T, inv.a, inv.c, inv.d, inv.v)
+    return f(s)
 
 
 def jacobian(sys, state):
@@ -102,14 +94,9 @@ def jacobian(sys, state):
     return J
 
 
-def equilibrium_point(sys):
-    """Equilibrium of the underlying model (shared by every kernel order m)."""
-    return equilibrium(sys.params, sys.inv)
-
-
 def equilibrium_state(sys):
     """Fixed-point state vector [y*, y*, ..., y*, k*]."""
-    eq = equilibrium_point(sys)
+    eq = equilibrium(sys.params, sys.inv)
     return np.array([eq.y_star] + [eq.y_star] * sys.m + [eq.k_star])
 
 

@@ -392,6 +392,7 @@ def _cmd_simulate(config, args):
     """integrate and measure cycles"""
     inv, macro = _params_from(config)
     opts = config["options"]
+    simulator.check_transient_fraction(opts["transient"], "--transient")
     sys_ = build(macro, inv)
     s0 = constant_history_state(sys_, opts["y0"], opts["k0"])
     traj = simulator.integrate(sys_, s0, opts["horizon"], sample_dt=opts["sample_dt"])
@@ -416,7 +417,12 @@ def _grid(opts, name):
     count = opts[f"{name}_count"]
     if count < 1:
         raise ValueError(f"--{name}-count needs at least 1 point, got {count}")
-    return np.linspace(opts[f"{name}_min"], opts[f"{name}_max"], count)
+    lo, hi = opts[f"{name}_min"], opts[f"{name}_max"]
+    with np.errstate(all="ignore"):
+        grid = np.linspace(lo, hi, count)
+    if not np.isfinite(grid).all():
+        raise ValueError(f"--{name}-min {lo!r} to --{name}-max {hi!r} is not a finite grid")
+    return grid
 
 
 def _cmd_sweep(config, args):

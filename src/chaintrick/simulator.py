@@ -19,9 +19,8 @@ from ._core import (
     STATUS_STEP_UNDERFLOW,
     get_integrator,
 )
-from .chain_system import ChainSystem, equilibrium_point
 from .errors import CapitalNonPositive, InsufficientOscillations, StepFailure
-from .model_core import InvestmentParams, MacroParams
+from .model_core import InvestmentParams, MacroParams, equilibrium
 from .sweep import _write_lines
 
 #: maximum |state component| before integration halts with diverged status
@@ -193,7 +192,14 @@ def period_from_zero_crossings(traj, transient_fraction=0.5):
     return float(np.mean(np.diff(tc)))
 
 
+def check_transient_fraction(fraction, name="transient_fraction"):
+    """Raise ValueError naming ``name`` unless 0 <= fraction < 1."""
+    if not 0.0 <= fraction < 1.0:
+        raise ValueError(f"{name} must be finite and in [0, 1), got {fraction!r}")
+
+
 def _post_transient(traj, transient_fraction):
+    check_transient_fraction(transient_fraction)
     t = traj.times
     cut = t[0] + transient_fraction * (t[-1] - t[0])
     mask = t >= cut
@@ -220,7 +226,7 @@ def cycle_metrics(traj, transient_fraction=0.5):
         raise InsufficientOscillations(
             f"found {len(pk_t)} maxima after the transient, need at least 6"
         )
-    y_star = equilibrium_point_level(traj)
+    y_star = equilibrium(traj.params, traj.inv).y_star
     excess = pk_y - y_star
 
     p5_t, p5_y = pk_t[-5:], pk_y[-5:]
@@ -261,9 +267,3 @@ def cycle_metrics(traj, transient_fraction=0.5):
 
 def _loglin_slope(tt, dd):
     return float(np.polyfit(tt, np.log(dd), 1)[0])
-
-
-def equilibrium_point_level(traj):
-    """Equilibrium output level y* for the trajectory's parameters."""
-    sys = ChainSystem(params=traj.params, inv=traj.inv)
-    return equilibrium_point(sys).y_star

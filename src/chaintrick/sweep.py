@@ -62,10 +62,17 @@ class SurfaceResult:
 def _smallest_delays(p, inv, m, alphas, gs):
     """First positive critical delay of every cell of the (alphas, gs)
     grid, shape (len(alphas), len(gs)), from one batched call; NaN where a
-    cell has no Hopf point.  An empty grid raises ValueError."""
-    for name, grid in (("alpha", alphas), ("g", gs)):
-        if np.size(grid) == 0:
+    cell has no Hopf point.  An empty grid, an alpha that is not finite and
+    > 0 or a g that is not finite raises ValueError before any work."""
+    alphas, gs = np.asarray(alphas, dtype=float), np.asarray(gs, dtype=float)
+    for name, grid, ok, rule in (
+        ("alpha", alphas, np.isfinite(alphas) & (alphas > 0.0), "finite and > 0"),
+        ("g", gs, np.isfinite(gs), "finite"),
+    ):
+        if grid.size == 0:
             raise ValueError(f"the {name} grid is empty")
+        if not ok.all():
+            raise ValueError(f"{name} must be {rule}, got {float(grid[~ok][0])!r}")
     if m is not None:
         p = p.replace(m=m)
     alpha, g = np.meshgrid(alphas, gs, indexing="ij")

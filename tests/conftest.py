@@ -11,11 +11,15 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 
 def _build_core():
-    """Build the compiled integrator in place when it is not built yet, so
-    the suite runs the kernel the package ships.  A failed build (no C
-    compiler, say) leaves the pure-Python fallback active."""
+    """Build the compiled integrator in place when it is not built yet or
+    ``_chain.c`` is newer than the built library, so the suite runs the
+    kernel the package ships.  A failed build (no C compiler, say) leaves
+    what was there: the pure-Python fallback or the older library."""
     core = ROOT / "src" / "chaintrick" / "_core"
-    if any((core / f"_chain{suffix}").is_file() for suffix in EXTENSION_SUFFIXES):
+    # the library chaintrick._core loads: the first suffix that exists
+    built = [core / f"_chain{suffix}" for suffix in EXTENSION_SUFFIXES]
+    loaded = next((lib for lib in built if lib.is_file()), None)
+    if loaded is not None and loaded.stat().st_mtime >= (core / "_chain.c").stat().st_mtime:
         return
     try:
         subprocess.run(

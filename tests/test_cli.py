@@ -295,6 +295,25 @@ class TestSimulateCmd:
         assert code == 3
         assert "capital" in err.lower()
 
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--y0", "nan", "initial state"), ("--k0", "nan", "initial state"),
+         ("--y0", "inf", "initial state"), ("--transient", "2", "--transient"),
+         ("--transient", "-1", "--transient"), ("--transient", "nan", "--transient"),
+         ("--transient", "1", "--transient")],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_bad_start_or_transient_names_it(self, capsys, tmp_path, flag, value, name):
+        out_csv = tmp_path / "traj.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", flag, value, "--horizon", "100", "--out", str(out_csv)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweepCmd:
     def test_alpha_curve_fit(self, capsys, tmp_path):
@@ -328,6 +347,27 @@ class TestSweepCmd:
         assert code == 2
         assert out == ""
         assert err == f"error: {flag} needs at least 1 point, got {count}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--curve", "T-vs-alpha", "--alpha-min", "0", "--alpha-count", "3"],
+          "alpha must be finite and > 0, got 0.0"),
+         (["--curve", "surface", "--alpha-min", "-1", "--alpha-count", "3"],
+          "alpha must be finite and > 0, got -1.0"),
+         (["--curve", "T-vs-g", "--g-min", "nan", "--g-count", "3"], "--g-min nan"),
+         (["--curve", "T-vs-alpha", "--alpha-max", "inf", "--alpha-count", "3"], "--alpha-max inf"),
+         (["--curve", "surface", "--g-max", "inf", "--g-count", "2"], "--g-max inf"),
+         (["--curve", "T-vs-g", "--g-min=-1e308", "--g-max", "1e308"], "not a finite grid")],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_bad_grid_values_are_domain_errors(self, capsys, tmp_path, argv, message):
+        out_csv = tmp_path / "z.csv"
+        code, out, err = run_cli(capsys, "sweep", *argv, "--out", str(out_csv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
         assert list(tmp_path.iterdir()) == []
 
     def test_surface_takes_any_grid_size(self, capsys, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from chaintrick import simulator
+from chaintrick._core import HAVE_COMPILED, get_integrator
 from chaintrick.chain_system import build, constant_history_state, equilibrium_state, rhs
 from chaintrick.errors import CapitalNonPositive, InsufficientOscillations, StepFailure
 from chaintrick.hopf_locator import pair_max_real
@@ -260,3 +261,34 @@ class TestTrajectoryCsv:
         path = tmp_path / "m3.csv"
         traj.write_csv(path)
         assert path.read_text(encoding="utf-8").split("\n")[0] == "t,y,u1,u2,u3,k"
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "backend",
+        ["python", pytest.param("compiled", marks=pytest.mark.skipif(
+            not HAVE_COMPILED, reason="compiled integrator core not built"))],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_integrator_refuses_non_finite_state(self, inv_dm, baseline, backend, bad):
+        run = get_integrator(backend)
+        p, inv = baseline, inv_dm
+        for s0 in ([bad, 15.0, 100.0], [15.0, bad, 100.0], [15.0, 15.0, bad]):
+            with pytest.raises(ValueError, match="initial state"):
+                run(np.array(s0), 1, p.alpha, p.gamma, p.delta, p.g, p.G0, p.T,
+                    inv.a, inv.c, inv.d, inv.v, 0.0, 10.0, 0.5, 1e-9, 1e-11)
+
+    def test_integrate_refuses_non_finite_state(self, cycle_sys):
+        with pytest.raises(ValueError, match="initial state"):
+            integrate(cycle_sys, constant_history_state(cycle_sys, math.nan, 100.0), 10.0)
+
+    @pytest.mark.parametrize("fraction", [-1.0, -1e-12, 1.0, 2.0, math.nan, math.inf])
+    def test_transient_fraction_out_of_range(self, cycle_sys, fraction):
+        s0 = constant_history_state(cycle_sys, 15.0, 100.0)
+        traj = integrate(cycle_sys, s0, 50.0, sample_dt=0.5)
+        for measure in (cycle_metrics, period_from_zero_crossings):
+            with pytest.raises(ValueError, match="transient_fraction"):
+                measure(traj, transient_fraction=fraction)
+
+    def test_transient_fraction_zero_is_accepted(self, cycle_traj):
+        assert cycle_metrics(cycle_traj, transient_fraction=0.0).kind == "limit_cycle"

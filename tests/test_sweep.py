@@ -15,6 +15,7 @@ from chaintrick.errors import (
 )
 from chaintrick.hopf_locator import equilibrium_eigenvalues, hopf_in_T_m1, hopf_in_T_m2
 from chaintrick.model_core import equilibrium, growth_interval
+import chaintrick.sweep as sweep_module
 from chaintrick.sweep import (
     curve_T_vs_alpha,
     curve_T_vs_g,
@@ -295,3 +296,36 @@ class TestBatchedCells:
             below = equilibrium_eigenvalues(p.replace(T=0.999 * tb), inv_dm)
             above = equilibrium_eigenvalues(p.replace(T=1.001 * tb), inv_dm)
             assert np.max(below.real) < 0.0 < np.max(above.real)
+
+
+class TestGridValues:
+    """Bad alpha or g values are refused before any cell is computed."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a cell was computed")
+
+        monkeypatch.setattr(sweep_module, "_axis_crossings", fail)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_alpha_must_be_finite_and_positive(self, inv_dm, baseline, alpha):
+        gs = np.linspace(0.012, 0.018, 3)
+        for call in (
+            lambda: curve_T_vs_alpha(baseline, inv_dm, 1, [0.6, alpha, 0.7]),
+            lambda: surface_T(baseline, inv_dm, 1, [alpha], gs),
+        ):
+            with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+                call()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+    def test_g_must_be_finite(self, inv_dm, baseline, g):
+        alphas = np.linspace(0.6, 0.7, 3)
+        for call in (
+            lambda: curve_T_vs_g(baseline, inv_dm, 1, [g, 0.015]),
+            lambda: surface_T(baseline, inv_dm, 1, alphas, [0.015, g]),
+        ):
+            with pytest.raises(ValueError, match="g must be finite"):
+                call()
