@@ -400,6 +400,9 @@ def _cmd_simulate(config, args):
         "backend": backend_name(),
         "diverged": traj.diverged,
         "final_state": [float(x) for x in traj.states[-1]],
+        "rhs_evaluations": traj.rhs_evaluations,
+        "accepted_steps": traj.accepted_steps,
+        "rejected_steps": traj.rejected_steps,
         "csv": args.out,
     }
     try:

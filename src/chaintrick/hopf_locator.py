@@ -8,11 +8,14 @@ modulus gives T as an explicit function of the frequency omega and the
 phase gives the crossings as roots in omega, with no cap on T; one call of
 :func:`hopf_in_T`'s solver takes a whole batch of (alpha, g) cells, as the
 sweeps do.  In g and alpha at fixed T the modulus gives omega at every
-grid point and the phase labels it.  Every route bisects with
-:func:`_refine` and takes the direction from the analytic
-Re dlambda/d(parameter).  The closed forms for m = 1 (a quadratic in T)
-and m = 2 (the quartic of :func:`chaintrick.char_poly.phi_quartic`) are
-kept as independent references.
+grid point and the phase labels it.  The T route bisects with
+:func:`_refine` and polishes by Newton steps; the g and alpha route
+narrows each bracket by regula falsi on the phase and reports the point
+on which bisection with :func:`_refine` lands.  Every route takes the
+direction from the analytic Re dlambda/d(parameter).  The closed forms
+for m = 1 (a quadratic in T) and m = 2 (the quartic of
+:func:`chaintrick.char_poly.phi_quartic`) are kept as independent
+references.
 
 Eigenvalues serve only the growth-rate structure: :func:`_scan` labels a
 g grid from its equilibrium eigenvalues, all computed in one batched call,
@@ -556,8 +559,8 @@ critical_delays = hopf_in_T
 
 def _param_crossings(p, inv, name, grid, tol):
     """Hopf points in the parameter ``name`` ("g" or "alpha") at fixed T,
-    found on the imaginary axis between neighbouring ``grid`` points and
-    bisected to ``tol``.
+    found on the imaginary axis between neighbouring points of the
+    increasing ``grid`` and located to ``tol``.
 
     With r = m/T the modulus condition in u = omega^2,
     F(u) = ln(u + a^2) + ln(u + e^2) + m ln(1 + u/r^2) - ln(bc^2) = 0,
@@ -565,8 +568,27 @@ def _param_crossings(p, inv, name, grid, tol):
     is convex in ln u and is >= 0 at omega_max^2, so Newton steps in ln u
     from there fall monotonically onto the root; a point stops once its
     residual is no longer positive.  The point is labelled
-    floor(G / 2 pi) from the phase G at that omega (-inf without a root).
-    Raises DegenerateTransversality when a crossing has Re dlambda/dx ~ 0.
+    floor(G / 2 pi) from the phase G at that omega (-inf without a root,
+    or where omega is not finite and positive, as when u underflows).
+
+    Neighbouring grid points whose labels differ bracket a crossing when
+    the lower one has a pair on the axis and the upper one's phase is off
+    its label.  Where no pair sits on the axis the phase is taken at
+    omega = 0, its limit where the pair leaves the axis, so an interval
+    that only runs off the axis brackets nothing.  The Illinois regula
+    falsi (Dowell & Jarratt, BIT 11, 1971) narrows every bracket to
+    ``tol`` at once on G / 2 pi - level, level being the integer the phase
+    crosses: each step evaluates the phase at the secant point, kept tol/2
+    inside the bracket, and bisects instead where that point is not finite
+    or after three steps in a row that did not halve the bracket; no
+    bracket takes more steps than bisection would.  A bracket without a
+    phase at its upper end (no positive equilibrium there) is bisected
+    alongside the others; one that ends off the axis is dropped.  The
+    root is the secant point of the final bracket.  The reported value is
+    the midpoint on which bisecting the grid interval to ``tol`` by the
+    labels lands: :func:`_refine` replays that bisection against the
+    roots, with no phase evaluation.  Raises DegenerateTransversality when
+    a crossing has Re dlambda/dx ~ 0.
     """
     if p.T <= 0.0:
         raise DelayNonPositive(f"chain reduction needs T > 0, got T={p.T:g}")
@@ -588,26 +610,83 @@ def _param_crossings(p, inv, name, grid, tol):
             if not down.any():
                 break
             w = np.where(down, step, w)
-        return np.exp(0.5 * w), alpha, g, a, b, c, e
+        omega = np.exp(0.5 * w)
+        omega = np.where((omega > 0.0) & (omega < np.inf), omega, np.nan)
+        return omega, alpha, g, a, b, c, e
 
-    def label(x):
+    def turns(x):
+        """G / 2 pi at every point of x, and where a pair sits on the axis;
+        elsewhere G is taken at omega = 0, its limit where the pair leaves
+        the axis (NaN without a positive equilibrium)."""
         omega, _, _, a, b, c, e = axis(x)
-        phase = _phase(omega, a, e, b * c, m, omega / r)
-        return np.where(np.isnan(omega), -np.inf, np.floor(phase / (2.0 * math.pi)))
+        on_axis = ~np.isnan(omega)
+        omega = np.where(on_axis, omega, 0.0)
+        return _phase(omega, a, e, b * c, m, omega / r) / (2.0 * math.pi), on_axis
 
-    labels = label(grid)
-    i, lo, hi = _refine(label, grid, labels, tol)
-    # a bracket that ends where no pair sits on the axis is not a crossing
-    keep = np.isfinite(labels[i]) & np.isfinite(label(hi))
-    x = 0.5 * (lo + hi)[keep]
-    omega, alpha, g, a, b, c, e = axis(x)
-    if name == "alpha":
-        da, de, dbc = (a + g) / alpha, 0.0, 1.0 / alpha
-    else:
-        # dx*/dg = 1/Iy*, so dIy*/dg = a v (1 - 2 s), s = (g + delta - c)/d the logistic at x*
-        diy = inv.a * inv.v * (1.0 - 2.0 * (g + p.delta - inv.c) / inv.d)
-        da, de, dbc = alpha * diy - 1.0, -1.0 + e / c * diy, diy * (b + alpha * e) / (b * c)
-    speed, flat = _crossing_speed(omega, a, e, r, m, da, de, dbc, 0.0)
+    with np.errstate(all="ignore"):
+        t, on_axis = turns(grid)
+        labels = np.where(on_axis, np.floor(t), -np.inf)
+        j = np.nonzero(labels[:-1] != labels[1:])[0]
+        # a crossing needs a pair on the axis at the lower end and a phase
+        # off that end's label at the upper end
+        ok = np.isfinite(labels[j]) & (np.floor(t[j + 1]) != labels[j])
+        k = j[ok]
+        want, lo, hi, t_lo, t_hi = labels[k], grid[k], grid[k + 1], t[k], t[k + 1]
+        on_hi = on_axis[k + 1]
+        # Illinois weights on the end values, the end the last step replaced
+        # (-1 lo, +1 hi) and the steps in a row that did not halve the bracket
+        w_lo, w_hi, moved, slow = np.ones(lo.shape), np.ones(lo.shape), np.zeros(lo.shape), 0
+        # at most the steps bisection takes, which also ends a bracket that
+        # floats too coarse for ``tol`` cannot narrow
+        steps = math.floor(np.max(np.log2((hi - lo) / tol), initial=-1.0)) + 1
+        for n in range(steps + 1):
+            # the phase crosses want + 1 going up and want going down
+            level = want + (np.floor(t_hi) > want)
+            f_lo, f_hi = t_lo - level, t_hi - level
+            wide = hi - lo > tol
+            # a bracket without a phase at its upper end is bisected alongside
+            # the others until it has one
+            if n == steps or not (wide & ~np.isnan(t_hi)).any():
+                break
+            x = hi - w_hi * f_hi * (hi - lo) / (w_hi * f_hi - w_lo * f_lo)
+            bisect = ~np.isfinite(x) | (slow >= 3)
+            x = np.where(bisect, 0.5 * (lo + hi), np.clip(x, lo + 0.5 * tol, hi - 0.5 * tol))
+            t_x, on_x = turns(x)
+            # x replaces the lower end where it has that end's label, as in bisection
+            low = wide & on_x & (np.floor(t_x) == want)
+            high = wide & ~low
+            halved = bisect | (np.where(low, hi - x, x - lo) <= 0.5 * (hi - lo))
+            slow = np.where(halved, 0, slow + 1)
+            # an end that a second step in a row keeps has its weight halved
+            w_lo = np.where(low, 1.0, np.where(high & (moved > 0.0), 0.5 * w_lo, w_lo))
+            w_hi = np.where(high, 1.0, np.where(low & (moved < 0.0), 0.5 * w_hi, w_hi))
+            lo, t_lo = np.where(low, x, lo), np.where(low, t_x, t_lo)
+            hi, t_hi = np.where(high, x, hi), np.where(high, t_x, t_hi)
+            on_hi = np.where(high, on_x, on_hi)
+            moved = np.where(low, -1.0, 1.0)
+        # a bracket that ends where no pair sits on the axis is not a crossing;
+        # the root is the secant point of each final bracket, the lower end of
+        # a dropped one
+        roots = grid[j].copy()
+        roots[ok] = np.where(on_hi, hi - f_hi * (hi - lo) / (f_hi - f_lo), lo)
+        ok[ok] = on_hi
+
+        # bisect every bracket again, against the roots: the dropped ones
+        # too, since the widest bracket sets the number of halvings
+        changes = np.zeros(grid.size)
+        changes[j + 1] = 1.0
+        _, lo, hi = _refine(lambda x: np.searchsorted(roots, x), grid, np.cumsum(changes), tol)
+        x = 0.5 * (lo + hi)[ok]
+        omega, alpha, g, a, b, c, e = axis(x)
+        if name == "alpha":
+            da, de, dbc = (a + g) / alpha, 0.0, 1.0 / alpha
+        else:
+            # dx*/dg = 1/Iy*, so dIy*/dg = a v (1 - 2 s), s = (g + delta - c)/d the logistic at x*
+            diy = inv.a * inv.v * (1.0 - 2.0 * (g + p.delta - inv.c) / inv.d)
+            da, de, dbc = alpha * diy - 1.0, -1.0 + e / c * diy, diy * (b + alpha * e) / (b * c)
+        speed, flat = _crossing_speed(omega, a, e, r, m, da, de, dbc, 0.0)
+    found = np.isfinite(omega)
+    x, omega, speed, flat = x[found], omega[found], speed[found], flat[found]
     if flat.any():
         raise DegenerateTransversality(
             f"crossing speed vanishes at {name} = {x[np.argmax(flat)]:g}")
@@ -618,7 +697,7 @@ def hopf_in_alpha(p, inv, m=None, alpha_range=(0.05, 2.0)):
     """Hopf crossings as the adjustment speed alpha varies at fixed T, g.
 
     :func:`_param_crossings` scans an ALPHA_GRID-point geometric alpha grid
-    on the imaginary axis and bisects every crossing to 1e-12; the
+    on the imaginary axis and locates every crossing to 1e-12; the
     ``transversality`` of each point is Re dlambda/dalpha.  Raises NoHopf
     when there is no crossing.
     """
@@ -635,8 +714,9 @@ def hopf_in_alpha(p, inv, m=None, alpha_range=(0.05, 2.0)):
 
 def _growth_hopf(p, inv, n_grid):
     """(grid, points, g1_hopf, g2_hopf): the ``n_grid`` interior points of
-    a uniform grid over (g_min, g_max), the Hopf points in g bisected to
-    1e-11 on it, the first destabilizing and the last stabilizing one."""
+    a uniform grid over (g_min, g_max), the Hopf points in g located to
+    1e-11 by :func:`_param_crossings` on it, the first destabilizing and
+    the last stabilizing one."""
     gs = np.linspace(*growth_interval(inv, p.delta), n_grid + 2)[1:-1]
     points = _param_crossings(p, inv, "g", gs, 1e-11)
     ups = [h.value for h in points if h.crossing == "destabilizing"]

@@ -159,11 +159,3 @@ def equilibrium(p, inv):
     ks = p.alpha * p.G0 / den
     iy, ik = investment_derivs(xs, inv, p.g, p.delta)
     return Equilibrium(x_star=xs, y_star=xs * ks, k_star=ks, Iy_star=iy, Ik_star=ik)
-
-
-def above_inflection(eq, inv):
-    """True when x* sits strictly above the logistic midpoint 1/v.
-
-    Economically dubious but not forbidden; callers may choose to warn.
-    """
-    return eq.x_star * inv.v > 1.0 + 1e-12

@@ -179,19 +179,6 @@ def find_local_maxima(times, values):
     return t[i] + offset * dt, y1 - 0.25 * (y0 - y2) * offset
 
 
-def period_from_zero_crossings(traj, transient_fraction=0.5):
-    """Independent period estimate: mean spacing of upward zero crossings
-    of y - mean(y) over the post-transient window."""
-    t, y = _post_transient(traj, transient_fraction)
-    yc = y - y.mean()
-    idx = np.nonzero((yc[:-1] < 0.0) & (yc[1:] >= 0.0))[0]
-    if len(idx) < 3:
-        raise InsufficientOscillations("fewer than 3 upward zero crossings")
-    # linear interpolation of each crossing time
-    tc = t[idx] + (t[idx + 1] - t[idx]) * (-yc[idx]) / (yc[idx + 1] - yc[idx])
-    return float(np.mean(np.diff(tc)))
-
-
 def check_transient_fraction(fraction, name="transient_fraction"):
     """Raise ValueError naming ``name`` unless 0 <= fraction < 1."""
     if not 0.0 <= fraction < 1.0:

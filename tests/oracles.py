@@ -4,13 +4,19 @@ Everything here deliberately avoids the code paths it checks: x* by
 bisection instead of the closed-form inverse, Jacobians by finite
 differences, characteristic coefficients reassembled from numerically
 computed eigenvalues, critical delays by eigenvalue bisection in T
-instead of on the imaginary axis, and trajectories cross-checked against
-scipy's own integrator.
+instead of on the imaginary axis, cycle periods from zero crossings
+instead of peak spacing, and trajectories cross-checked against scipy's
+own integrator.
 """
 
 import numpy as np
 
-from chaintrick.errors import GrowthOutOfRange, NoHopf, NonPositiveEquilibrium
+from chaintrick.errors import (
+    GrowthOutOfRange,
+    InsufficientOscillations,
+    NoHopf,
+    NonPositiveEquilibrium,
+)
 from chaintrick.hopf_locator import _as_points, _grid_eigenvalues, _scan, _split_eigenvalues
 from chaintrick.model_core import (
     InvestmentParams,
@@ -19,6 +25,7 @@ from chaintrick.model_core import (
     growth_interval,
     phi,
 )
+from chaintrick.simulator import _post_transient
 
 
 def bisect_x_star(inv, g, delta, lo=-10.0, hi=10.0, tol=1e-14):
@@ -161,3 +168,17 @@ def hopf_in_T_numeric(p, inv, m=None, t_range=(1e-4, 50.0), n_grid=512):
     if not points:
         raise NoHopf(f"no Hopf crossing in T over {t_range} for m = {p.m}")
     return points
+
+
+def period_from_zero_crossings(traj, transient_fraction=0.5):
+    """Second period estimate, beside the peak spacing of cycle_metrics:
+    mean spacing of upward zero crossings of y - mean(y) over the
+    post-transient window."""
+    t, y = _post_transient(traj, transient_fraction)
+    yc = y - y.mean()
+    idx = np.nonzero((yc[:-1] < 0.0) & (yc[1:] >= 0.0))[0]
+    if len(idx) < 3:
+        raise InsufficientOscillations("fewer than 3 upward zero crossings")
+    # linear interpolation of each crossing time
+    tc = t[idx] + (t[idx + 1] - t[idx]) * (-yc[idx]) / (yc[idx + 1] - yc[idx])
+    return float(np.mean(np.diff(tc)))

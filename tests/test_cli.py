@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaintrick.chain_system import build, constant_history_state
 from chaintrick.cli import _SETTINGS, _build_parser, _resolve_config, _table, main
 from chaintrick.hopf_locator import pair_max_real
+from chaintrick.model_core import DANA_MALGRANGE, MacroParams
+from chaintrick.simulator import integrate
 
 
 def run_cli(capsys, *argv):
@@ -262,6 +265,23 @@ class TestHopfCmd:
         assert [h["crossing"] for h in doc["hopf_points"]] == ["destabilizing", "stabilizing"]
         assert values == [doc["g1_hopf"], doc["g2_hopf"]]
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_alpha_range_finds_the_point_without_warnings(self, capsys):
+        # (bc)^2 overflows on the top of the grid, where no pair is on the axis
+        code, out, err = run_cli(capsys, "hopf", "--vary", "alpha", "--alpha-max", "1e200")
+        assert code == 0 and err == ""
+        [point] = json.loads(out)["hopf_points"]
+        assert point["value"] == pytest.approx(0.70142, abs=1e-5)
+        assert point["omega"] > 0.0
+
+    @pytest.mark.parametrize("vary", ["g", "alpha"])
+    @pytest.mark.filterwarnings("error")
+    def test_frequency_underflow_reports_no_point(self, capsys, vary):
+        # at T = 1e300 the pair's omega ~ m/T has a square that underflows
+        code, out, err = run_cli(capsys, "hopf", "--vary", vary, "--T", "1e300")
+        assert code == 0 and err == ""
+        assert json.loads(out)["hopf_points"] == []
+
 
 class TestSimulateCmd:
     def test_cycle_metrics_m2(self, capsys, tmp_path):
@@ -276,6 +296,18 @@ class TestSimulateCmd:
         assert doc["metrics"]["period"] == pytest.approx(116.45, rel=0.02)
         header = out_csv.read_text(encoding="utf-8").split("\n")[0]
         assert header == "t,y,u1,u2,k"
+
+    def test_reports_the_integrators_work(self, capsys):
+        argv = ["--m", "2", "--alpha", "0.9", "--T", "3", "--horizon", "500"]
+        code, out, _ = run_cli(capsys, "simulate", "--json", *argv)
+        assert code == 0
+        doc = json.loads(out)
+        p = MacroParams(alpha=0.9, gamma=0.15, delta=0.007, g=0.016, G0=2.0, T=3.0, m=2)
+        sys_ = build(p, DANA_MALGRANGE)
+        traj = integrate(sys_, constant_history_state(sys_, 15.0, 100.0), 500.0, sample_dt=0.2)
+        for key in ("rhs_evaluations", "accepted_steps", "rejected_steps"):
+            assert type(doc[key]) is int and doc[key] > 0, key
+            assert doc[key] == getattr(traj, key), key
 
     @pytest.mark.parametrize(
         "flag, value, name",
@@ -394,6 +426,14 @@ class TestTable2Cmd:
         lines = out_csv.read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "m,g_bi1,g_bi2"
         assert len(lines) == 3
+
+    @pytest.mark.filterwarnings("error")
+    def test_frequency_underflow_gives_empty_rows(self, capsys):
+        code, out, err = run_cli(capsys, "table2", "--T", "1e300")
+        assert code == 0 and err == ""
+        rows = json.loads(out)["rows"]
+        assert [r["m"] for r in rows] == [1, 2, 3, 4]
+        assert all(r["g_bi1"] is None and r["g_bi2"] is None for r in rows)
 
 
 class TestConfigRoundTrip:

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -469,6 +471,19 @@ class TestAxisCrossingsInGAndAlpha:
         grid = np.array([0.016850676000301854, 0.022735022367836834])
         assert hopf_locator._param_crossings(p, inv, "g", grid, 1e-11) == []
 
+    def test_crossing_in_the_interval_where_the_pair_leaves_the_axis(self, inv_dm, baseline):
+        # on a 5-point grid the last interval holds the stabilizing crossing
+        # and, above it, the g where bc^2 = a^2 e^2: its upper end has no
+        # pair on the axis
+        p = baseline.replace(m=4, alpha=1.5493644672235238, T=33.3259215093149)
+        gs, coarse, _, _ = hopf_locator._growth_hopf(p, inv_dm, 5)
+        a, b, c, e = hopf_locator._loop_coefficients(p, inv_dm, p.alpha, gs[-1])
+        assert (b * c) ** 2 < (a * e) ** 2
+        _, fine, _, _ = hopf_locator._growth_hopf(p, inv_dm, 2048)
+        assert [h.crossing for h in coarse] == ["stabilizing"]
+        assert fine[-1].crossing == "stabilizing"
+        assert coarse[0].value == pytest.approx(fine[-1].value, rel=0.0, abs=2e-11)
+
     def test_hopf_in_g_reports_the_axis_points(self, inv_dm, baseline):
         for m, alpha, T, n in ((1, 1.0, 1.0, 2048), (2, 3.0, 1.0, 500), (4, 0.6, 30.0, 50)):
             p = baseline.replace(m=m, alpha=alpha, T=T)
@@ -493,6 +508,79 @@ class TestAxisCrossingsInGAndAlpha:
         assert calls == []
         hopf_in_g(baseline, inv_dm, m=1)
         assert calls
+
+
+def _count_phase_calls(monkeypatch):
+    """Replace hopf_locator._phase by a counting wrapper; returns the
+    one-element list holding the count."""
+    calls = [0]
+    phase = hopf_locator._phase
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return phase(*args, **kwargs)
+
+    monkeypatch.setattr(hopf_locator, "_phase", counted)
+    return calls
+
+
+def _recorded_param_crossings():
+    path = Path(__file__).parent / "data" / "param_crossings.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+class TestParamCrossingsPinned:
+    """The g and alpha points are those of bisecting every phase bracket
+    to its tolerance, recorded on a case grid, from fewer phase
+    evaluations than that bisection made."""
+
+    @staticmethod
+    def _check(case, points, calls):
+        assert len(points) == len(case["points"]), case
+        for h, (value, omega, crossing) in zip(points, case["points"]):
+            assert h.value == pytest.approx(value, rel=1e-14, abs=0.0), case
+            assert h.omega == pytest.approx(omega, rel=1e-14, abs=0.0), case
+            assert h.crossing == crossing, case
+        assert calls <= case["bisection_phase_calls"], case
+
+    def test_g_points(self, inv_dm, baseline, monkeypatch):
+        calls = _count_phase_calls(monkeypatch)
+        for case in _recorded_param_crossings()["g_cases"]:
+            p = baseline.replace(m=case["m"], alpha=case["alpha"], T=case["T"])
+            calls[0] = 0
+            _, points, _, _ = hopf_locator._growth_hopf(p, inv_dm, case["n_grid"])
+            self._check(case, points, calls[0])
+
+    def test_alpha_points(self, inv_dm, baseline, monkeypatch):
+        calls = _count_phase_calls(monkeypatch)
+        for case in _recorded_param_crossings()["alpha_cases"]:
+            p = baseline.replace(m=case["m"], g=case["g"], T=case["T"])
+            calls[0] = 0
+            try:
+                points = hopf_in_alpha(p, inv_dm, alpha_range=tuple(case["alpha_range"]))
+            except NoHopf:
+                points = []
+            self._check(case, points, calls[0])
+
+    def test_table_and_alpha_scan_take_few_phase_evaluations(self, inv_dm, baseline, monkeypatch):
+        # bisection to 1e-11 and 1e-12 took 92 and 33
+        calls = _count_phase_calls(monkeypatch)
+        table_g_bifurcations(baseline, inv_dm, [1, 2, 3, 4])
+        assert calls[0] <= 32
+        calls[0] = 0
+        p = baseline.replace(alpha=0.58, g=0.015, T=1.5)
+        [point] = hopf_in_alpha(p, inv_dm, alpha_range=(0.3, 1.5))
+        assert point.value == pytest.approx(0.66273, abs=1e-5)
+        assert calls[0] <= 10
+
+    def test_tolerance_below_the_float_spacing_still_ends(self, inv_dm, baseline):
+        # no float lies inside a bracket of two neighbouring floats, so the
+        # refinement has to stop by its step count
+        p = baseline.replace(alpha=0.58, g=0.015, T=1.5)
+        grid = np.geomspace(0.3, 1.5, hopf_locator.ALPHA_GRID)
+        [point] = hopf_locator._param_crossings(p, inv_dm, "alpha", grid, 1e-12)
+        [finer] = hopf_locator._param_crossings(p, inv_dm, "alpha", grid, 1e-30)
+        assert finer.value == pytest.approx(point.value, rel=0.0, abs=1e-12)
 
 
 def _closed_form(p, inv):

@@ -13,7 +13,6 @@ from chaintrick.model_core import (
     DANA_MALGRANGE,
     InvestmentParams,
     MacroParams,
-    above_inflection,
     equilibrium,
     growth_interval,
     investment_derivs,
@@ -208,12 +207,6 @@ class TestEquilibrium:
             _, p, eq = random_model_draw(rng)
             if eq.x_star * eq.Iy_star > p.g + p.delta:
                 assert eq.Ik_star < 0.0
-
-    def test_above_inflection_flag(self, inv_dm, baseline):
-        eq = equilibrium(baseline, inv_dm)
-        assert not above_inflection(eq, inv_dm)  # baseline sits at x* = 1/v
-        eq_hi = equilibrium(baseline.replace(g=0.02), inv_dm)
-        assert above_inflection(eq_hi, inv_dm)
 
     def test_macro_params_validation(self):
         with pytest.raises(ValueError):

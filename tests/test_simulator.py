@@ -10,12 +10,8 @@ from chaintrick.chain_system import build, constant_history_state, equilibrium_s
 from chaintrick.errors import CapitalNonPositive, InsufficientOscillations, StepFailure
 from chaintrick.hopf_locator import pair_max_real
 from chaintrick.model_core import equilibrium
-from chaintrick.simulator import (
-    cycle_metrics,
-    find_local_maxima,
-    integrate,
-    period_from_zero_crossings,
-)
+from chaintrick.simulator import cycle_metrics, find_local_maxima, integrate
+from oracles import period_from_zero_crossings
 
 
 def _post_transient_arrays(traj, fraction):
