@@ -32,6 +32,7 @@ from .errors import (
     DegenerateTransversality,
     DelayNonPositive,
     GrowthOutOfRange,
+    InaccurateRoot,
     InsufficientOscillations,
     KernelOrderInvalid,
     NoHopf,
@@ -60,6 +61,7 @@ _NUMERIC_ERRORS = (
     StepFailure,
     CapitalNonPositive,
     DegenerateTransversality,
+    InaccurateRoot,
     ArithmeticError,
 )
 

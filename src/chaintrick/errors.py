@@ -51,3 +51,7 @@ class NoStableRegime(ChainTrickError):
 
 class DegenerateTransversality(ChainTrickError):
     """The crossing speed at a candidate Hopf point is numerically zero."""
+
+
+class InaccurateRoot(ChainTrickError):
+    """A located root misses its equation by more than the accepted residual."""

@@ -8,11 +8,15 @@ modulus gives T as an explicit function of the frequency omega and the
 phase gives the crossings as roots in omega, with no cap on T; one call of
 :func:`hopf_in_T`'s solver takes a whole batch of (alpha, g) cells, as the
 sweeps do.  In g and alpha at fixed T the modulus gives omega at every
-grid point and the phase labels it.  The T route bisects with
-:func:`_refine` and polishes by Newton steps; the g and alpha route
-narrows each bracket by regula falsi on the phase and reports the point
-on which bisection with :func:`_refine` lands.  Every route takes the
-direction from the analytic Re dlambda/d(parameter).  The closed forms
+grid point and the phase labels it.  Every route solves each bracket of
+its grid by Newton's method on the characteristic equation from the
+secant point of the phase, and keeps the root where it satisfies the
+equation inside the bracket; the other brackets are bisected with
+:func:`_refine` and polished in T, and narrowed by regula falsi in g and
+alpha, which report the point on which bisection with :func:`_refine`
+lands.  Every route takes the direction from the analytic
+Re dlambda/d(parameter) and reports the residual of the characteristic
+equation.  The closed forms
 for m = 1 (a quadratic in T) and m = 2 (the quartic of
 :func:`chaintrick.char_poly.phi_quartic`) are kept as independent
 references.
@@ -29,7 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import char_poly
-from .errors import DegenerateTransversality, DelayNonPositive, NoHopf, NoStableRegime
+from .errors import (
+    DegenerateTransversality, DelayNonPositive, InaccurateRoot, NoHopf, NoStableRegime,
+)
 from .model_core import equilibrium, growth_interval, investment_derivs, solve_x_star
 
 #: eigenvalues with |Im| below this (times 1 + |lambda|) count as real
@@ -38,12 +44,23 @@ IMAG_TOL = 1e-9
 #: a crossing speed smaller than this is refused as degenerate
 TRANSVERSALITY_TOL = 1e-10
 
-#: points of the omega grid on which :func:`hopf_in_T` scans the phase,
-#: bisection steps on each bracket, then Newton steps on the
-#: characteristic equation to polish the root
+#: points of the omega grid on which :func:`hopf_in_T` scans the phase
 N_GRID = 256
+
+#: Newton steps on the characteristic equation from the secant point of
+#: every grid bracket, and the relative residual |f| below which the root
+#: they reach is accepted
+NEWTON_STEPS = 4
+NEWTON_TOL = 1e-12
+
+#: the fallback in T for a bracket whose Newton root is not accepted:
+#: bisection steps on the bracket, then Newton steps kept inside it (twice
+#: as many for a root still off the equation by NEWTON_TOL)
 BISECT_STEPS = 12
-NEWTON_STEPS = 3
+POLISH_STEPS = 3
+
+#: a critical delay whose relative residual exceeds this is refused
+RESIDUAL_TOL = 1e-10
 
 #: points of the geometric alpha grid scanned by :func:`hopf_in_alpha`
 ALPHA_GRID = 512
@@ -64,7 +81,10 @@ class HopfPoint:
     :func:`hopf_in_T` (and so :func:`critical_delays` for every m),
     :func:`hopf_in_g` and :func:`hopf_in_alpha`.  Only the closed-form
     references differ: B T*^2 + 1 from the m = 1 :func:`hopf_in_T_m1`
-    and -psi'(T*) from the m = 2 :func:`hopf_in_T_m2`.
+    and -psi'(T*) from the m = 2 :func:`hopf_in_T_m2`.  ``residual`` is
+    |Q(i omega)(1 + i omega T/m)^m / bc - 1| at (value, omega): at most
+    RESIDUAL_TOL in T, up to the bisection tolerance times |df/dx| in g
+    and alpha.
     """
 
     parameter: str
@@ -72,15 +92,16 @@ class HopfPoint:
     omega: float
     crossing: str
     transversality: float
+    residual: float
 
     def __post_init__(self):
-        for name in ("value", "omega", "transversality"):
+        for name in ("value", "omega", "transversality", "residual"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
 
-def _as_points(name, values, omega, speed):
+def _as_points(name, values, omega, speed, residual):
     """HopfPoints in the parameter ``name``, one per (value, omega, crossing
-    speed)."""
+    speed, residual)."""
     return [
         HopfPoint(
             parameter=name,
@@ -88,8 +109,9 @@ def _as_points(name, values, omega, speed):
             omega=om,
             crossing="destabilizing" if sl > 0.0 else "stabilizing",
             transversality=sl,
+            residual=res,
         )
-        for value, om, sl in zip(values, omega, speed)
+        for value, om, sl, res in zip(values, omega, speed, residual)
     ]
 
 
@@ -304,7 +326,8 @@ def hopf_in_T_m1(eq, p):
             raise DegenerateTransversality(
                 f"crossing speed vanishes at T* = {t_star:g}"
             )
-        points.append((t_star, omega, trans))
+        # the monic cubic is bc r f, with r = 1/T and bc = alpha Ik* Iy*
+        points.append((t_star, omega, trans, res * t_star / abs(aik)))
     if not points:
         raise NoHopf("no positive critical delay for m = 1 at these parameters")
     return _as_points("T", *zip(*sorted(points)))
@@ -376,7 +399,8 @@ def hopf_in_T_m2(eq, p):
                 f"crossing speed vanishes at T* = {t_star:g}"
             )
         trans = -psi_prime
-        points.append((t_star, omega, trans))
+        # the monic quartic is bc r^2 f, with r = 2/T and bc = -P
+        points.append((t_star, omega, trans, res * t_star**2 / abs(4.0 * P)))
     if not points:
         raise NoHopf("no positive critical delay for m = 2 at these parameters")
     return _as_points("T", *zip(*sorted(points)))
@@ -416,34 +440,69 @@ def _phase(omega, a, e, bc, m, s=None):
     return np.arctan2(omega, -a) + np.arctan2(omega, -e) + m * np.arctan(s) - np.arctan2(0.0, bc)
 
 
-def _crossing_speed(omega, a, e, r, m, da, de, dbc, dlnr):
+def _newton_step(omega, m, r, a, e, bc, da, de, dbc, dlnr):
+    """One Newton step in the real unknowns (omega, x) on the characteristic
+    equation f = Q(i omega)(1 + i omega/r)^m / bc - 1 = 0, where x is the
+    parameter whose derivatives a', e', (bc)'/bc and (ln r)' are given.
+    The partials are (f + 1) F_lambda and (f + 1) F_x, with
+    F_lambda = 1/(lambda - a) + 1/(lambda - e) + m/(lambda + r) and
+    F_x = -[a'/(lambda - a) + e'/(lambda - e) + (bc)'/bc
+    + m lambda (ln r)'/(lambda + r)].  Returns f, the step (d omega, d x)
+    and the slope dlambda/dx = -F_x / F_lambda."""
+    lam = 1j * omega
+    la, le, lr = lam - a, lam - e, lam + r
+    f1 = la * le * (lr / r) ** m / bc
+    F_lam = 1.0 / la + 1.0 / le + m / lr
+    slope = (da / la + de / le + dbc + m * lam * dlnr / lr) / F_lam
+    # f_omega = i f_lambda, so i d_omega - slope d_x = -f / f_lambda = -rho,
+    # whose real and imaginary parts give d_x and then d_omega
+    rho = (1.0 - 1.0 / f1) / F_lam
+    d_x = rho.real / slope.real
+    return f1 - 1.0, slope.imag * d_x - rho.imag, d_x, slope
+
+
+def _newton(omega, x, m, partials):
+    """NEWTON_STEPS + 1 steps of :func:`_newton_step` from (omega, x), where
+    ``partials(x)`` gives its r, a, e, bc and derivatives at x; returns the
+    final (omega, x) and the relative residual |f| from which the last
+    step was taken."""
+    for _ in range(NEWTON_STEPS + 1):
+        f, d_om, d_x, _ = _newton_step(omega, m, *partials(x))
+        omega, x = omega + d_om, x + d_x
+    return omega, x, np.abs(f)
+
+
+def _crossing_speed(omega, m, r, a, e, bc, da, de, dbc, dlnr):
     """Re dlambda/dx at the root lambda = i omega of
-    (lambda - a)(lambda - e)(lambda + r)^m = bc r^m from the derivatives
-    a', e', (bc)'/bc and (ln r)' in the varied parameter x, and the mask
-    of crossings too flat to give a direction:
-    dlambda/dx = [a'/(lambda - a) + e'/(lambda - e) + (bc)'/bc
-    + m lambda (ln r)'/(lambda + r)] / [1/(lambda - a) + 1/(lambda - e) + m/(lambda + r)]."""
-    lam = 1j * omega
-    slope = (da / (lam - a) + de / (lam - e) + dbc + m * lam * dlnr / (lam + r)) / (
-        1.0 / (lam - a) + 1.0 / (lam - e) + m / (lam + r)
-    )
-    return slope.real, np.abs(slope.real) <= TRANSVERSALITY_TOL * np.abs(slope)
+    (lambda - a)(lambda - e)(lambda + r)^m = bc r^m, the mask of crossings
+    too flat to give a direction, and the relative residual |f|, all from
+    :func:`_newton_step`."""
+    f, _, _, slope = _newton_step(omega, m, r, a, e, bc, da, de, dbc, dlnr)
+    return slope.real, np.abs(slope.real) <= TRANSVERSALITY_TOL * np.abs(slope), np.abs(f)
 
 
-def _newton_step(omega, T, a, e, bc, m):
-    """Newton step in the real unknowns (omega, T) on the characteristic
-    equation Q(i omega) (1 + i omega T/m)^m / bc - 1 = 0."""
-    lam = 1j * omega
-    z = 1.0 + 1j * omega * T / m
-    q = (lam - a) * (lam - e)
-    zm1 = z ** (m - 1) / bc
-    f = q * z * zm1 - 1.0
-    f_om = 1j * ((2.0 * lam - a - e) * z + q * T) * zm1
-    f_T = 1j * omega * q * zm1
-    det = f_om.real * f_T.imag - f_T.real * f_om.imag
-    d_om = (f.imag * f_T.real - f.real * f_T.imag) / det
-    d_T = (f.real * f_om.imag - f.imag * f_om.real) / det
-    return d_om, d_T
+def _bisect_in_T(label, w, ends, end_labels, j, m, omega_max, a, e, bc):
+    """:func:`_axis_crossings` for the brackets whose Newton root it does
+    not accept (``ends`` in w, with ``end_labels``, on grid interval
+    ``j``): BISECT_STEPS halvings, then the Newton polish.  Returns omega,
+    T and the mask of brackets with omega and T finite and > 0."""
+    tol = np.abs(np.diff(w)) * 2.0 ** (0.5 - BISECT_STEPS)
+    *_, lo, hi = _refine(label, ends, end_labels, tol[j, None], omega_max, a, e, bc)
+    omega = omega_max * (0.5 * (lo + hi))
+    with np.errstate(divide="ignore"):
+        T = m * _chain_ratio(omega, a, e, bc, m) / omega
+    kept = (omega > 0.0) & (T > 0.0) & np.isfinite(T)
+    # the root lies in its bracket: a Newton step that leaves it (with one
+    # bracket width to spare for rounding in the phase) is refused
+    width, centre = omega_max * np.abs(hi - lo), omega
+    with np.errstate(all="ignore"):
+        for n in range(2 * POLISH_STEPS):
+            f, d_om, d_T, _ = _newton_step(omega, m, m / T, a, e, bc, 0.0, 0.0, 0.0, -1.0 / T)
+            om_new, T_new = omega + d_om, T + d_T
+            ok = kept & (np.abs(om_new - centre) <= width) & (T_new > 0.0)
+            ok &= (n < POLISH_STEPS) | ~(np.abs(f) < NEWTON_TOL)
+            omega, T = np.where(ok, om_new, omega), np.where(ok, T_new, T)
+    return omega, T, kept
 
 
 def _axis_crossings(p, inv, alpha, g):
@@ -458,15 +517,18 @@ def _axis_crossings(p, inv, alpha, g):
     G(omega) = arg Q(i omega) + m atan(s) - arg(bc) = 2 pi k.  Each cell
     scans G on its own N_GRID-point omega grid (dense near omega_max,
     where T vanishes, and reaching omega = 0, where T is unbounded); every
-    bracket where floor(G / 2 pi) changes, over all cells, is bisected at
-    once, and each root is polished by Newton steps on the complex
-    equation in (omega, T).  The crossing speed Re dlambda/dT is that of
-    :func:`_crossing_speed` with a, e and bc fixed and (ln r)' = -1/T.
+    bracket where floor(G / 2 pi) changes, over all cells, is solved at
+    once by Newton steps in (omega, T) from the secant point of the phase,
+    and the root kept where its residual is below NEWTON_TOL and its omega
+    strictly inside the bracket; :func:`_bisect_in_T` takes the others.
+    The crossing speed Re dlambda/dT is that of :func:`_crossing_speed`
+    with a, e and bc fixed and (ln r)' = -1/T.
 
-    Returns (cell, T, omega, speed), one entry per crossing, ordered by
-    cell and then by T.  Cells without a positive equilibrium or with
-    |bc| <= |ae| have no entry.  Raises DegenerateTransversality when a
-    crossing has Re dlambda/dT ~ 0.
+    Returns (cell, T, omega, speed, residual), one entry per crossing,
+    ordered by cell and then by T.  Cells without a positive equilibrium
+    or with |bc| <= |ae| have no entry.  Raises InaccurateRoot when a
+    crossing's relative residual exceeds RESIDUAL_TOL and
+    DegenerateTransversality when a crossing has Re dlambda/dT ~ 0.
     """
     m = p.m
     alpha, g = np.asarray(alpha, dtype=float), np.asarray(g, dtype=float)
@@ -495,29 +557,37 @@ def _axis_crossings(p, inv, alpha, g):
     # arg(i omega - a) has no limit at omega = 0 when ae = 0: no bracket there
     no_limit = a * e == 0.0
     labels[no_limit, -1] = labels[no_limit, -2]
-    # BISECT_STEPS halvings of every grid interval
-    tol = np.abs(np.diff(w)) * 2.0 ** (0.5 - BISECT_STEPS)
-    row, _, lo, hi = _refine(
-        label, np.broadcast_to(w, labels.shape), labels,
-        np.broadcast_to(tol, (cell.size, N_GRID - 1)), omega_max, a, e, bc,
-    )
+    row, j = np.nonzero(labels[:, :-1] != labels[:, 1:])
+    # each bracket's ends in w (decreasing) and their labels
+    ends, end_labels = np.stack([w[j], w[j + 1]]), np.stack([labels[row, j], labels[row, j + 1]])
     omega_max, a, e, bc, cell = omega_max[row], a[row], e[row], bc[row], cell[row]
-    omega = omega_max * (0.5 * (lo + hi))
-    with np.errstate(divide="ignore"):
-        T = m * _chain_ratio(omega, a, e, bc, m) / omega
-    keep = (omega > 0.0) & (T > 0.0) & np.isfinite(T)
-    omega, T, width = omega[keep], T[keep], (omega_max * np.abs(hi - lo))[keep]
-    a, e, bc, cell = a[keep], e[keep], bc[keep], cell[keep]
-    centre = omega
-    # the root lies in its bracket: a Newton step that leaves it (with one
-    # bracket width to spare for rounding in the phase) is refused
-    for _ in range(NEWTON_STEPS):
-        d_om, d_T = _newton_step(omega, T, a, e, bc, m)
-        om_new, T_new = omega + d_om, T + d_T
-        ok = (np.abs(om_new - centre) <= width) & (T_new > 0.0)
-        omega, T = np.where(ok, om_new, omega), np.where(ok, T_new, T)
 
-    speed, flat = _crossing_speed(omega, a, e, m / T, m, 0.0, 0.0, 0.0, -1.0 / T)
+    with np.errstate(all="ignore"):
+        # the phase crosses the larger of the two labels (times 2 pi) in the bracket
+        f_0, f_1 = _phase(omega_max * ends, a, e, bc, m) / (2.0 * math.pi) - end_labels.max(axis=0)
+        omega = omega_max * (ends[1] - f_1 * (ends[1] - ends[0]) / (f_1 - f_0))
+        T = m * _chain_ratio(omega, a, e, bc, m) / omega
+        omega, T, res = _newton(omega, T, m, lambda T: (m / T, a, e, bc, 0.0, 0.0, 0.0, -1.0 / T))
+    settled = ((res < NEWTON_TOL) & (omega_max * ends[1] < omega) & (omega < omega_max * ends[0])
+               & (T > 0.0) & (T < math.inf))
+
+    fb = np.nonzero(~settled)[0]
+    if fb.size:
+        omega[fb], T[fb], settled[fb] = _bisect_in_T(
+            label, w, ends[:, fb].T, end_labels[:, fb].T, j[fb], m,
+            omega_max[fb], a[fb], e[fb], bc[fb],
+        )
+    omega, T, a, e, bc, cell = (x[settled] for x in (omega, T, a, e, bc, cell))
+
+    speed, flat, residual = _crossing_speed(omega, m, m / T, a, e, bc, 0.0, 0.0, 0.0, -1.0 / T)
+    bad = ~(residual <= RESIDUAL_TOL)
+    if bad.any():
+        i = np.argmax(bad)
+        raise InaccurateRoot(
+            f"relative residual {residual[i]:.2g} of the characteristic equation at"
+            f" T* = {T[i]:g} exceeds {RESIDUAL_TOL:g}"
+            f" (alpha = {alpha[cell[i]]:g}, g = {g[cell[i]]:g})"
+        )
     if flat.any():
         i = np.argmax(flat)
         raise DegenerateTransversality(
@@ -525,7 +595,7 @@ def _axis_crossings(p, inv, alpha, g):
             f" (alpha = {alpha[cell[i]]:g}, g = {g[cell[i]]:g})"
         )
     order = np.lexsort((T, cell))
-    return cell[order], T[order], omega[order], speed[order]
+    return cell[order], T[order], omega[order], speed[order], residual[order]
 
 
 def hopf_in_T(p, inv, m=None):
@@ -542,7 +612,7 @@ def hopf_in_T(p, inv, m=None):
     if m is not None:
         p = p.replace(m=m)
     equilibrium(p, inv)  # raises GrowthOutOfRange or NonPositiveEquilibrium
-    _, T, omega, speed = _axis_crossings(p, inv, [p.alpha], [p.g])
+    _, T, omega, speed, residual = _axis_crossings(p, inv, [p.alpha], [p.g])
     if not T.size:
         a, _, _, e = _loop_coefficients(p, inv, np.float64(p.alpha), np.float64(p.g))
         trace = float(a + e)
@@ -550,7 +620,7 @@ def hopf_in_T(p, inv, m=None):
             f"no positive critical delay for m = {p.m}: a + e = {trace:.4g}, equilibrium"
             f" {'unstable' if trace >= 0.0 else 'stable'} for every delay"
         )
-    return _as_points("T", T, omega, speed)
+    return _as_points("T", T, omega, speed, residual)
 
 
 #: the critical delays of any kernel order: :func:`hopf_in_T` is the one route
@@ -575,30 +645,43 @@ def _param_crossings(p, inv, name, grid, tol):
     the lower one has a pair on the axis and the upper one's phase is off
     its label.  Where no pair sits on the axis the phase is taken at
     omega = 0, its limit where the pair leaves the axis, so an interval
-    that only runs off the axis brackets nothing.  The Illinois regula
-    falsi (Dowell & Jarratt, BIT 11, 1971) narrows every bracket to
-    ``tol`` at once on G / 2 pi - level, level being the integer the phase
-    crosses: each step evaluates the phase at the secant point, kept tol/2
-    inside the bracket, and bisects instead where that point is not finite
-    or after three steps in a row that did not halve the bracket; no
-    bracket takes more steps than bisection would.  A bracket without a
-    phase at its upper end (no positive equilibrium there) is bisected
-    alongside the others; one that ends off the axis is dropped.  The
-    root is the secant point of the final bracket.  The reported value is
-    the midpoint on which bisecting the grid interval to ``tol`` by the
-    labels lands: :func:`_refine` replays that bisection against the
-    roots, with no phase evaluation.  Raises DegenerateTransversality when
-    a crossing has Re dlambda/dx ~ 0.
+    that only runs off the axis brackets nothing.  Every bracket is solved
+    at once by Newton steps in (omega, x) from the secant point of
+    G / 2 pi - level (level being the integer the phase crosses), and the
+    root kept where its residual is below NEWTON_TOL and it lies strictly
+    inside the bracket.  The Illinois regula falsi (Dowell & Jarratt,
+    BIT 11, 1971) narrows every other bracket to ``tol`` on G / 2 pi - level: each step
+    evaluates the phase at the secant point, kept tol/2 inside the
+    bracket, and bisects instead where that point is not finite or after
+    three steps in a row that did not halve the bracket; no bracket takes
+    more steps than bisection would on the widest one.  A bracket without
+    a phase at its upper end (no positive equilibrium there) is bisected
+    alongside the others; one that ends off the axis is dropped.  Its root
+    is the secant point of the final bracket.  The reported value is the
+    midpoint on which bisecting the grid interval to ``tol`` by the labels
+    lands: :func:`_refine` replays that bisection against the roots, with
+    no phase evaluation.  Raises DegenerateTransversality when a crossing
+    has Re dlambda/dx ~ 0.
     """
     if p.T <= 0.0:
         raise DelayNonPositive(f"chain reduction needs T > 0, got T={p.T:g}")
     m, r = p.m, p.m / p.T
 
-    def axis(x):
+    def gains(x):
+        """a, e and bc at every point of x, and their derivatives a', e'
+        and (bc)'/bc in the parameter ``name``."""
         q = {"g": p.g, "alpha": p.alpha, name: x}
         alpha, g = (np.broadcast_to(q[key], x.shape) for key in ("alpha", "g"))
         a, b, c, e = _loop_coefficients(p, inv, alpha, g)
-        a2, e2, bc2 = a * a, e * e, (b * c) ** 2
+        if name == "alpha":
+            return a, e, b * c, (a + g) / alpha, 0.0, 1.0 / alpha
+        # dx*/dg = 1/Iy*, so dIy*/dg = a v (1 - 2 s), s = (g + delta - c)/d the logistic at x*
+        diy = inv.a * inv.v * (1.0 - 2.0 * (g + p.delta - inv.c) / inv.d)
+        return a, e, b * c, alpha * diy - 1.0, -1.0 + e / c * diy, diy * (b + alpha * e) / (b * c)
+
+    def axis(a, e, bc):
+        """omega from the modulus condition; NaN where no pair sits on the axis."""
+        a2, e2, bc2 = a * a, e * e, bc * bc
         a2, e2, bc2 = (np.where(bc2 > a2 * e2, v, np.nan) for v in (a2, e2, bc2))
         w = np.log(2.0 * (bc2 - a2 * e2) / (a2 + e2 + np.sqrt((a2 - e2) ** 2 + 4.0 * bc2)))
         log_bc2 = np.log(bc2)
@@ -611,20 +694,20 @@ def _param_crossings(p, inv, name, grid, tol):
                 break
             w = np.where(down, step, w)
         omega = np.exp(0.5 * w)
-        omega = np.where((omega > 0.0) & (omega < np.inf), omega, np.nan)
-        return omega, alpha, g, a, b, c, e
+        return np.where((omega > 0.0) & (omega < np.inf), omega, np.nan)
 
     def turns(x):
-        """G / 2 pi at every point of x, and where a pair sits on the axis;
-        elsewhere G is taken at omega = 0, its limit where the pair leaves
-        the axis (NaN without a positive equilibrium)."""
-        omega, _, _, a, b, c, e = axis(x)
+        """G / 2 pi at every point of x, where a pair sits on the axis, and
+        omega; elsewhere omega is 0, where G has its limit as the pair
+        leaves the axis (NaN without a positive equilibrium)."""
+        a, e, bc = gains(x)[:3]
+        omega = axis(a, e, bc)
         on_axis = ~np.isnan(omega)
         omega = np.where(on_axis, omega, 0.0)
-        return _phase(omega, a, e, b * c, m, omega / r) / (2.0 * math.pi), on_axis
+        return _phase(omega, a, e, bc, m, omega / r) / (2.0 * math.pi), on_axis, omega
 
     with np.errstate(all="ignore"):
-        t, on_axis = turns(grid)
+        t, on_axis, om = turns(grid)
         labels = np.where(on_axis, np.floor(t), -np.inf)
         j = np.nonzero(labels[:-1] != labels[1:])[0]
         # a crossing needs a pair on the axis at the lower end and a phase
@@ -633,14 +716,25 @@ def _param_crossings(p, inv, name, grid, tol):
         k = j[ok]
         want, lo, hi, t_lo, t_hi = labels[k], grid[k], grid[k + 1], t[k], t[k + 1]
         on_hi = on_axis[k + 1]
+        # Newton from the secant point of G / 2 pi - level, where the phase
+        # crosses level = want + 1 going up and want going down
+        level = want + (np.floor(t_hi) > want)
+        f_lo, f_hi = t_lo - level, t_hi - level
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        omega = om[k] + (x - lo) / (hi - lo) * (om[k + 1] - om[k])
+        omega, root, res = _newton(omega, x, m, lambda x: (r, *gains(x), 0.0))
+        settled = (res < NEWTON_TOL) & (lo < root) & (root < hi) & (omega > 0.0) & (omega < np.inf)
+
+        # the other brackets by regula falsi, in at most the steps bisection
+        # takes on the widest bracket, which also ends a bracket that floats
+        # too coarse for ``tol`` cannot narrow
+        steps = math.floor(np.max(np.log2((hi - lo) / tol), initial=-1.0)) + 1
+        fb = ~settled
+        want, lo, hi, t_lo, t_hi, on_hi = (v[fb] for v in (want, lo, hi, t_lo, t_hi, on_hi))
         # Illinois weights on the end values, the end the last step replaced
         # (-1 lo, +1 hi) and the steps in a row that did not halve the bracket
         w_lo, w_hi, moved, slow = np.ones(lo.shape), np.ones(lo.shape), np.zeros(lo.shape), 0
-        # at most the steps bisection takes, which also ends a bracket that
-        # floats too coarse for ``tol`` cannot narrow
-        steps = math.floor(np.max(np.log2((hi - lo) / tol), initial=-1.0)) + 1
         for n in range(steps + 1):
-            # the phase crosses want + 1 going up and want going down
             level = want + (np.floor(t_hi) > want)
             f_lo, f_hi = t_lo - level, t_hi - level
             wide = hi - lo > tol
@@ -651,7 +745,7 @@ def _param_crossings(p, inv, name, grid, tol):
             x = hi - w_hi * f_hi * (hi - lo) / (w_hi * f_hi - w_lo * f_lo)
             bisect = ~np.isfinite(x) | (slow >= 3)
             x = np.where(bisect, 0.5 * (lo + hi), np.clip(x, lo + 0.5 * tol, hi - 0.5 * tol))
-            t_x, on_x = turns(x)
+            t_x, on_x, _ = turns(x)
             # x replaces the lower end where it has that end's label, as in bisection
             low = wide & on_x & (np.floor(t_x) == want)
             high = wide & ~low
@@ -667,9 +761,11 @@ def _param_crossings(p, inv, name, grid, tol):
         # a bracket that ends where no pair sits on the axis is not a crossing;
         # the root is the secant point of each final bracket, the lower end of
         # a dropped one
+        root[fb] = np.where(on_hi, hi - f_hi * (hi - lo) / (f_hi - f_lo), lo)
+        settled[fb] = on_hi
         roots = grid[j].copy()
-        roots[ok] = np.where(on_hi, hi - f_hi * (hi - lo) / (f_hi - f_lo), lo)
-        ok[ok] = on_hi
+        roots[ok] = root
+        ok[ok] = settled
 
         # bisect every bracket again, against the roots: the dropped ones
         # too, since the widest bracket sets the number of halvings
@@ -677,29 +773,25 @@ def _param_crossings(p, inv, name, grid, tol):
         changes[j + 1] = 1.0
         _, lo, hi = _refine(lambda x: np.searchsorted(roots, x), grid, np.cumsum(changes), tol)
         x = 0.5 * (lo + hi)[ok]
-        omega, alpha, g, a, b, c, e = axis(x)
-        if name == "alpha":
-            da, de, dbc = (a + g) / alpha, 0.0, 1.0 / alpha
-        else:
-            # dx*/dg = 1/Iy*, so dIy*/dg = a v (1 - 2 s), s = (g + delta - c)/d the logistic at x*
-            diy = inv.a * inv.v * (1.0 - 2.0 * (g + p.delta - inv.c) / inv.d)
-            da, de, dbc = alpha * diy - 1.0, -1.0 + e / c * diy, diy * (b + alpha * e) / (b * c)
-        speed, flat = _crossing_speed(omega, a, e, r, m, da, de, dbc, 0.0)
+        a, e, bc, da, de, dbc = gains(x)
+        omega = axis(a, e, bc)
+        speed, flat, residual = _crossing_speed(omega, m, r, a, e, bc, da, de, dbc, 0.0)
     found = np.isfinite(omega)
-    x, omega, speed, flat = x[found], omega[found], speed[found], flat[found]
+    x, omega, speed, flat, residual = (v[found] for v in (x, omega, speed, flat, residual))
     if flat.any():
         raise DegenerateTransversality(
             f"crossing speed vanishes at {name} = {x[np.argmax(flat)]:g}")
-    return _as_points(name, x, omega, speed)
+    return _as_points(name, x, omega, speed, residual)
 
 
 def hopf_in_alpha(p, inv, m=None, alpha_range=(0.05, 2.0)):
     """Hopf crossings as the adjustment speed alpha varies at fixed T, g.
 
     :func:`_param_crossings` scans an ALPHA_GRID-point geometric alpha grid
-    on the imaginary axis and locates every crossing to 1e-12; the
-    ``transversality`` of each point is Re dlambda/dalpha.  Raises NoHopf
-    when there is no crossing.
+    on the imaginary axis, solves every bracket by Newton's method (regula
+    falsi where Newton does not settle) and reports the point that
+    bisection to 1e-12 lands on; the ``transversality`` of each point is
+    Re dlambda/dalpha.  Raises NoHopf when there is no crossing.
     """
     if m is not None:
         p = p.replace(m=m)

@@ -73,7 +73,7 @@ class Trajectory:
         """Write `t,y,u1..um,k` rows at 17 significant digits."""
         m = self.params.m
         header = ",".join(["t", "y"] + [f"u{i}" for i in range(1, m + 1)] + ["k"])
-        _write_lines(path, header, zip(self.times, *self.states.T))
+        _write_lines(path, header, (self.times, *self.states.T))
 
 
 @dataclass(frozen=True)

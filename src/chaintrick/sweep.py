@@ -76,7 +76,7 @@ def _smallest_delays(p, inv, m, alphas, gs):
     if m is not None:
         p = p.replace(m=m)
     alpha, g = np.meshgrid(alphas, gs, indexing="ij")
-    cell, T, _, _ = _axis_crossings(p, inv, alpha.ravel(), g.ravel())
+    cell, T, *_ = _axis_crossings(p, inv, alpha.ravel(), g.ravel())
     # crossings come ordered by cell and then by T
     cells, first = np.unique(cell, return_index=True)
     out = np.full(alpha.size, np.nan)
@@ -178,17 +178,20 @@ def table_g_bifurcations(p, inv, m_list):
 # CSV / JSON export
 
 
-def _fmt(x):
-    if isinstance(x, float) and math.isnan(x):
-        return "NA"
-    return f"{x:.17g}"
+#: rows formatted by one % per block, which bounds the text held at once
+CSV_BLOCK = 4096
 
 
-def _write_lines(path, header, rows):
+def _write_lines(path, header, columns):
+    """Write ``header`` and the rows of the equal-length ``columns``, every
+    cell at 17 significant digits and NaN as NA."""
+    n = len(columns[0])
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        for start in range(0, n, CSV_BLOCK):
+            block = np.column_stack([c[start : start + CSV_BLOCK] for c in columns])
+            fh.write((row * len(block) % tuple(block.ravel().tolist())).replace("nan", "NA"))
 
 
 def sidecar_path(path):
@@ -206,7 +209,7 @@ def _write_sidecar(path, payload):
 
 def write_curve_csv(curve, path):
     """CSV `param,T_bi` plus a JSON metadata sidecar."""
-    _write_lines(path, "param,T_bi", zip(curve.values, curve.t_bi))
+    _write_lines(path, "param,T_bi", (curve.values, curve.t_bi))
     _write_sidecar(
         path,
         {
@@ -226,12 +229,8 @@ def write_curve_csv(curve, path):
 
 def write_surface_csv(surface, path):
     """CSV `alpha,g,T_bi` in row-major (alpha outer) order plus sidecar."""
-    rows = (
-        (al, g, surface.t_bi[i, j])
-        for i, al in enumerate(surface.alphas)
-        for j, g in enumerate(surface.gs)
-    )
-    _write_lines(path, "alpha,g,T_bi", rows)
+    alpha, g = np.meshgrid(surface.alphas, surface.gs, indexing="ij")
+    _write_lines(path, "alpha,g,T_bi", (alpha.ravel(), g.ravel(), surface.t_bi.ravel()))
     _write_sidecar(
         path,
         {
@@ -251,7 +250,7 @@ def write_surface_csv(surface, path):
 
 def write_table_csv(rows, path, fixed=None):
     """CSV `m,g_bi1,g_bi2` plus sidecar."""
-    _write_lines(path, "m,g_bi1,g_bi2", rows)
+    _write_lines(path, "m,g_bi1,g_bi2", np.reshape(np.array(rows, dtype=float), (-1, 3)).T)
     _write_sidecar(
         path,
         {"kind": "table", "fixed": fixed or {}, "grid": None, "fit": None},

@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths it checks: x* by
 bisection instead of the closed-form inverse, Jacobians by finite
 differences, characteristic coefficients reassembled from numerically
 computed eigenvalues, critical delays by eigenvalue bisection in T
-instead of on the imaginary axis, cycle periods from zero crossings
+instead of on the imaginary axis, the characteristic residual in Python's
+complex arithmetic instead of numpy's, cycle periods from zero crossings
 instead of peak spacing, and trajectories cross-checked against scipy's
 own integrator.
 """
@@ -119,6 +120,18 @@ def random_model_draw(rng, m=1, t_lo=0.05, t_hi=8.0):
         return inv, p, eq
 
 
+def characteristic_residual(p, inv, omega):
+    """Relative residual |f| of the characteristic equation
+    f = (l - a)(l - e)(1 + l T/m)^m / (bc) - 1 at l = i omega, in Python's
+    own complex arithmetic from the loop gains at the equilibrium:
+    a = alpha (Iy* - gamma) - g, b = alpha Ik*, c = Iy*, e = -x* Iy*."""
+    eq = equilibrium(p, inv)
+    a = p.alpha * (eq.Iy_star - p.gamma) - p.g
+    b, c, e = p.alpha * eq.Ik_star, eq.Iy_star, -eq.x_star * eq.Iy_star
+    lam = complex(0.0, omega)
+    return abs((lam - a) * (lam - e) * (1.0 + lam * p.T / p.m) ** p.m / (b * c) - 1.0)
+
+
 def pair_real_from_matrix(J, imag_tol=1e-9):
     """Max real part over the complex eigenvalues of J, or None."""
     eig = np.linalg.eigvals(J)
@@ -148,7 +161,7 @@ def pair_crossings(p, inv, name, grid, tol, step):
     slope = (lead.real[n : 2 * n] - lead.real[2 * n :]) / (2.0 * h)
     omega = np.abs(lead.imag[:n])
     keep = omega > 1e-6
-    return _as_points(name, x[keep], omega[keep], slope[keep])
+    return _as_points(name, x[keep], omega[keep], slope[keep], np.full(keep.sum(), np.nan))
 
 
 def hopf_in_T_numeric(p, inv, m=None, t_range=(1e-4, 50.0), n_grid=512):

@@ -231,6 +231,25 @@ class TestHopfCmd:
         dn = pair_max_real(p.replace(T=h["value"] - step), inv_dm)[0]
         assert h["transversality"] == pytest.approx((up - dn) / (2.0 * step), rel=1e-6)
 
+    def test_vary_T_at_a_large_order_finds_the_first_crossing(self, capsys):
+        # the crossing lies inside the first grid interval below omega_max;
+        # bisection with its polish reported 1.0256987 (residual 2e-4)
+        code, out, _ = run_cli(capsys, "hopf", "--vary", "T", "--alpha", "0.7", "--m", "8192")
+        assert code == 0
+        first = json.loads(out)["hopf_points"][0]
+        assert first["value"] == pytest.approx(1.0220545439165, rel=1e-12)
+        assert first["residual"] <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_vary_T_at_a_huge_order_is_right_or_refused(self, capsys):
+        code, out, err = run_cli(capsys, "hopf", "--vary", "T", "--alpha", "0.7", "--m", "1000000")
+        if code == 0:
+            assert err == ""
+            assert all(h["residual"] <= 1e-10 for h in json.loads(out)["hopf_points"])
+        else:
+            assert code == 3 and out == ""
+            assert err.startswith("numeric failure: relative residual") and err.count("\n") == 1
+
     def test_vary_T_empty_window_is_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "hopf", "--vary", "T", "--t-min", "5", "--t-max", "1"

@@ -10,6 +10,7 @@ from chaintrick.chain_system import build, equilibrium_state, jacobian
 from chaintrick.char_poly import coeffs_m1, coeffs_m2, cubic_coeffs_at, composites_m1
 from chaintrick.errors import (
     GrowthOutOfRange,
+    InaccurateRoot,
     NoHopf,
     NonPositiveEquilibrium,
     NoStableRegime,
@@ -32,7 +33,7 @@ from chaintrick.model_core import (
     growth_interval,
 )
 from chaintrick.sweep import table_g_bifurcations
-from oracles import hopf_in_T_numeric, pair_crossings, random_model_draw
+from oracles import characteristic_residual, hopf_in_T_numeric, pair_crossings, random_model_draw
 
 TABLE_G = {
     1: (0.01011989, 0.02032586),
@@ -583,6 +584,89 @@ class TestParamCrossingsPinned:
         assert finer.value == pytest.approx(point.value, rel=0.0, abs=1e-12)
 
 
+class TestNewtonFromGridBrackets:
+    """Every Hopf point is the root that Newton's method reaches from the
+    secant point of its grid bracket, where that root passes the residual
+    and bracket test, and the root of bisection (T) or of regula falsi (g
+    and alpha) otherwise."""
+
+    def test_every_critical_delay_solves_the_characteristic_equation(self):
+        # 481 crossings, five of them at T in [1e4, 1e5], three through the
+        # fallback; Newton without its acceptance test got three of them wrong
+        rng = np.random.default_rng(3)
+        points = far = 0
+        for _ in range(3000):
+            inv, p, _ = random_model_draw(rng, m=int(rng.integers(1, 13)))
+            try:
+                found = hopf_in_T(p, inv)
+            except NoHopf:
+                continue
+            for h in found:
+                assert characteristic_residual(p.replace(T=h.value), inv, h.omega) <= 1e-12
+                assert h.residual <= 1e-12
+            points += len(found)
+            far += sum(1e4 <= h.value <= 1e5 for h in found)
+        assert points >= 400 and far >= 3
+
+    def test_a_cell_newton_does_not_settle_takes_the_bisection_route(self, monkeypatch):
+        # draw 730 above: Newton from the secant point of one bracket fails
+        # the acceptance test, and bisection with the polish finds the root
+        inv = InvestmentParams(a=12.872673088718981, c=0.021369158765164868,
+                               d=0.07640355547789085, v=3.2728254540027493)
+        p = MacroParams(alpha=0.11017309628440969, gamma=0.45035772212228664,
+                        delta=0.023011763759519167, g=0.01716349444756876,
+                        G0=1.7891032911526168, T=0.5145770153485768, m=12)
+        calls = _count_phase_calls(monkeypatch)
+        points = hopf_in_T(p, inv)
+        assert calls[0] > 2  # the grid pass, the bracket ends, then bisection
+        want = [29.821917385408238, 5196.647941243733, 43613.498368130684]
+        assert [h.value for h in points] == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert [h.crossing for h in points] == ["destabilizing", "destabilizing", "stabilizing"]
+        for h in points:
+            assert characteristic_residual(p.replace(T=h.value), inv, h.omega) <= 1e-12
+
+    def test_a_coarse_g_grid_takes_the_regula_falsi_route(self, inv_dm, baseline, monkeypatch):
+        calls = _count_phase_calls(monkeypatch)
+        _, points, _, _ = hopf_locator._growth_hopf(baseline, inv_dm, 3)
+        assert calls[0] > 1  # the grid pass, then regula falsi
+        assert [h.value for h in points] == [0.010119897982338439, 0.02032585520320571]
+        assert [h.crossing for h in points] == ["destabilizing", "stabilizing"]
+
+    def test_newton_takes_few_phase_evaluations(self, inv_dm, baseline, monkeypatch):
+        # 13, 24 and 6 with bisection in T and regula falsi in g and alpha
+        p = baseline.replace(alpha=0.58, g=0.015)
+        calls = _count_phase_calls(monkeypatch)
+        critical_delays(p, inv_dm, m=3)
+        assert calls[0] <= 3
+        calls[0] = 0
+        table_g_bifurcations(baseline, inv_dm, [1, 2, 3, 4])
+        assert calls[0] <= 4
+        calls[0] = 0
+        hopf_in_alpha(p.replace(T=1.5), inv_dm, alpha_range=(0.3, 1.5))
+        assert calls[0] <= 1
+
+    def test_residual_is_that_of_the_reported_point(self, inv_dm, baseline):
+        p, q = baseline.replace(alpha=0.7), baseline.replace(alpha=0.58, g=0.015, T=1.5)
+        eq = equilibrium(p, inv_dm)
+        cases = [(p.replace(m=m), hopf_in_T(p, inv_dm, m=m)) for m in (1, 2, 3)]
+        cases += [(p, hopf_in_T_m1(eq, p)), (p.replace(m=2), hopf_in_T_m2(eq, p.replace(m=2)))]
+        cases += [(baseline, hopf_in_g(baseline, inv_dm).hopf_points)]
+        cases += [(q, hopf_in_alpha(q, inv_dm, alpha_range=(0.3, 1.5)))]
+        for at, points in cases:
+            for h in points:
+                want = characteristic_residual(at.replace(**{h.parameter: h.value}), inv_dm, h.omega)
+                assert h.residual == pytest.approx(want, rel=1e-3, abs=1e-14)
+                assert h.residual <= (1e-12 if h.parameter == "T" else 1e-8)
+
+    def test_refuses_a_critical_delay_off_the_equation(self, inv_dm, baseline, monkeypatch):
+        # with one polish step and no Newton start the first crossing at
+        # m = 8192 misses the equation by about 2e-4, and is refused
+        monkeypatch.setattr(hopf_locator, "NEWTON_TOL", 0.0)
+        monkeypatch.setattr(hopf_locator, "POLISH_STEPS", 0)
+        with pytest.raises(InaccurateRoot, match="T\\* = 1.02"):
+            hopf_in_T(baseline.replace(alpha=0.7), inv_dm, m=8192)
+
+
 def _closed_form(p, inv):
     locate = hopf_in_T_m1 if p.m == 1 else hopf_in_T_m2
     return locate(equilibrium(p, inv), p)
@@ -730,5 +814,5 @@ def test_hopf_point_fields_are_python_floats(inv_dm, baseline):
     points += hopf_in_g(baseline, inv_dm, m=1).hopf_points
     assert len(points) >= 7
     for h in points:
-        for name in ("value", "omega", "transversality"):
+        for name in ("value", "omega", "transversality", "residual"):
             assert type(getattr(h, name)) is float

@@ -220,6 +220,47 @@ class TestCsvExport:
         np.testing.assert_array_equal(parsed[:, 1], curve.t_bi)
 
 
+def _write_fixed_results(directory):
+    """Write a curve, a surface, two tables and a trajectory, each built from
+    fixed numbers (NaN, infinities, -0, subnormal and huge values, the
+    integer m), with the package's CSV writers; returns the file names."""
+    from chaintrick.model_core import DANA_MALGRANGE, MacroParams
+    from chaintrick.simulator import Trajectory
+    from chaintrick.sweep import BifurcationCurve, SurfaceResult
+
+    directory = Path(directory)
+    values = np.array([0.05, 1e-300, 123456789.123456789, -0.0, 2.0 / 3.0, 1e300, 0.1])
+    t_bi = np.array([np.nan, 3.321018342272489, np.inf, -np.inf, 5e-324, np.nan, 7.0])
+    curve = BifurcationCurve(parameter="alpha", values=values, t_bi=t_bi, m=3,
+                             fixed={"g": 0.016}, fit=None)
+    write_curve_csv(curve, directory / "curve.csv")
+    surface = SurfaceResult(alphas=np.array([0.6, 0.65, 0.7]), gs=np.array([0.012, 0.0155]),
+                            t_bi=np.array([[1.5, np.nan], [np.inf, 0.0], [2.0 / 7.0, 1e-17]]),
+                            m=2, fixed={})
+    write_surface_csv(surface, directory / "surface.csv")
+    write_table_csv([(1, 0.010119897983666451, math.nan), (2, math.nan, 0.0203267334953874),
+                     (12, 1e-5, 2.5)], directory / "table.csv")
+    write_table_csv([], directory / "table_empty.csv")
+    states = np.outer(np.arange(1.0, 12.0) ** 1.5, [1.0, -2.5e-7, 3.0e12, 1.0 / 3.0])
+    states[5, 1], states[7, 2] = np.nan, np.inf
+    traj = Trajectory(times=np.linspace(0.0, 3.0, 11), states=states,
+                      params=MacroParams(alpha=0.9, gamma=0.15, delta=0.007, g=0.016, G0=2.0,
+                                        T=3.0, m=2), inv=DANA_MALGRANGE)
+    traj.write_csv(directory / "trajectory.csv")
+    return ["curve.csv", "surface.csv", "table.csv", "table_empty.csv", "trajectory.csv"]
+
+
+@pytest.mark.parametrize("block", [None, 4])
+def test_csv_bytes_match_the_recorded_files(tmp_path, monkeypatch, block):
+    # recorded with the writer that formatted one cell at a time; a block of
+    # 4 rows splits every file but the empty table across blocks
+    if block:
+        monkeypatch.setattr(sweep_module, "CSV_BLOCK", block)
+    recorded = Path(__file__).parent / "data" / "csv"
+    for name in _write_fixed_results(tmp_path):
+        assert (tmp_path / name).read_bytes() == (recorded / name).read_bytes(), name
+
+
 def test_smallest_critical_delay_returns_nan_outside_range(inv_dm, baseline):
     assert math.isnan(
         smallest_critical_delay(baseline.replace(g=0.001), inv_dm, m=1)
