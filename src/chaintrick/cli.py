@@ -7,15 +7,21 @@ resolved configuration back out, and ``--json`` for compact output;
 ``simulate``, ``sweep`` and ``table2`` also take ``--out``.  Each setting
 is declared once, in ``_SETTINGS``, and a flag's text and a config value
 pass the same check.  Exit codes: 0 success, 2 domain error (including a
-bad flag, config value or unreadable config file), 3 numeric failure.
+bad flag, config value, unreadable config file or unwritable output path),
+3 numeric failure.
 
 ``stability`` reports the Routh-Hurwitz verdict of char_poly for m = 1
 and m = 2 beside the equilibrium eigenvalues; ``stability --scan-g N``
 merges the segments of :func:`chaintrick.hopf_locator.hopf_in_g` on an
 N-point grid into stable and unstable regimes.
+
+Of the computing modules only ``model_core`` is imported at start-up;
+each command handler imports the modules it runs, so a command pays the
+import cost of those alone.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -23,10 +29,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import char_poly, model_core, simulator, sweep
-from ._core import backend_name
+from . import model_core
 from ._version import __version__
-from .chain_system import build, constant_history_state
 from .errors import (
     CapitalNonPositive,
     DegenerateTransversality,
@@ -38,13 +42,6 @@ from .errors import (
     NoHopf,
     NonPositiveEquilibrium,
     StepFailure,
-)
-from .hopf_locator import (
-    _split_eigenvalues,
-    critical_delays,
-    equilibrium_eigenvalues,
-    hopf_in_alpha,
-    hopf_in_g,
 )
 from .model_core import equilibrium
 
@@ -192,6 +189,17 @@ def _load_config(path):
     return loaded
 
 
+@contextlib.contextmanager
+def _writing(flag, path):
+    """Report an OSError raised while writing the file of ``flag`` as a
+    domain error naming the flag and the file."""
+    try:
+        yield
+    except OSError as exc:
+        name = path if exc.filename is None else exc.filename
+        raise ValueError(f"{flag} {name}: {exc.strerror or exc}") from None
+
+
 def _resolve_config(args):
     """Merge defaults, config file and explicit flags into one dict."""
     command = args.command
@@ -256,6 +264,8 @@ def _emit(result, args):
 
 
 def _classification(eig):
+    from .hopf_locator import _split_eigenvalues
+
     n_neg, n_pos, lead = _split_eigenvalues(eig)
     parts = []
     if n_neg:
@@ -284,6 +294,8 @@ def _cmd_equilibrium(config, args):
 
 
 def _stability_point(inv, macro):
+    from .hopf_locator import equilibrium_eigenvalues
+
     eig = equilibrium_eigenvalues(macro, inv)
     out = {
         "m": macro.m,
@@ -299,6 +311,8 @@ def _stability_point(inv, macro):
         out["stable"] = bool(np.all(eig.real < 0.0))
         out["marginal"] = bool(np.any(np.abs(eig.real) < 1e-8))
         return out
+    from . import char_poly
+
     eq = equilibrium(macro, inv)
     if macro.m == 1:
         c = char_poly.coeffs_m1(eq, macro)
@@ -332,6 +346,8 @@ def _cmd_stability(config, args):
 
     if scan < 1:
         raise ValueError(f"--scan-g needs at least 1 point, got {scan}")
+    from .hopf_locator import equilibrium_eigenvalues, hopf_in_g
+
     report = hopf_in_g(macro, inv, n_grid=int(scan))
     regimes = []
     for s in report.segments:
@@ -356,6 +372,8 @@ def _cmd_stability(config, args):
 
 def _cmd_hopf(config, args):
     """locate Hopf bifurcations"""
+    from .hopf_locator import critical_delays, hopf_in_alpha, hopf_in_g
+
     inv, macro = _params_from(config)
     opts = config["options"]
     vary = opts["vary"]
@@ -392,6 +410,10 @@ def _cmd_hopf(config, args):
 
 def _cmd_simulate(config, args):
     """integrate and measure cycles"""
+    from . import simulator
+    from ._core import backend_name
+    from .chain_system import build, constant_history_state
+
     inv, macro = _params_from(config)
     opts = config["options"]
     simulator.check_transient_fraction(opts["transient"], "--transient")
@@ -414,7 +436,8 @@ def _cmd_simulate(config, args):
         result["metrics"] = None
         result["note"] = str(exc)
     if args.out:
-        traj.write_csv(args.out)
+        with _writing("--out", args.out):
+            traj.write_csv(args.out)
     return result
 
 
@@ -432,13 +455,16 @@ def _grid(opts, name):
 
 def _cmd_sweep(config, args):
     """bifurcation curves and surfaces"""
+    from . import sweep
+
     inv, macro = _params_from(config)
     opts = config["options"]
     if not args.out:
         raise ValueError("sweep requires --out CSV path")
     if opts["curve"] == "surface":
         surface = sweep.surface_T(macro, inv, macro.m, _grid(opts, "alpha"), _grid(opts, "g"))
-        sweep.write_surface_csv(surface, args.out)
+        with _writing("--out", args.out):
+            sweep.write_surface_csv(surface, args.out)
         return {
             "kind": "surface",
             "m": surface.m,
@@ -450,7 +476,8 @@ def _cmd_sweep(config, args):
     name = opts["curve"].removeprefix("T-vs-")
     along = sweep.curve_T_vs_alpha if name == "alpha" else sweep.curve_T_vs_g
     curve = along(macro, inv, macro.m, _grid(opts, name))
-    sweep.write_curve_csv(curve, args.out)
+    with _writing("--out", args.out):
+        sweep.write_curve_csv(curve, args.out)
     return {
         "kind": "curve",
         "parameter": curve.parameter,
@@ -465,12 +492,15 @@ def _cmd_sweep(config, args):
 
 def _cmd_table2(config, args):
     """growth-rate Hopf points per kernel order"""
+    from . import sweep
+
     inv, macro = _params_from(config)
     rows = sweep.table_g_bifurcations(macro, inv, config["options"]["m_list"])
     if args.out:
         fixed = dict(config["macro"])
         fixed.pop("m", None)
-        sweep.write_table_csv(rows, args.out, fixed=fixed)
+        with _writing("--out", args.out):
+            sweep.write_table_csv(rows, args.out, fixed=fixed)
     return {
         "rows": [
             {"m": m, "g_bi1": g1, "g_bi2": g2} for m, g1, g2 in rows
@@ -494,7 +524,10 @@ def main(argv=None):
         args = _build_parser().parse_args(argv)
         config = _resolve_config(args)
         if args.emit_config:
-            with open(args.emit_config, "w", encoding="utf-8", newline="") as fh:
+            with (
+                _writing("--emit-config", args.emit_config),
+                open(args.emit_config, "w", encoding="utf-8", newline="") as fh,
+            ):
                 json.dump(config, fh, indent=2, sort_keys=True)
                 fh.write("\n")
         result = _HANDLERS[args.command](config, args)

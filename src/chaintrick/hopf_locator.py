@@ -19,7 +19,7 @@ Re dlambda/d(parameter) and reports the residual of the characteristic
 equation.  The closed forms
 for m = 1 (a quadratic in T) and m = 2 (the quartic of
 :func:`chaintrick.char_poly.phi_quartic`) are kept as independent
-references.
+references; they alone use char_poly and import it when called.
 
 Eigenvalues serve only the growth-rate structure: :func:`_scan` labels a
 g grid from its equilibrium eigenvalues, all computed in one batched call,
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import char_poly
 from .errors import (
     DegenerateTransversality, DelayNonPositive, InaccurateRoot, NoHopf, NoStableRegime,
 )
@@ -305,6 +304,8 @@ def hopf_in_T_m1(eq, p):
     point with omega* = sqrt(a2(T*)) and crossing-speed sign
     sign(B T*^2 + 1).  Raises NoHopf when no admissible root exists.
     """
+    from . import char_poly
+
     A, B, aik = char_poly.composites_m1(eq, p)
     if A >= 0.0:
         raise NoStableRegime(
@@ -364,6 +365,8 @@ def hopf_in_T_m2(eq, p):
     sign(-psi'(T*)) where psi is the composite Routh-Hurwitz expression
     a1 a2 a3 - a3^2 - a1^2 a4.
     """
+    from . import char_poly
+
     M, N, P = char_poly.composites_m2(eq, p)
     coeffs = char_poly.phi_quartic_coeffs(M, N, P)
     scale = np.abs(coeffs).max()
@@ -409,6 +412,8 @@ def hopf_in_T_m2(eq, p):
 def _psi_prime_m2(M, N, P, T):
     """d/dT of a1 a2 a3 - a3^2 - a1^2 a4 assembled from the coefficient
     derivatives."""
+    from . import char_poly
+
     a1, a2, a3, a4 = char_poly.quartic_coeffs_at(M, N, P, T)
     d1, d2, d3, d4 = char_poly.quartic_coeffs_deriv_at(M, N, P, T)
     return (
@@ -505,7 +510,7 @@ def _bisect_in_T(label, w, ends, end_labels, j, m, omega_max, a, e, bc):
     return omega, T, kept
 
 
-def _axis_crossings(p, inv, alpha, g):
+def _axis_crossings(p, inv, alpha, g, first=False):
     """Every critical delay of every cell (alpha[i], g[i]) at kernel order
     p.m, located on the imaginary axis in one batched computation.
 
@@ -525,10 +530,11 @@ def _axis_crossings(p, inv, alpha, g):
     with a, e and bc fixed and (ln r)' = -1/T.
 
     Returns (cell, T, omega, speed, residual), one entry per crossing,
-    ordered by cell and then by T.  Cells without a positive equilibrium
-    or with |bc| <= |ae| have no entry.  Raises InaccurateRoot when a
-    crossing's relative residual exceeds RESIDUAL_TOL and
-    DegenerateTransversality when a crossing has Re dlambda/dT ~ 0.
+    ordered by cell and then by T; with ``first`` only the smallest T of
+    each cell.  Cells without a positive equilibrium or with |bc| <= |ae|
+    have no entry.  Raises InaccurateRoot when a returned crossing's
+    relative residual exceeds RESIDUAL_TOL and DegenerateTransversality
+    when a returned crossing has Re dlambda/dT ~ 0.
     """
     m = p.m
     alpha, g = np.asarray(alpha, dtype=float), np.asarray(g, dtype=float)
@@ -578,6 +584,10 @@ def _axis_crossings(p, inv, alpha, g):
             omega_max[fb], a[fb], e[fb], bc[fb],
         )
     omega, T, a, e, bc, cell = (x[settled] for x in (omega, T, a, e, bc, cell))
+    if first:
+        # a cell's brackets run down in omega, so up in T: keep its first
+        _, kept = np.unique(cell, return_index=True)
+        omega, T, a, e, bc, cell = (x[kept] for x in (omega, T, a, e, bc, cell))
 
     speed, flat, residual = _crossing_speed(omega, m, m / T, a, e, bc, 0.0, 0.0, 0.0, -1.0 / T)
     bad = ~(residual <= RESIDUAL_TOL)

@@ -20,8 +20,8 @@ from ._core import (
     get_integrator,
 )
 from .errors import CapitalNonPositive, InsufficientOscillations, StepFailure
+from .export import _write_lines
 from .model_core import InvestmentParams, MacroParams, equilibrium
-from .sweep import _write_lines
 
 #: maximum |state component| before integration halts with diverged status
 DIVERGENCE_LIMIT = 1e9

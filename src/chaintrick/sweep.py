@@ -10,14 +10,12 @@ critical delay of exactly zero is meaningful (the all-T instability
 threshold) and is never used as a gap marker.
 """
 
-import json
 import math
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._version import __version__
+from .export import _write_lines, _write_sidecar, sidecar_path
 from .hopf_locator import G_GRID, _axis_crossings, _growth_hopf
 
 
@@ -76,11 +74,9 @@ def _smallest_delays(p, inv, m, alphas, gs):
     if m is not None:
         p = p.replace(m=m)
     alpha, g = np.meshgrid(alphas, gs, indexing="ij")
-    cell, T, *_ = _axis_crossings(p, inv, alpha.ravel(), g.ravel())
-    # crossings come ordered by cell and then by T
-    cells, first = np.unique(cell, return_index=True)
+    cell, T, *_ = _axis_crossings(p, inv, alpha.ravel(), g.ravel(), first=True)
     out = np.full(alpha.size, np.nan)
-    out[cells] = T[first]
+    out[cell] = T
     return out.reshape(alpha.shape)
 
 
@@ -175,36 +171,7 @@ def table_g_bifurcations(p, inv, m_list):
 
 
 # ---------------------------------------------------------------------------
-# CSV / JSON export
-
-
-#: rows formatted by one % per block, which bounds the text held at once
-CSV_BLOCK = 4096
-
-
-def _write_lines(path, header, columns):
-    """Write ``header`` and the rows of the equal-length ``columns``, every
-    cell at 17 significant digits and NaN as NA."""
-    n = len(columns[0])
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for start in range(0, n, CSV_BLOCK):
-            block = np.column_stack([c[start : start + CSV_BLOCK] for c in columns])
-            fh.write((row * len(block) % tuple(block.ravel().tolist())).replace("nan", "NA"))
-
-
-def sidecar_path(path):
-    base, _ = os.path.splitext(str(path))
-    return base + ".meta.json"
-
-
-def _write_sidecar(path, payload):
-    payload = dict(payload)
-    payload["version"] = __version__
-    with open(sidecar_path(path), "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+# CSV / JSON export, written by chaintrick.export (sidecar_path is re-exported)
 
 
 def write_curve_csv(curve, path):

@@ -563,6 +563,23 @@ class TestBadInput:
         assert key in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--horizon", "10", "--out"], "--out"),
+            (["sweep", "--alpha-count", "3", "--out"], "--out"),
+            (["table2", "--m-list", "1", "--out"], "--out"),
+            (["equilibrium", "--emit-config"], "--emit-config"),
+        ],
+    )
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_unwritable_output(self, capsys, tmp_path, argv, flag, target):
+        path = str(tmp_path / "missing" / "x.csv" if target == "missing directory" else tmp_path)
+        code, out, err = run_cli(capsys, *argv, path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} {path}: ") and err.count("\n") == 1
+
     def test_m_list_text_in_config(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"version": 1, "options": {"m_list": "1,2"}})
         code, out, _ = run_cli(capsys, "table2", "--config", cfg)

@@ -1,0 +1,103 @@
+"""What each CLI command and ``import chaintrick`` load, and the lazy
+public names of the package."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import chaintrick
+
+# runs a CLI command in a fresh interpreter and prints its exit code and
+# the chaintrick modules it loaded
+_LOADED = """
+import contextlib, io, sys
+from chaintrick.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("chaintrick.")))
+"""
+
+_CLI = {"_version", "cli", "errors", "model_core"}
+_SIMULATOR = {"_core", "_core._dopri", "chain_system", "export", "simulator"}
+_SWEEP = {"export", "hopf_locator", "sweep"}
+
+
+def _loaded(argv):
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv], capture_output=True, text=True, check=True
+    ).stdout.split()
+    return int(out[0]), {name.removeprefix("chaintrick.") for name in out[1:]}
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["equilibrium"], set()),
+        (["stability"], {"hopf_locator", "char_poly"}),
+        (["stability", "--m", "3"], {"hopf_locator"}),
+        (["hopf"], {"hopf_locator"}),
+        (["hopf", "--vary", "alpha"], {"hopf_locator"}),
+        (["hopf", "--vary", "g"], {"hopf_locator"}),
+        (["simulate", "--horizon", "10"], _SIMULATOR),
+        (["simulate", "--horizon", "10", "--out", "OUT"], _SIMULATOR),
+        (["sweep", "--alpha-count", "3", "--out", "OUT"], _SWEEP),
+        (["table2", "--m-list", "1"], _SWEEP),
+    ],
+)
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, extra):
+    code, loaded = _loaded([str(tmp_path / "x.csv") if a == "OUT" else a for a in argv])
+    assert code == 0
+    assert loaded == _CLI | extra
+
+
+def test_import_chaintrick_loads_only_the_version():
+    code = (
+        "import sys, chaintrick;"
+        " print(*sorted(m for m in sys.modules if 'chaintrick' in m or m == 'numpy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["chaintrick", "chaintrick._version"]
+
+
+#: the public names of the package, sorted
+PUBLIC = [
+    "BifurcationCurve", "ChainSystem", "CharCoeffsM1", "CharCoeffsM2", "CycleMetrics",
+    "DANA_MALGRANGE", "Equilibrium", "GIntervalReport", "HopfPoint", "InvestmentParams",
+    "MacroParams", "StabilityVerdict", "Trajectory", "__version__", "build", "coeffs_m1",
+    "coeffs_m2", "constant_history_state", "critical_delays", "cubic_discriminant",
+    "curve_T_vs_alpha", "curve_T_vs_g", "cycle_metrics", "equilibrium", "equilibrium_state",
+    "errors", "growth_interval", "hopf_in_T", "hopf_in_T_m1", "hopf_in_T_m2",
+    "hopf_in_alpha", "hopf_in_g", "integrate", "investment_derivs", "jacobian", "phi",
+    "phi_prime", "phi_quartic", "phi_quartic_deriv", "rhs", "routh_hurwitz_cubic",
+    "routh_hurwitz_quartic", "solve_x_star", "surface_T", "table_g_bifurcations",
+]
+
+
+class TestLazyNames:
+    def test_all_is_pinned(self):
+        assert sorted(chaintrick.__all__) == PUBLIC
+
+    def test_every_name_is_its_modules_object(self):
+        for module, names in chaintrick._EXPORTS.items():
+            home = importlib.import_module(f"chaintrick.{module}")
+            for name in names:
+                assert getattr(chaintrick, name) is (home if name == module else getattr(home, name))
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from chaintrick import *", namespace)
+        for name in PUBLIC:
+            assert namespace[name] is getattr(chaintrick, name)
+
+    def test_dir_lists_every_name(self):
+        assert set(PUBLIC) <= set(dir(chaintrick))
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            chaintrick.no_such_name
+        with pytest.raises(ImportError):
+            from chaintrick import no_such_name  # noqa: F401

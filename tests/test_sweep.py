@@ -5,15 +5,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chaintrick import export, hopf_locator
 from chaintrick.char_poly import coeffs_m1, routh_hurwitz_cubic
 from chaintrick.errors import (
     DegenerateTransversality,
     GrowthOutOfRange,
+    InaccurateRoot,
     NoHopf,
     NonPositiveEquilibrium,
     NoStableRegime,
 )
-from chaintrick.hopf_locator import equilibrium_eigenvalues, hopf_in_T_m1, hopf_in_T_m2
+from chaintrick.hopf_locator import (
+    critical_delays,
+    equilibrium_eigenvalues,
+    hopf_in_T_m1,
+    hopf_in_T_m2,
+)
 from chaintrick.model_core import equilibrium, growth_interval
 import chaintrick.sweep as sweep_module
 from chaintrick.sweep import (
@@ -255,7 +262,7 @@ def test_csv_bytes_match_the_recorded_files(tmp_path, monkeypatch, block):
     # recorded with the writer that formatted one cell at a time; a block of
     # 4 rows splits every file but the empty table across blocks
     if block:
-        monkeypatch.setattr(sweep_module, "CSV_BLOCK", block)
+        monkeypatch.setattr(export, "CSV_BLOCK", block)
     recorded = Path(__file__).parent / "data" / "csv"
     for name in _write_fixed_results(tmp_path):
         assert (tmp_path / name).read_bytes() == (recorded / name).read_bytes(), name
@@ -337,6 +344,21 @@ class TestBatchedCells:
             below = equilibrium_eigenvalues(p.replace(T=0.999 * tb), inv_dm)
             above = equilibrium_eigenvalues(p.replace(T=1.001 * tb), inv_dm)
             assert np.max(below.real) < 0.0 < np.max(above.real)
+
+
+def test_a_refused_later_crossing_leaves_the_first_of_its_cell(inv_dm, baseline, monkeypatch):
+    # at m = 3 this cell of the wide grid has a first crossing more exact
+    # than its second: a tolerance between their residuals refuses only the
+    # second, which the cell's smallest delay does not use
+    p = baseline.replace(alpha=float(WIDE[0][20]), g=float(WIDE[1][18]), m=3)
+    points = critical_delays(p, inv_dm)
+    first, later = points[0].residual, max(h.residual for h in points[1:])
+    assert first < later
+    monkeypatch.setattr(hopf_locator, "RESIDUAL_TOL", math.sqrt(first * later))
+    assert surface_T(p, inv_dm, 3, [p.alpha], [p.g]).t_bi[0, 0] == points[0].value
+    assert smallest_critical_delay(p, inv_dm) == points[0].value
+    with pytest.raises(InaccurateRoot):
+        critical_delays(p, inv_dm)
 
 
 class TestGridValues:
