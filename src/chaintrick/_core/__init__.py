@@ -14,6 +14,7 @@ slices the output.  ``backend_name()`` reports which kernel is active and
 import ctypes
 import math
 import os
+import sys
 from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
@@ -50,7 +51,14 @@ def _front_end(kernel):
             raise ValueError(f"y0 must have shape ({n},)")
         if not np.isfinite(y).all():
             raise ValueError(f"initial state must be finite, got {y.tolist()}")
-        n_samples = int(math.floor((t_end - t0) / sample_dt + 1e-9)) + 1
+        steps = (t_end - t0) / sample_dt + 1e-9
+        # numpy can size no array of more than sys.maxsize bytes
+        if not steps < sys.maxsize // (8 * n):
+            raise ValueError(
+                f"horizon {t_end - t0!r} over sample_dt {sample_dt!r} is a sample grid"
+                f" of {steps:.3g} points, more than an array can index"
+            )
+        n_samples = math.floor(steps) + 1
         if n_samples < 1:
             raise ValueError(
                 f"empty sample grid: t0={t0!r}, t_end={t_end!r}, sample_dt={sample_dt!r}"

@@ -8,7 +8,7 @@ resolved configuration back out, and ``--json`` for compact output;
 is declared once, in ``_SETTINGS``, and a flag's text and a config value
 pass the same check.  Exit codes: 0 success, 2 domain error (including a
 bad flag, config value, unreadable config file or unwritable output path),
-3 numeric failure.
+3 numeric failure (including running out of memory).
 
 ``stability`` reports the Routh-Hurwitz verdict of char_poly for m = 1
 and m = 2 beside the equilibrium eigenvalues; ``stability --scan-g N``
@@ -18,20 +18,36 @@ N-point grid into stable and unstable regimes.
 Of the computing modules only ``model_core`` is imported at start-up;
 each command handler imports the modules it runs, so a command pays the
 import cost of those alone.
+
+A command's largest linear-algebra call is a batched eigenvalue solve of
+(m+2)-square matrices or a small least-squares fit, too small to gain
+from BLAS threads, while an idle BLAS worker thread spins beside the
+command for its whole life.  So when this module loads before numpy, it
+sets ``OMP_NUM_THREADS=1`` unless the variable is already set, and
+numpy's BLAS starts no worker threads.  OpenBLAS, MKL and BLIS all read
+``OMP_NUM_THREADS``, and each reads its own variable
+(``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS``, ``BLIS_NUM_THREADS``) in
+preference to it, so a thread count set by the caller wins.
+``import chaintrick`` and the library modules leave the environment
+alone.
 """
 
 import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
-import numpy as np
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from . import model_core
-from ._version import __version__
-from .errors import (
+import numpy as np  # noqa: E402
+
+from . import model_core  # noqa: E402
+from ._version import __version__  # noqa: E402
+from .errors import (  # noqa: E402
     CapitalNonPositive,
     DegenerateTransversality,
     DelayNonPositive,
@@ -43,7 +59,7 @@ from .errors import (
     NonPositiveEquilibrium,
     StepFailure,
 )
-from .model_core import equilibrium
+from .model_core import equilibrium  # noqa: E402
 
 CONFIG_VERSION = 1
 
@@ -520,8 +536,10 @@ _HANDLERS = {
 
 
 def main(argv=None):
+    command = "chaintrick"
     try:
         args = _build_parser().parse_args(argv)
+        command = args.command
         config = _resolve_config(args)
         if args.emit_config:
             with (
@@ -536,6 +554,11 @@ def main(argv=None):
         return 2
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # numpy's message gives the size and shape of the refused array
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"numeric failure: {command} ran out of memory{detail}", file=sys.stderr)
         return 3
     _emit(result, args)
     return 0

@@ -341,6 +341,19 @@ class TestSimulateCmd:
         assert name in err
         assert "division" not in err and "underflow" not in err
 
+    @pytest.mark.parametrize(
+        "horizon, sample_dt", [("1", "1e-300"), ("1e308", "1e-10"), ("1", "1e-18")]
+    )
+    def test_sample_grid_too_long_to_index_is_domain_error(self, capsys, horizon, sample_dt):
+        code, out, err = run_cli(
+            capsys, "simulate", "--json", "--horizon", horizon, "--sample-dt", sample_dt
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: horizon ") and err.count("\n") == 1
+        assert f"sample_dt {float(sample_dt)!r}" in err
+        assert "Maximum allowed dimension" not in err
+
     def test_bad_capital_is_numeric_failure(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--k0", "-5")
         assert code == 3
@@ -587,6 +600,53 @@ class TestBadInput:
         _, by_flag, _ = run_cli(capsys, "table2", "--m-list", "1,2")
         assert json.loads(out)["rows"] == json.loads(by_flag)["rows"]
         assert len(json.loads(out)["rows"]) == 2
+
+
+#: the largest array the ``small_memory`` fixture lets numpy allocate
+_MEMORY = 1 << 22
+
+
+@pytest.fixture
+def small_memory(monkeypatch):
+    """numpy's ``empty`` and ``zeros`` refuse any array above 4 MiB with a
+    MemoryError worded like numpy's own."""
+    for name in ("empty", "zeros"):
+        def alloc(shape, dtype=float, *args, _real=getattr(np, name), **kwargs):
+            nbytes = np.prod(shape, dtype=float) * np.dtype(dtype).itemsize
+            if nbytes > _MEMORY:
+                raise MemoryError(
+                    f"Unable to allocate {nbytes / 2**30:.3g} GiB for an array"
+                    f" with shape {shape} and data type {np.dtype(dtype)}"
+                )
+            return _real(shape, dtype, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, alloc)
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["simulate", "--json", "--horizon", "1e6", "--sample-dt", "1e-3"], "7.45 GiB"),
+        (["stability", "--json", "--m", "100000"], "74.5 GiB"),
+        (["hopf", "--vary", "g", "--m", "1000"], "15.3 GiB"),
+    ],
+)
+def test_out_of_memory_is_one_numeric_failure_line(capsys, small_memory, argv, size):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"numeric failure: {argv[0]} ran out of memory (Unable to allocate ")
+    assert err.count("\n") == 1
+    assert size in err
+
+
+def test_out_of_memory_without_a_message(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "empty", refuse)
+    code, out, err = run_cli(capsys, "simulate", "--horizon", "10")
+    assert (code, out, err) == (3, "", "numeric failure: simulate ran out of memory\n")
 
 
 _COMMON_FLAGS = {

@@ -1,7 +1,8 @@
-"""What each CLI command and ``import chaintrick`` load, and the lazy
-public names of the package."""
+"""What each CLI command and ``import chaintrick`` load, the BLAS threads
+beside a command, and the lazy public names of the package."""
 
 import importlib
+import os
 import subprocess
 import sys
 
@@ -61,6 +62,50 @@ def test_import_chaintrick_loads_only_the_version():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.split() == ["chaintrick", "chaintrick._version"]
+
+
+#: the variables that set numpy's BLAS thread count
+_THREAD_VARS = (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+)
+
+
+def _run(code, **env):
+    """stdout of ``code`` in a fresh interpreter whose environment sets no
+    BLAS thread count but the ones in ``env``."""
+    clean = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    return subprocess.run(
+        [sys.executable, "-c", code], env={**clean, **env},
+        capture_output=True, text=True, check=True,
+    ).stdout
+
+
+_THREADS = "import os, chaintrick.cli; print(len(os.listdir('/proc/self/task')))"
+_KEEPS_ENVIRON = (
+    "import os, {first}; before = dict(os.environ); {then}; print(dict(os.environ) == before)"
+)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+    reason="counts the threads in /proc/self/task on a host with 2 or more cores",
+)
+class TestBlasThreads:
+    def test_the_cli_runs_on_one_thread(self):
+        assert _run(_THREADS) == "1\n"
+
+    @pytest.mark.parametrize("var", ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"])
+    def test_a_count_set_by_the_caller_wins(self, var):
+        assert _run(_THREADS, **{var: "2"}) == "2\n"
+
+    def test_numpy_loaded_first_keeps_the_environment(self):
+        code = _KEEPS_ENVIRON.format(first="numpy", then="import chaintrick.cli")
+        assert _run(code) == "True\n"
+
+    def test_the_library_keeps_the_environment(self):
+        code = _KEEPS_ENVIRON.format(first="chaintrick", then="chaintrick.hopf_in_T")
+        assert _run(code) == "True\n"
 
 
 #: the public names of the package, sorted
