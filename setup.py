@@ -7,13 +7,38 @@ compiler is available the build still succeeds and the package falls back
 to the pure-Python integrator at import time.
 
     python setup.py build_ext --inplace   # for a PYTHONPATH=src checkout
+
+The in-place build also byte-compiles ``src/chaintrick``, as installing
+the package does: a checkout run under ``PYTHONDONTWRITEBYTECODE=1``
+would otherwise compile every module it imports from source on each
+command.  The bytecode is checked against its source's timestamp (its
+hash when ``SOURCE_DATE_EPOCH`` is set), so an edited module takes effect
+without rebuilding.  Like the extension, this step cannot fail the build.
 """
 
+import compileall
 import os
+from pathlib import Path
 
 from setuptools import Extension, setup
+from setuptools.command.build_ext import build_ext as _build_ext
+
+PACKAGE = Path(__file__).resolve().parent / "src" / "chaintrick"
+
+
+class build_ext(_build_ext):
+    """``build_ext`` that byte-compiles the package after an in-place build."""
+
+    def run(self):
+        super().run()
+        if self.inplace:
+            # compileall reports a module it cannot compile or write and
+            # goes on; its default invalidation mode checks the source
+            compileall.compile_dir(str(PACKAGE), quiet=1)
+
 
 setup(
+    cmdclass={"build_ext": build_ext},
     ext_modules=[
         Extension(
             "chaintrick._core._chain",

@@ -165,9 +165,9 @@ def _build_parser():
 def _check(name, spec, value):
     """Convert ``value`` for the setting ``name`` declared by ``spec``: a
     string is parsed as flag text, a JSON value must already have the
-    declared kind (an int passes as a float, a bool never as a number), and
-    null passes only where the default is null.  Raises ValueError naming
-    the setting otherwise."""
+    declared kind (an int passes as a float, a bool never as a number, a
+    list is never empty), and null passes only where the default is null.
+    Raises ValueError naming the setting otherwise."""
     kind, default, *_ = spec
     if value is None and default is None:
         return None
@@ -177,18 +177,20 @@ def _check(name, spec, value):
         raise ValueError(f"{name}: {value!r} is not one of {', '.join(kind)}")
     try:
         if isinstance(value, str):
-            if kind is list:
-                return [int(tok) for tok in value.split(",") if tok.strip()]
-            return kind(value)
+            if kind is not list:
+                return kind(value)
+            ints = [int(tok) for tok in value.split(",") if tok.strip()]
+            if ints:
+                return ints
         if kind is float and type(value) in (int, float):
             return float(value)
         if kind is int and type(value) is int:
             return value
-        if kind is list and type(value) is list and all(type(x) is int for x in value):
+        if kind is list and type(value) is list and value and all(type(x) is int for x in value):
             return value
     except (ValueError, OverflowError):
         pass
-    want = {float: "a number", int: "an integer", list: "a list of integers"}[kind]
+    want = {float: "a number", int: "an integer", list: "a non-empty list of integers"}[kind]
     raise ValueError(f"{name}: {value!r} is not {want}")
 
 

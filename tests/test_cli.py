@@ -542,6 +542,7 @@ class TestBadInput:
             ("equilibrium", {"investment": {"a": 10**400}}, "investment.a"),
             ("equilibrium", {"version": True}, "config version"),
             ("equilibrium", {"options": []}, "config section options"),
+            ("table2", {"options": {"m_list": []}}, "options.m_list"),
         ],
     )
     def test_config_file(self, capsys, tmp_path, command, text, key):
@@ -565,6 +566,8 @@ class TestBadInput:
             (["sweep", "--alpha-count", "2.5", "--out", "x.csv"], "--alpha-count"),
             (["table2", "--m-list", "1,x"], "--m-list"),
             (["simulate", "--T", "fast"], "--T"),
+            (["table2", "--m-list", ""], "--m-list"),
+            (["table2", "--m-list", " , "], "--m-list"),
         ],
     )
     def test_flag(self, capsys, tmp_path, monkeypatch, argv, key):

@@ -1,14 +1,20 @@
-"""What each CLI command and ``import chaintrick`` load, the BLAS threads
-beside a command, and the lazy public names of the package."""
+"""What each CLI command and ``import chaintrick`` load, the bytecode the
+in-place build leaves, the BLAS threads beside a command, and the lazy
+public names of the package."""
 
 import importlib
 import os
+import shutil
 import subprocess
 import sys
+from importlib.util import cache_from_source
+from pathlib import Path
 
 import pytest
 
 import chaintrick
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # runs a CLI command in a fresh interpreter and prints its exit code and
 # the chaintrick modules it loaded
@@ -62,6 +68,57 @@ def test_import_chaintrick_loads_only_the_version():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.split() == ["chaintrick", "chaintrick._version"]
+
+
+def _built_copy(dest, **env):
+    """``dest/src`` after copying the checkout's build inputs, without
+    bytecode, to ``dest`` and running the in-place build there with no
+    ``SOURCE_DATE_EPOCH`` but the one in ``env``."""
+    for name in ("setup.py", "pyproject.toml"):
+        shutil.copy2(ROOT / name, dest / name)
+    shutil.copytree(ROOT / "src", dest / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    clean = {k: v for k, v in os.environ.items() if k != "SOURCE_DATE_EPOCH"}
+    subprocess.run([sys.executable, "setup.py", "build_ext", "--inplace"], cwd=dest,
+                   env={**clean, **env}, capture_output=True, timeout=120, check=True)
+    return dest / "src"
+
+
+def _cli(src, *argv, flags=()):
+    """A fresh ``python -m chaintrick.cli`` that imports the package from
+    ``src`` and writes no bytecode itself."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, *flags, "-m", "chaintrick.cli", *argv],
+                          cwd=src.parent, env=env, capture_output=True, text=True)
+
+
+class TestInPlaceBuild:
+    def test_every_module_runs_from_the_bytecode_it_leaves(self, tmp_path):
+        src = _built_copy(tmp_path)
+        modules = sorted((src / "chaintrick").rglob("*.py"))
+        assert len(modules) > 10
+        assert [p for p in modules if not Path(cache_from_source(p)).is_file()] == []
+        proc = _cli(src, "hopf", "--json", "--vary", "T", flags=["-v"])
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        compiled = [line for line in lines if line.startswith("# code object from")
+                    and str(src) in line and line.rstrip("'").endswith(".py")]
+        assert compiled == []
+        cli = src / "chaintrick" / "cli.py"
+        assert f"# {cache_from_source(cli)} matches {cli}" in lines
+
+    @pytest.mark.parametrize("env, flags", [({}, 0), ({"SOURCE_DATE_EPOCH": "0"}, 0b11)],
+                             ids=["timestamp", "checked-hash"])
+    def test_an_edit_after_the_build_takes_effect(self, tmp_path, env, flags):
+        src = _built_copy(tmp_path, **env)
+        version = src / "chaintrick" / "_version.py"
+        # the invalidation mode in the header's flags: never unchecked-hash
+        assert Path(cache_from_source(version)).read_bytes()[4:8] == bytes([flags, 0, 0, 0])
+        assert _cli(src, "--version").stdout == f"{chaintrick.__version__}\n"
+        version.write_text('__version__ = "0.1.0+edited"\n', encoding="utf-8")
+        mtime = version.stat().st_mtime_ns + 2 * 10**9
+        os.utime(version, ns=(mtime, mtime))
+        assert _cli(src, "--version").stdout == "0.1.0+edited\n"
 
 
 #: the variables that set numpy's BLAS thread count
