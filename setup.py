@@ -8,6 +8,10 @@ to the pure-Python integrator at import time.
 
     python setup.py build_ext --inplace   # for a PYTHONPATH=src checkout
 
+The command works from any working directory: the script changes to its
+own directory first, so ``pyproject.toml``, the C source and the in-place
+output under ``src/`` are found there, not beside the caller.
+
 The in-place build also byte-compiles ``src/chaintrick``, as installing
 the package does: a checkout run under ``PYTHONDONTWRITEBYTECODE=1``
 would otherwise compile every module it imports from source on each
@@ -23,7 +27,12 @@ from pathlib import Path
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext as _build_ext
 
-PACKAGE = Path(__file__).resolve().parent / "src" / "chaintrick"
+ROOT = Path(__file__).resolve().parent
+PACKAGE = ROOT / "src" / "chaintrick"
+
+# setuptools reads pyproject.toml, the extension's source and the in-place
+# target relative to the working directory
+os.chdir(ROOT)
 
 
 class build_ext(_build_ext):

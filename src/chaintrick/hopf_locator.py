@@ -45,6 +45,9 @@ TRANSVERSALITY_TOL = 1e-10
 
 #: points of the omega grid on which :func:`hopf_in_T` scans the phase
 N_GRID = 256
+#: grid intervals labelled and solved at a time when only each cell's first
+#: crossing is wanted
+SCAN_BLOCK = 32
 
 #: Newton steps on the characteristic equation from the secant point of
 #: every grid bracket, and the relative residual |f| below which the root
@@ -529,6 +532,18 @@ def _axis_crossings(p, inv, alpha, g, first=False):
     The crossing speed Re dlambda/dT is that of :func:`_crossing_speed`
     with a, e and bc fixed and (ln r)' = -1/T.
 
+    The grid is scanned from omega_max down in blocks of intervals, each
+    block labelled and its brackets solved before the next; a block starts
+    at the last point of the one before, whose labels it carries over.
+    Without ``first`` one block covers the whole grid.  With ``first`` a
+    block holds SCAN_BLOCK intervals, and a cell leaves the scan at its
+    first settled crossing; a cell whose brackets in a block all fail to
+    settle stays in it.  A cell's brackets run down in omega, so up in T,
+    and every bracket is labelled and solved with elementwise arithmetic
+    on its own cell and grid interval, so the crossing a cell leaves with
+    is, bit for bit, the first settled bracket of a scan of the whole
+    grid.
+
     Returns (cell, T, omega, speed, residual), one entry per crossing,
     ordered by cell and then by T; with ``first`` only the smallest T of
     each cell.  Cells without a positive equilibrium or with |bc| <= |ae|
@@ -546,6 +561,8 @@ def _axis_crossings(p, inv, alpha, g, first=False):
     a, e, bc, excess = a[cell], e[cell], bc[cell], excess[cell]
     root = np.sqrt((a * a - e * e) ** 2 + 4.0 * bc * bc)
     omega_max = np.sqrt(2.0 * excess / (a * a + e * e + root))
+    # arg(i omega - a) has no limit at omega = 0 when ae = 0: no bracket there
+    no_limit = a * e == 0.0
 
     # every cell scans omega = omega_max w on one grid of w running from 1
     # (T = 0) down to 0 (T unbounded); the quadratic spacing resolves the
@@ -554,41 +571,69 @@ def _axis_crossings(p, inv, alpha, g, first=False):
     w = 1.0 - v * v
     # a crossing is a root of G = 2 pi k: the label is floor(G / 2 pi)
     label = lambda x, om_max, *coeffs: np.floor(_phase(om_max * x, *coeffs, m) / (2.0 * math.pi))
-    # the grid is labelled 64 cells at a time, which bounds the temporaries
-    # of the phase to about 0.7 MB however many cells there are
-    labels = np.empty((cell.size, N_GRID), dtype=np.int32)
-    for start in range(0, cell.size, 64):
-        rows = slice(start, start + 64)
-        labels[rows] = label(w, *(x[rows, None] for x in (omega_max, a, e, bc)))
-    # arg(i omega - a) has no limit at omega = 0 when ae = 0: no bracket there
-    no_limit = a * e == 0.0
-    labels[no_limit, -1] = labels[no_limit, -2]
-    row, j = np.nonzero(labels[:, :-1] != labels[:, 1:])
-    # each bracket's ends in w (decreasing) and their labels
-    ends, end_labels = np.stack([w[j], w[j + 1]]), np.stack([labels[row, j], labels[row, j + 1]])
-    omega_max, a, e, bc, cell = omega_max[row], a[row], e[row], bc[row], cell[row]
+    step = SCAN_BLOCK if first else N_GRID - 1
+    # the crossings kept, block by block, as (cell, T, omega, a, e, bc),
+    # after an empty entry that gives each its type
+    found = [(cell[:0],) + (omega_max[:0],) * 5]
+    edge = None  # the labels of the block's first grid point, from the block before
+    for start in range(0, N_GRID - 1, step):
+        if not cell.size:
+            break
+        stop = min(start + step, N_GRID - 1)
+        fresh = 0 if edge is None else 1
+        labels = np.empty((cell.size, stop + 1 - start), dtype=np.int32)
+        if fresh:
+            labels[:, 0] = edge
+        # the block is labelled 64 cells at a time, which bounds the
+        # temporaries of the phase however many cells there are; at
+        # omega = 0 a cell with ae = 0 has Q = 0, and s and its atan are inf
+        # and pi/2
+        with np.errstate(divide="ignore"):
+            for r in range(0, cell.size, 64):
+                rows = slice(r, r + 64)
+                labels[rows, fresh:] = label(w[start + fresh:stop + 1],
+                                             *(x[rows, None] for x in (omega_max, a, e, bc)))
+        if stop == N_GRID - 1:
+            labels[no_limit, -1] = labels[no_limit, -2]
+        edge = labels[:, -1]
+        row, j = np.nonzero(labels[:, :-1] != labels[:, 1:])
+        if not row.size:
+            continue
+        # each bracket's ends in w (decreasing), their labels and its cell's gains
+        end_labels = np.stack([labels[row, j], labels[row, j + 1]])
+        j += start
+        ends = np.stack([w[j], w[j + 1]])
+        om_max, a_j, e_j, bc_j = omega_max[row], a[row], e[row], bc[row]
 
-    with np.errstate(all="ignore"):
-        # the phase crosses the larger of the two labels (times 2 pi) in the bracket
-        f_0, f_1 = _phase(omega_max * ends, a, e, bc, m) / (2.0 * math.pi) - end_labels.max(axis=0)
-        omega = omega_max * (ends[1] - f_1 * (ends[1] - ends[0]) / (f_1 - f_0))
-        T = m * _chain_ratio(omega, a, e, bc, m) / omega
-        omega, T, res = _newton(omega, T, m, lambda T: (m / T, a, e, bc, 0.0, 0.0, 0.0, -1.0 / T))
-    settled = ((res < NEWTON_TOL) & (omega_max * ends[1] < omega) & (omega < omega_max * ends[0])
-               & (T > 0.0) & (T < math.inf))
+        with np.errstate(all="ignore"):
+            # the phase crosses the larger of the two labels (times 2 pi) in the bracket
+            f_0, f_1 = _phase(om_max * ends, a_j, e_j, bc_j, m) / (2.0 * math.pi) - end_labels.max(axis=0)
+            omega = om_max * (ends[1] - f_1 * (ends[1] - ends[0]) / (f_1 - f_0))
+            T = m * _chain_ratio(omega, a_j, e_j, bc_j, m) / omega
+            omega, T, res = _newton(omega, T, m, lambda T: (m / T, a_j, e_j, bc_j, 0.0, 0.0, 0.0, -1.0 / T))
+        settled = ((res < NEWTON_TOL) & (om_max * ends[1] < omega) & (omega < om_max * ends[0])
+                   & (T > 0.0) & (T < math.inf))
 
-    fb = np.nonzero(~settled)[0]
-    if fb.size:
-        omega[fb], T[fb], settled[fb] = _bisect_in_T(
-            label, w, ends[:, fb].T, end_labels[:, fb].T, j[fb], m,
-            omega_max[fb], a[fb], e[fb], bc[fb],
-        )
-    omega, T, a, e, bc, cell = (x[settled] for x in (omega, T, a, e, bc, cell))
-    if first:
-        # a cell's brackets run down in omega, so up in T: keep its first
-        _, kept = np.unique(cell, return_index=True)
-        omega, T, a, e, bc, cell = (x[kept] for x in (omega, T, a, e, bc, cell))
+        fb = np.nonzero(~settled)[0]
+        if fb.size:
+            omega[fb], T[fb], settled[fb] = _bisect_in_T(
+                label, w, ends[:, fb].T, end_labels[:, fb].T, j[fb], m,
+                om_max[fb], a_j[fb], e_j[fb], bc_j[fb],
+            )
+        kept = np.nonzero(settled)[0]
+        if first:
+            # a cell's brackets run down in omega, so up in T: keep its first
+            kept = kept[np.unique(row[kept], return_index=True)[1]]
+        found.append((cell[row[kept]], T[kept], omega[kept], a_j[kept], e_j[kept], bc_j[kept]))
+        # a cell with a settled crossing leaves the scan
+        stays = np.ones(cell.size, dtype=bool)
+        stays[row[kept]] = False
+        cell, omega_max, a, e, bc, no_limit, edge = (
+            x[stays] for x in (cell, omega_max, a, e, bc, no_limit, edge))
 
+    cell, T, omega, a, e, bc = (np.concatenate(x) for x in zip(*found))
+    order = np.lexsort((T, cell))
+    cell, T, omega, a, e, bc = (x[order] for x in (cell, T, omega, a, e, bc))
     speed, flat, residual = _crossing_speed(omega, m, m / T, a, e, bc, 0.0, 0.0, 0.0, -1.0 / T)
     bad = ~(residual <= RESIDUAL_TOL)
     if bad.any():
@@ -604,8 +649,7 @@ def _axis_crossings(p, inv, alpha, g, first=False):
             f"crossing speed vanishes at T* = {T[i]:g}"
             f" (alpha = {alpha[cell[i]]:g}, g = {g[cell[i]]:g})"
         )
-    order = np.lexsort((T, cell))
-    return cell[order], T[order], omega[order], speed[order], residual[order]
+    return cell, T, omega, speed, residual
 
 
 def hopf_in_T(p, inv, m=None):

@@ -4,7 +4,12 @@ critical delays, and the per-order table of growth-rate Hopf points.
 A curve or a surface is one batched call of the imaginary-axis solver
 behind :func:`chaintrick.hopf_locator.hopf_in_T`, which treats every
 (alpha, g) cell on its own with elementwise arithmetic, so a cell's value
-does not depend on the grid around it and output is deterministic.  Cells
+does not depend on the grid around it and output is deterministic.  Only
+each cell's first critical delay is wanted, so the solver scans the
+frequency grid from T = 0 up a block of intervals at a time and a cell
+leaves the scan at its first settled crossing; as every bracket is
+labelled and solved on its own, that is the crossing a scan of the whole
+grid would keep, bit for bit, from a fraction of the phase evaluations.  Cells
 with no Hopf point carry NaN internally and the ``NA`` sentinel in CSV; a
 critical delay of exactly zero is meaningful (the all-T instability
 threshold) and is never used as a gap marker.

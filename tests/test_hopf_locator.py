@@ -737,6 +737,21 @@ class TestHopfInT:
                 assert np.min(np.abs(eig - 1j * r.omega)) > 1e-6 * r.omega
         assert matched >= 20
 
+    def test_a_grazing_pair_of_crossings(self):
+        # draw 222 above (m = 3).  In the chain phase theta = m atan(omega T/m)
+        # the two crossings lie 0.2 rad apart and G / 2 pi rises only 0.0013
+        # above its level between them, so a uniform theta grid of spacing
+        # pi/8 misses them: 7 intervals over [0, theta_max] hold both in one
+        inv = InvestmentParams(a=12.343196408975983, c=0.034001149508811834,
+                               d=0.0642160198483147, v=2.7351953833343847)
+        p = MacroParams(alpha=2.2900257432143576, gamma=0.4841435810599087,
+                        delta=0.01283669416697937, g=0.03753670654934749,
+                        G0=4.546672540644948, T=6.590775211791767, m=3)
+        points = hopf_in_T(p, inv)
+        assert [h.value for h in points] == pytest.approx(
+            [15.563761854117358, 22.10228937364236], rel=1e-12, abs=0.0)
+        assert [h.crossing for h in points] == ["destabilizing", "stabilizing"]
+
     def test_no_spurious_crossing_at_the_old_scan_cap(self, inv_dm, baseline):
         # the eigenvalue reference also reports T ~ 49.53 here
         (pt,) = hopf_in_T(baseline.replace(alpha=0.701, g=0.0136), inv_dm, m=4)

@@ -120,6 +120,24 @@ class TestInPlaceBuild:
         os.utime(version, ns=(mtime, mtime))
         assert _cli(src, "--version").stdout == "0.1.0+edited\n"
 
+    def test_the_build_works_from_another_directory(self, tmp_path):
+        checkout, elsewhere = tmp_path / "checkout", tmp_path / "elsewhere"
+        elsewhere.mkdir(parents=True)
+        checkout.mkdir()
+        for name in ("setup.py", "pyproject.toml"):
+            shutil.copy2(ROOT / name, checkout / name)
+        shutil.copytree(ROOT / "src", checkout / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info", "*.so"))
+        subprocess.run([sys.executable, str(checkout / "setup.py"), "build_ext", "--inplace"],
+                       cwd=elsewhere, capture_output=True, timeout=120, check=True)
+        assert list((checkout / "src" / "chaintrick" / "_core").glob("_chain*.so"))
+        assert list(elsewhere.iterdir()) == []
+        code = "from chaintrick._core import backend_name; print(backend_name())"
+        env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], cwd=elsewhere, env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "compiled\n"
+
 
 #: the variables that set numpy's BLAS thread count
 _THREAD_VARS = (

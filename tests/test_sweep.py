@@ -21,7 +21,7 @@ from chaintrick.hopf_locator import (
     hopf_in_T_m1,
     hopf_in_T_m2,
 )
-from chaintrick.model_core import equilibrium, growth_interval
+from chaintrick.model_core import InvestmentParams, MacroParams, equilibrium, growth_interval
 import chaintrick.sweep as sweep_module
 from chaintrick.sweep import (
     curve_T_vs_alpha,
@@ -34,6 +34,7 @@ from chaintrick.sweep import (
     write_surface_csv,
     write_table_csv,
 )
+from oracles import random_model_draw
 
 PAPER_FIT = (-11.137983, 8.512805)
 
@@ -359,6 +360,85 @@ def test_a_refused_later_crossing_leaves_the_first_of_its_cell(inv_dm, baseline,
     assert smallest_critical_delay(p, inv_dm) == points[0].value
     with pytest.raises(InaccurateRoot):
         critical_delays(p, inv_dm)
+
+
+def _alpha_with_a_zero(p, inv):
+    """An alpha next to g / (Iy* - gamma) at which the gain
+    a = alpha (Iy* - gamma) - g of the cell (alpha, p.g) is exactly 0, so
+    that ae = 0; None where no float near it gives 0."""
+    iy = hopf_locator._loop_coefficients(p, inv, np.float64(p.alpha), np.float64(p.g))[2]
+    guess = p.g / (iy - p.gamma)
+    if not guess > 0.0:
+        return None
+    alphas = guess + np.arange(-8, 9) * np.spacing(guess)
+    a = hopf_locator._loop_coefficients(p, inv, alphas, np.full(alphas.shape, p.g))[0]
+    return next(iter(alphas[a == 0.0]), None)
+
+
+class TestFirstCrossingScan:
+    """With ``first`` the omega grid is scanned a block at a time and each
+    cell leaves the scan at its first settled crossing: the same crossing,
+    bit for bit, as the first of its cell in a scan of the whole grid."""
+
+    @staticmethod
+    def _check(p, inv, alphas, gs):
+        """Compares both scans on the cells (alphas[i], gs[i]); returns the
+        number of cells with a crossing."""
+        every = hopf_locator._axis_crossings(p, inv, alphas, gs)
+        first = hopf_locator._axis_crossings(p, inv, alphas, gs, first=True)
+        _, head = np.unique(every[0], return_index=True)
+        for got, want in zip(first, every):
+            assert got.tobytes() == want[head].tobytes()
+        return first[0].size
+
+    # a block of 3 intervals takes most crossings past the first block
+    @pytest.mark.parametrize("block", [hopf_locator.SCAN_BLOCK, 3])
+    def test_the_first_crossing_is_that_of_the_whole_grid(self, monkeypatch, block):
+        monkeypatch.setattr(hopf_locator, "SCAN_BLOCK", block)
+        rng = np.random.default_rng(1717)
+        cells = found = zeros = 0
+        for _ in range(300):
+            inv, p, _ = random_model_draw(rng, m=int(rng.integers(1, 13)))
+            alphas = np.append(p.alpha, p.alpha * rng.uniform(0.2, 2.0, 4))
+            gs = np.append(p.g, p.g * rng.uniform(0.9, 1.1, 4))
+            zero = _alpha_with_a_zero(p, inv)
+            if zero is not None:
+                alphas, gs = np.append(alphas, zero), np.append(gs, p.g)
+                zeros += 1
+            cells += alphas.size
+            found += self._check(p, inv, alphas, gs)
+        assert zeros >= 50 and found >= 250 and cells - found >= 1000
+
+    def test_a_first_bracket_newton_does_not_settle(self, monkeypatch):
+        # the m = 12 cell of test_hopf_locator's bisection-route test, whose
+        # first bracket Newton does not settle: the sweep bisects it too
+        inv = InvestmentParams(a=12.872673088718981, c=0.021369158765164868,
+                               d=0.07640355547789085, v=3.2728254540027493)
+        p = MacroParams(alpha=0.11017309628440969, gamma=0.45035772212228664,
+                        delta=0.023011763759519167, g=0.01716349444756876,
+                        G0=1.7891032911526168, T=0.5145770153485768, m=12)
+        brackets = []
+        bisect = hopf_locator._bisect_in_T
+        monkeypatch.setattr(hopf_locator, "_bisect_in_T",
+                            lambda *args: brackets.append(len(args[4])) or bisect(*args))
+        assert self._check(p, inv, [p.alpha], [p.g]) == 1
+        assert smallest_critical_delay(p, inv) == pytest.approx(29.821917385408238, rel=1e-13)
+        assert brackets[-1] == 1
+
+    def test_a_surface_labels_few_grid_points_per_cell(self, inv_dm, baseline, monkeypatch):
+        # a scan of the whole grid labels all 256 points of every cell and
+        # then the ends of its bracket: 258 phase points a cell
+        points = [0]
+        phase = hopf_locator._phase
+
+        def counted(omega, *args, **kwargs):
+            points[0] += np.size(omega)
+            return phase(omega, *args, **kwargs)
+
+        monkeypatch.setattr(hopf_locator, "_phase", counted)
+        surface = surface_T(baseline, inv_dm, 3, *BENCH)
+        assert np.isfinite(surface.t_bi).all()
+        assert points[0] <= 64 * surface.t_bi.size
 
 
 class TestGridValues:
