@@ -8,16 +8,17 @@ modulus gives T as an explicit function of the frequency omega and the
 phase gives the crossings as roots in omega, with no cap on T; one call of
 :func:`hopf_in_T`'s solver takes a whole batch of (alpha, g) cells, as the
 sweeps do.  In g and alpha at fixed T the modulus gives omega at every
-grid point and the phase labels it.  Every route solves each bracket of
-its grid by Newton's method on the characteristic equation from the
-secant point of the phase, and keeps the root where it satisfies the
-equation inside the bracket; the other brackets are bisected with
-:func:`_refine` and polished in T, and narrowed by regula falsi in g and
-alpha, which report the point on which bisection with :func:`_refine`
-lands.  Every route takes the direction from the analytic
-Re dlambda/d(parameter) and reports the residual of the characteristic
-equation.  The closed forms
-for m = 1 (a quadratic in T) and m = 2 (the quartic of
+grid point and the phase labels it; the gains do not depend on m, so the
+orders of a table share them and one solve of all their brackets.  Every
+route solves each bracket of its grid by Newton's method on the
+characteristic equation from the secant point of the phase, and keeps the
+root where it satisfies the equation inside the bracket; the other
+brackets are bisected with :func:`_refine` and polished in T, and narrowed
+by regula falsi in g and alpha, which report the point on which bisecting
+the grid interval lands, replayed elementwise against each root.  Every
+route takes the direction from the analytic Re dlambda/d(parameter) and
+reports the residual of the characteristic equation.  The closed forms for
+m = 1 (a quadratic in T) and m = 2 (the quartic of
 :func:`chaintrick.char_poly.phi_quartic`) are kept as independent
 references; they alone use char_poly and import it when called.
 
@@ -459,7 +460,9 @@ def _newton_step(omega, m, r, a, e, bc, da, de, dbc, dlnr):
     and the slope dlambda/dx = -F_x / F_lambda."""
     lam = 1j * omega
     la, le, lr = lam - a, lam - e, lam + r
-    f1 = la * le * (lr / r) ** m / bc
+    q = lr / r
+    # numpy squares q by its own route for a scalar m = 2: an array of orders takes it too
+    f1 = la * le * (q ** m if np.ndim(m) == 0 else np.where(m == 2, q * q, q ** m)) / bc
     F_lam = 1.0 / la + 1.0 / le + m / lr
     slope = (da / la + de / le + dbc + m * lam * dlnr / lr) / F_lam
     # f_omega = i f_lambda, so i d_omega - slope d_x = -f / f_lambda = -rho,
@@ -681,10 +684,12 @@ def hopf_in_T(p, inv, m=None):
 critical_delays = hopf_in_T
 
 
-def _param_crossings(p, inv, name, grid, tol):
+def _param_crossings(p, inv, name, grid, tol, orders=None):
     """Hopf points in the parameter ``name`` ("g" or "alpha") at fixed T,
     found on the imaginary axis between neighbouring points of the
-    increasing ``grid`` and located to ``tol``.
+    increasing ``grid`` and located to ``tol``: those of p.m, or with
+    ``orders`` one list per kernel order in it, all from one solve.  The
+    gains a, e and bc do not depend on m, so every order shares them.
 
     With r = m/T the modulus condition in u = omega^2,
     F(u) = ln(u + a^2) + ln(u + e^2) + m ln(1 + u/r^2) - ln(bc^2) = 0,
@@ -695,31 +700,36 @@ def _param_crossings(p, inv, name, grid, tol):
     floor(G / 2 pi) from the phase G at that omega (-inf without a root,
     or where omega is not finite and positive, as when u underflows).
 
-    Neighbouring grid points whose labels differ bracket a crossing when
-    the lower one has a pair on the axis and the upper one's phase is off
-    its label.  Where no pair sits on the axis the phase is taken at
-    omega = 0, its limit where the pair leaves the axis, so an interval
-    that only runs off the axis brackets nothing.  Every bracket is solved
-    at once by Newton steps in (omega, x) from the secant point of
-    G / 2 pi - level (level being the integer the phase crosses), and the
-    root kept where its residual is below NEWTON_TOL and it lies strictly
-    inside the bracket.  The Illinois regula falsi (Dowell & Jarratt,
-    BIT 11, 1971) narrows every other bracket to ``tol`` on G / 2 pi - level: each step
-    evaluates the phase at the secant point, kept tol/2 inside the
-    bracket, and bisects instead where that point is not finite or after
-    three steps in a row that did not halve the bracket; no bracket takes
-    more steps than bisection would on the widest one.  A bracket without
-    a phase at its upper end (no positive equilibrium there) is bisected
-    alongside the others; one that ends off the axis is dropped.  Its root
-    is the secant point of the final bracket.  The reported value is the
-    midpoint on which bisecting the grid interval to ``tol`` by the labels
-    lands: :func:`_refine` replays that bisection against the roots, with
-    no phase evaluation.  Raises DegenerateTransversality when a crossing
-    has Re dlambda/dx ~ 0.
+    Neighbouring grid points whose labels differ bracket a crossing when the
+    lower one has a pair on the axis and the upper one's phase is off its
+    label.  Where no pair sits on the axis the phase is taken at omega = 0,
+    its limit where the pair leaves the axis, so an interval that only runs
+    off the axis brackets nothing.  The brackets of all orders, each with
+    its own m and r, are solved at once by Newton steps in (omega, x) from
+    the secant point of G / 2 pi - level (level being the integer the phase
+    crosses), and the root kept where its residual is below NEWTON_TOL and
+    it lies strictly inside the bracket.  The Illinois regula falsi
+    (Dowell & Jarratt, BIT 11, 1971) narrows every other bracket to ``tol``
+    on G / 2 pi - level: each step evaluates the phase at the secant point,
+    kept tol/2 inside the bracket, and bisects instead where that point is
+    not finite or after three steps in a row that did not halve the
+    bracket; no bracket takes more steps than bisection would on the widest
+    one of its order.  A bracket without a phase at its upper end (no
+    positive equilibrium there) is bisected alongside the others of its
+    order; one that ends off the axis is dropped.  Its root is the secant
+    point of the final bracket.  The reported value is the midpoint on
+    which bisecting the grid interval to ``tol`` by the labels lands,
+    replayed elementwise against the root: no other root lies in that
+    interval, so the labels change there at it alone.  As each step treats
+    each bracket on its own, no point depends, bit for bit, on the orders
+    solved beside it.  Raises DegenerateTransversality when a crossing has
+    Re dlambda/dx ~ 0.
     """
+    ms = [p.replace(m=m).m for m in ([p.m] if orders is None else orders)]
+    if not ms:
+        return []
     if p.T <= 0.0:
         raise DelayNonPositive(f"chain reduction needs T > 0, got T={p.T:g}")
-    m, r = p.m, p.m / p.T
 
     def gains(x):
         """a, e and bc at every point of x, and their derivatives a', e'
@@ -733,7 +743,7 @@ def _param_crossings(p, inv, name, grid, tol):
         diy = inv.a * inv.v * (1.0 - 2.0 * (g + p.delta - inv.c) / inv.d)
         return a, e, b * c, alpha * diy - 1.0, -1.0 + e / c * diy, diy * (b + alpha * e) / (b * c)
 
-    def axis(a, e, bc):
+    def axis(m, r, a, e, bc):
         """omega from the modulus condition; NaN where no pair sits on the axis."""
         a2, e2, bc2 = a * a, e * e, bc * bc
         a2, e2, bc2 = (np.where(bc2 > a2 * e2, v, np.nan) for v in (a2, e2, bc2))
@@ -750,56 +760,65 @@ def _param_crossings(p, inv, name, grid, tol):
         omega = np.exp(0.5 * w)
         return np.where((omega > 0.0) & (omega < np.inf), omega, np.nan)
 
-    def turns(x):
-        """G / 2 pi at every point of x, where a pair sits on the axis, and
-        omega; elsewhere omega is 0, where G has its limit as the pair
-        leaves the axis (NaN without a positive equilibrium)."""
-        a, e, bc = gains(x)[:3]
-        omega = axis(a, e, bc)
+    def turns(m, r, a, e, bc, *_):
+        """G / 2 pi from the gains a, e and bc, where a pair sits on the
+        axis, and omega; elsewhere omega is 0, where G has its limit as the
+        pair leaves the axis (NaN without a positive equilibrium)."""
+        omega = axis(m, r, a, e, bc)
         on_axis = ~np.isnan(omega)
         omega = np.where(on_axis, omega, 0.0)
         return _phase(omega, a, e, bc, m, omega / r) / (2.0 * math.pi), on_axis, omega
 
     with np.errstate(all="ignore"):
-        t, on_axis, om = turns(grid)
-        labels = np.where(on_axis, np.floor(t), -np.inf)
-        j = np.nonzero(labels[:-1] != labels[1:])[0]
-        # a crossing needs a pair on the axis at the lower end and a phase
-        # off that end's label at the upper end
-        ok = np.isfinite(labels[j]) & (np.floor(t[j + 1]) != labels[j])
-        k = j[ok]
-        want, lo, hi, t_lo, t_hi = labels[k], grid[k], grid[k + 1], t[k], t[k + 1]
-        on_hi = on_axis[k + 1]
-        # Newton from the secant point of G / 2 pi - level, where the phase
-        # crosses level = want + 1 going up and want going down
-        level = want + (np.floor(t_hi) > want)
-        f_lo, f_hi = t_lo - level, t_hi - level
-        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        omega = om[k] + (x - lo) / (hi - lo) * (om[k + 1] - om[k])
+        at_grid, parts = gains(grid), []
+        for i, m in enumerate(ms):
+            t, on_axis, om = turns(m, m / p.T, *at_grid)
+            labels = np.where(on_axis, np.floor(t), -np.inf)
+            j = np.nonzero(labels[:-1] != labels[1:])[0]
+            # a crossing needs a pair on the axis at the lower end and a phase
+            # off that end's label at the upper end
+            k = j[np.isfinite(labels[j]) & (np.floor(t[j + 1]) != labels[j])]
+            want, lo, hi, t_lo, t_hi = labels[k], grid[k], grid[k + 1], t[k], t[k + 1]
+            # Newton from the secant point of G / 2 pi - level, where the phase
+            # crosses level = want + 1 going up and want going down
+            level = want + (np.floor(t_hi) > want)
+            f_lo, f_hi = t_lo - level, t_hi - level
+            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            omega = om[k] + (x - lo) / (hi - lo) * (om[k + 1] - om[k])
+            # the halvings that bring the widest bracket and label change to ``tol``
+            caps = (max(math.floor(np.max(np.log2(d / tol), initial=-1.0)) + 1, 0)
+                    for d in (hi - lo, np.abs(grid[j + 1] - grid[j])))
+            parts.append((*(np.full(k.size, v) for v in (i, m, m / p.T, *caps)),
+                          k, want, t_lo, t_hi, on_axis[k + 1], x, omega))
+        owner, m, r, steps, halvings, k, want, t_lo, t_hi, on_hi, x, omega = map(np.concatenate, zip(*parts))
+        lo, hi = grid[k], grid[k + 1]
         omega, root, res = _newton(omega, x, m, lambda x: (r, *gains(x), 0.0))
         settled = (res < NEWTON_TOL) & (lo < root) & (root < hi) & (omega > 0.0) & (omega < np.inf)
 
         # the other brackets by regula falsi, in at most the steps bisection
-        # takes on the widest bracket, which also ends a bracket that floats
-        # too coarse for ``tol`` cannot narrow
-        steps = math.floor(np.max(np.log2((hi - lo) / tol), initial=-1.0)) + 1
+        # takes on the widest bracket of their order, which also ends a
+        # bracket that floats too coarse for ``tol`` cannot narrow
         fb = ~settled
-        want, lo, hi, t_lo, t_hi, on_hi = (v[fb] for v in (want, lo, hi, t_lo, t_hi, on_hi))
+        own, want, lo, hi, t_lo, t_hi, on_hi, steps, m_fb, r_fb = (
+            v[fb] for v in (owner, want, lo, hi, t_lo, t_hi, on_hi, steps, m, r))
         # Illinois weights on the end values, the end the last step replaced
         # (-1 lo, +1 hi) and the steps in a row that did not halve the bracket
         w_lo, w_hi, moved, slow = np.ones(lo.shape), np.ones(lo.shape), np.zeros(lo.shape), 0
-        for n in range(steps + 1):
+        running = np.ones(len(ms), dtype=bool)
+        for n in range(steps.max(initial=0) + 1):
             level = want + (np.floor(t_hi) > want)
             f_lo, f_hi = t_lo - level, t_hi - level
+            # an order ends at its cap or once no bracket of it with a phase at
+            # its upper end is wide; a bracket without is bisected alongside
             wide = hi - lo > tol
-            # a bracket without a phase at its upper end is bisected alongside
-            # the others until it has one
-            if n == steps or not (wide & ~np.isnan(t_hi)).any():
+            running &= np.bincount(own, wide & ~np.isnan(t_hi), len(ms)) > 0
+            wide &= running[own] & (n < steps)
+            if not wide.any():
                 break
             x = hi - w_hi * f_hi * (hi - lo) / (w_hi * f_hi - w_lo * f_lo)
             bisect = ~np.isfinite(x) | (slow >= 3)
             x = np.where(bisect, 0.5 * (lo + hi), np.clip(x, lo + 0.5 * tol, hi - 0.5 * tol))
-            t_x, on_x, _ = turns(x)
+            t_x, on_x, _ = turns(m_fb, r_fb, *gains(x))
             # x replaces the lower end where it has that end's label, as in bisection
             low = wide & on_x & (np.floor(t_x) == want)
             high = wide & ~low
@@ -812,30 +831,29 @@ def _param_crossings(p, inv, name, grid, tol):
             hi, t_hi = np.where(high, x, hi), np.where(high, t_x, t_hi)
             on_hi = np.where(high, on_x, on_hi)
             moved = np.where(low, -1.0, 1.0)
-        # a bracket that ends where no pair sits on the axis is not a crossing;
-        # the root is the secant point of each final bracket, the lower end of
-        # a dropped one
-        root[fb] = np.where(on_hi, hi - f_hi * (hi - lo) / (f_hi - f_lo), lo)
+        # a bracket that ends where no pair sits on the axis is not a
+        # crossing; the root is the secant point of each final bracket
+        root[fb] = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         settled[fb] = on_hi
-        roots = grid[j].copy()
-        roots[ok] = root
-        ok[ok] = settled
 
-        # bisect every bracket again, against the roots: the dropped ones
-        # too, since the widest bracket sets the number of halvings
-        changes = np.zeros(grid.size)
-        changes[j + 1] = 1.0
-        _, lo, hi = _refine(lambda x: np.searchsorted(roots, x), grid, np.cumsum(changes), tol)
-        x = 0.5 * (lo + hi)[ok]
-        a, e, bc, da, de, dbc = gains(x)
-        omega = axis(a, e, bc)
+        # bisect each crossing's grid interval again, against its root, in Python floats
+        owner, k, root, halvings, m, r = (v[settled] for v in (owner, k, root, halvings, m, r))
+        x = []
+        for lo, hi, at, n in zip(*(v.tolist() for v in (grid[k], grid[k + 1], root, halvings))):
+            for _ in range(n):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if at < mid else (mid, hi)
+            x.append(0.5 * (lo + hi))
+        a, e, bc, da, de, dbc = gains(x := np.array(x))
+        omega = axis(m, r, a, e, bc)
         speed, flat, residual = _crossing_speed(omega, m, r, a, e, bc, da, de, dbc, 0.0)
     found = np.isfinite(omega)
-    x, omega, speed, flat, residual = (v[found] for v in (x, omega, speed, flat, residual))
+    owner, x, omega, speed, flat, residual = (v[found] for v in (owner, x, omega, speed, flat, residual))
     if flat.any():
         raise DegenerateTransversality(
             f"crossing speed vanishes at {name} = {x[np.argmax(flat)]:g}")
-    return _as_points(name, x, omega, speed, residual)
+    points = [_as_points(name, *(v[owner == i] for v in (x, omega, speed, residual))) for i in range(len(ms))]
+    return points[0] if orders is None else points
 
 
 def hopf_in_alpha(p, inv, m=None, alpha_range=(0.05, 2.0)):
@@ -858,16 +876,17 @@ def hopf_in_alpha(p, inv, m=None, alpha_range=(0.05, 2.0)):
     return points
 
 
-def _growth_hopf(p, inv, n_grid):
+def _growth_hopf(p, inv, n_grid, orders=None):
     """(grid, points, g1_hopf, g2_hopf): the ``n_grid`` interior points of
     a uniform grid over (g_min, g_max), the Hopf points in g located to
     1e-11 by :func:`_param_crossings` on it, the first destabilizing and
-    the last stabilizing one."""
+    the last stabilizing one; with ``orders``, (grid, rows) with one
+    (points, g1_hopf, g2_hopf) per kernel order."""
     gs = np.linspace(*growth_interval(inv, p.delta), n_grid + 2)[1:-1]
-    points = _param_crossings(p, inv, "g", gs, 1e-11)
-    ups = [h.value for h in points if h.crossing == "destabilizing"]
-    downs = [h.value for h in points if h.crossing == "stabilizing"]
-    return gs, points, (ups[0] if ups else None), (downs[-1] if downs else None)
+    rows = [(points, next((h.value for h in points if h.crossing == "destabilizing"), None),
+             next((h.value for h in reversed(points) if h.crossing == "stabilizing"), None))
+            for points in _param_crossings(p, inv, "g", gs, 1e-11, [p.m] if orders is None else orders)]
+    return (gs, *rows[0]) if orders is None else (gs, rows)
 
 
 # ---------------------------------------------------------------------------

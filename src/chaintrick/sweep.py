@@ -163,16 +163,12 @@ def table_g_bifurcations(p, inv, m_list):
     """Rows (m, g_bi1, g_bi2) of the growth-rate Hopf points per kernel
     order, located on the imaginary axis as in
     :func:`chaintrick.hopf_locator.hopf_in_g` (the first destabilizing and
-    the last stabilizing crossing); NaN when a crossing is absent."""
-    def row(m):
-        _, _, g_bi1, g_bi2 = _growth_hopf(p.replace(m=m), inv, G_GRID)
-        return (
-            m,
-            g_bi1 if g_bi1 is not None else math.nan,
-            g_bi2 if g_bi2 is not None else math.nan,
-        )
-
-    return [row(m) for m in m_list]
+    the last stabilizing crossing); NaN when a crossing is absent.  All
+    orders share the g grid's gains and one solve of all their brackets."""
+    m_list = list(m_list)
+    _, rows = _growth_hopf(p, inv, G_GRID, m_list)
+    return [(m, math.nan if g1 is None else g1, math.nan if g2 is None else g2)
+            for m, (_, g1, g2) in zip(m_list, rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -584,6 +584,129 @@ class TestParamCrossingsPinned:
         assert finer.value == pytest.approx(point.value, rel=0.0, abs=1e-12)
 
 
+def _bits(points):
+    """Every field of each HopfPoint, its floats by their bits."""
+    return [(h.parameter, h.value.hex(), h.omega.hex(), h.crossing, h.transversality.hex(),
+             h.residual.hex()) for h in points]
+
+
+def _row_bits(rows):
+    return [(m, float(g1).hex(), float(g2).hex()) for m, g1, g2 in rows]
+
+
+def _one_by_one(p, inv, orders, n_grid=hopf_locator.G_GRID):
+    """Table 2 rows and the Hopf points in g from one :func:`_growth_hopf`
+    call per order."""
+    rows, points = [], []
+    for m in orders:
+        _, found, g1, g2 = hopf_locator._growth_hopf(p.replace(m=m), inv, n_grid)
+        rows.append((m, math.nan if g1 is None else g1, math.nan if g2 is None else g2))
+        points.append(_bits(found))
+    return rows, points
+
+
+def _batched_points(p, inv, orders, n_grid=hopf_locator.G_GRID):
+    _, rows = hopf_locator._growth_hopf(p, inv, n_grid, orders)
+    return [_bits(found) for found, _, _ in rows]
+
+
+class TestTableInOneSolve:
+    """Table 2 solves the brackets of all its kernel orders together, and
+    every row and point is, bit for bit, that of its order alone."""
+
+    def test_rows_and_points_are_those_of_each_order_alone(self):
+        rng = np.random.default_rng(18)
+        orders = list(range(1, 13))
+        rows = points = 0
+        for draw in range(100):
+            inv, p, _ = random_model_draw(rng, t_hi=40.0)
+            m_list = orders + [500] if draw == 0 else orders
+            got = table_g_bifurcations(p, inv, m_list)
+            want_rows, want_points = _one_by_one(p, inv, m_list)
+            assert _row_bits(got) == _row_bits(want_rows), draw
+            assert _batched_points(p, inv, m_list) == want_points, draw
+            # the regula falsi route: on a coarse grid Newton leaves brackets unsettled
+            n = (3, 4, 5, 7)[draw % 4]
+            coarse = _batched_points(p, inv, orders, n)
+            assert coarse == _one_by_one(p, inv, orders, n)[1], draw
+            rows += sum(not math.isnan(g) for _, *row in got for g in row)
+            points += sum(map(len, coarse))
+        assert rows >= 100 and points >= 100
+
+    @pytest.mark.parametrize("alpha, T", [(1.0, 1.0), (0.6, 5.0), (3.0, 0.2)])
+    def test_rows_at_the_published_cases(self, inv_dm, baseline, alpha, T):
+        p = baseline.replace(alpha=alpha, T=T)
+        m_list = [1, 2, 3, 4, 6, 500]
+        rows, points = _one_by_one(p, inv_dm, m_list)
+        assert _row_bits(table_g_bifurcations(p, inv_dm, m_list)) == _row_bits(rows)
+        assert _batched_points(p, inv_dm, m_list) == points
+
+    def test_duplicate_and_unsorted_orders_come_back_in_input_order(self, inv_dm, baseline):
+        got = table_g_bifurcations(baseline, inv_dm, [3, 1, 3])
+        assert [row[0] for row in got] == [3, 1, 3]
+        assert _row_bits(got) == _row_bits(_one_by_one(baseline, inv_dm, [3, 1, 3])[0])
+
+    def test_no_orders_give_no_rows(self, inv_dm, baseline):
+        assert table_g_bifurcations(baseline, inv_dm, []) == []
+
+    @pytest.mark.parametrize("m_list", [[0], [1, 0]])
+    def test_an_order_below_one_is_refused_before_any_solve(self, inv_dm, baseline, monkeypatch,
+                                                            m_list):
+        calls = []
+        gains = hopf_locator._loop_coefficients
+        monkeypatch.setattr(hopf_locator, "_loop_coefficients",
+                            lambda *args: calls.append(1) or gains(*args))
+        with pytest.raises(ValueError, match="MacroParams.m must be an integer >= 1"):
+            table_g_bifurcations(baseline, inv_dm, m_list)
+        assert calls == []
+
+    def test_one_grid_evaluation_and_one_newton_solve(self, inv_dm, baseline, monkeypatch):
+        # one per order, four of each, when every order was solved on its own
+        grid_calls, newton_calls = [], []
+        gains, newton = hopf_locator._loop_coefficients, hopf_locator._newton
+
+        def counted_gains(p, inv, alpha, g):
+            grid_calls.append(np.size(g) == hopf_locator.G_GRID)
+            return gains(p, inv, alpha, g)
+
+        monkeypatch.setattr(hopf_locator, "_loop_coefficients", counted_gains)
+        monkeypatch.setattr(hopf_locator, "_newton",
+                            lambda *args: newton_calls.append(1) or newton(*args))
+        rows = table_g_bifurcations(baseline, inv_dm, [1, 2, 3, 4])
+        assert sum(grid_calls) == 1
+        assert len(newton_calls) == 1
+        for m, g1, g2 in rows:
+            assert (g1, g2) == pytest.approx(TABLE_G[m], abs=2e-6)
+
+    def test_a_newton_step_over_many_orders_is_that_of_each_order(self):
+        # numpy raises to the scalar power 2 by a route of its own, which the
+        # step has to take for the m = 2 entries of an array of orders too
+        rng = np.random.default_rng(2)
+        m = np.repeat(np.arange(1, 13), 2000)
+        r = m / rng.uniform(0.2, 40.0, m.size)
+        args = [rng.uniform(0.01, 2.0, m.size), *(rng.normal(size=(6, m.size)))]
+        batched = hopf_locator._newton_step(args[0], m, r, *args[1:], 0.0)
+        for order in range(1, 13):
+            at = m == order
+            alone = hopf_locator._newton_step(args[0][at], order, r[at],
+                                              *(v[at] for v in args[1:]), 0.0)
+            for got, want in zip(batched, alone):
+                assert np.array_equal(got[at], want), order
+
+    def test_an_order_ends_its_regula_falsi_on_its_own(self, inv_dm, baseline, monkeypatch):
+        # with no Newton root accepted, m = 2 has one bracket, whose upper end
+        # lies outside the admissible interval: on its own its regula falsi
+        # ends at once and drops it, and so it must beside m = 1, whose
+        # bracket below 0.0203263 runs on
+        monkeypatch.setattr(hopf_locator, "NEWTON_TOL", 0.0)
+        grid = np.array([0.015, 0.0203263, 0.0295])
+        both = hopf_locator._param_crossings(baseline, inv_dm, "g", grid, 1e-11, [1, 2])
+        alone = [hopf_locator._param_crossings(baseline.replace(m=m), inv_dm, "g", grid, 1e-11)
+                 for m in (1, 2)]
+        assert [_bits(points) for points in both] == [_bits(points) for points in alone]
+        assert [len(points) for points in both] == [1, 0]
+
+
 class TestNewtonFromGridBrackets:
     """Every Hopf point is the root that Newton's method reaches from the
     secant point of its grid bracket, where that root passes the residual

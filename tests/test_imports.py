@@ -72,15 +72,17 @@ def test_import_chaintrick_loads_only_the_version():
 
 def _built_copy(dest, **env):
     """``dest/src`` after copying the checkout's build inputs, without
-    bytecode, to ``dest`` and running the in-place build there with no
-    ``SOURCE_DATE_EPOCH`` but the one in ``env``."""
+    bytecode or built kernel, to ``dest`` and running the in-place build
+    there with no ``SOURCE_DATE_EPOCH`` but the one in ``env``; the build
+    must have compiled the kernel."""
     for name in ("setup.py", "pyproject.toml"):
         shutil.copy2(ROOT / name, dest / name)
     shutil.copytree(ROOT / "src", dest / "src",
-                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info", "*.so"))
     clean = {k: v for k, v in os.environ.items() if k != "SOURCE_DATE_EPOCH"}
     subprocess.run([sys.executable, "setup.py", "build_ext", "--inplace"], cwd=dest,
                    env={**clean, **env}, capture_output=True, timeout=120, check=True)
+    assert list((dest / "src" / "chaintrick" / "_core").glob("_chain*.so"))
     return dest / "src"
 
 
