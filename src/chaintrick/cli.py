@@ -13,15 +13,17 @@ bad flag, config value, unreadable config file or unwritable output path),
 ``stability`` reports the Routh-Hurwitz verdict of char_poly for m = 1
 and m = 2 beside the equilibrium eigenvalues; ``stability --scan-g N``
 merges the segments of :func:`chaintrick.hopf_locator.hopf_in_g` on an
-N-point grid into stable and unstable regimes.
+N-point grid into stable and unstable regimes.  Both modes classify the
+roots from the counts of :func:`chaintrick.hopf_locator._real_roots` and
+:func:`chaintrick.hopf_locator._unstable_roots`, with no eigenvalues.
 
 Of the computing modules only ``model_core`` is imported at start-up;
 each command handler imports the modules it runs, so a command pays the
 import cost of those alone.
 
-A command's largest linear-algebra call is a batched eigenvalue solve of
-(m+2)-square matrices or a small least-squares fit, too small to gain
-from BLAS threads, while an idle BLAS worker thread spins beside the
+A command's largest linear-algebra call is the eigenvalue solve of one
+(m+2)-square matrix or a small least-squares fit, too small to gain from
+BLAS threads, while an idle BLAS worker thread spins beside the
 command for its whole life.  So when this module loads before numpy, it
 sets ``OMP_NUM_THREADS=1`` unless the variable is already set, and
 numpy's BLAS starts no worker threads.  OpenBLAS, MKL and BLIS all read
@@ -281,19 +283,23 @@ def _emit(result, args):
     sys.stdout.write(text + "\n")
 
 
-def _classification(eig):
-    from .hopf_locator import _split_eigenvalues
+def _classifications(inv, macro, gs):
+    """The roots at each growth rate of ``gs`` in words: the numbers of
+    negative and of positive real roots, and the sign of the leading
+    complex pair's real part, which is positive where more roots lie in the
+    right half-plane than positive real ones."""
+    from .hopf_locator import _real_roots, _unstable_roots
 
-    n_neg, n_pos, lead = _split_eigenvalues(eig)
-    parts = []
-    if n_neg:
-        parts.append(f"{n_neg} negative")
-    if n_pos:
-        parts.append(f"{n_pos} positive")
-    if not np.isnan(lead):
-        sign = "positive" if lead.real > 0.0 else "negative"
-        parts.append(f"pair with {sign} real part")
-    return ", ".join(parts) if parts else "no eigenvalues"
+    gs = np.asarray(gs, dtype=float)
+    _, n_negs, n_poss = _real_roots(macro, inv, gs)
+    n_rhps = _unstable_roots(macro, inv, gs)
+    out = []
+    for n_neg, n_pos, n_rhp in zip(n_negs.tolist(), n_poss.tolist(), n_rhps.tolist()):
+        parts = [f"{n} {sign}" for n, sign in ((n_neg, "negative"), (n_pos, "positive")) if n]
+        if n_neg + n_pos < macro.m + 2:
+            parts.append(f"pair with {'positive' if n_rhp > n_pos else 'negative'} real part")
+        out.append(", ".join(parts))
+    return out
 
 
 def _eig_list(eig):
@@ -318,7 +324,7 @@ def _stability_point(inv, macro):
     out = {
         "m": macro.m,
         "eigenvalues": _eig_list(eig),
-        "classification": _classification(eig),
+        "classification": _classifications(inv, macro, [macro.g])[0],
     }
     if macro.m > 2:
         coeffs = np.poly(eig).real
@@ -364,7 +370,7 @@ def _cmd_stability(config, args):
 
     if scan < 1:
         raise ValueError(f"--scan-g needs at least 1 point, got {scan}")
-    from .hopf_locator import equilibrium_eigenvalues, hopf_in_g
+    from .hopf_locator import hopf_in_g
 
     report = hopf_in_g(macro, inv, n_grid=int(scan))
     regimes = []
@@ -373,12 +379,10 @@ def _cmd_stability(config, args):
             regimes[-1]["g_hi"] = s.hi
         else:
             regimes.append({"g_lo": s.lo, "g_hi": s.hi, "stable": s.stable})
+    words = iter(_classifications(
+        inv, macro, [0.5 * (r["g_lo"] + r["g_hi"]) for r in regimes if r["stable"] is not None]))
     for r in regimes:
-        mid = macro.replace(g=0.5 * (r["g_lo"] + r["g_hi"]))
-        r["classification"] = (
-            "no positive equilibrium" if r["stable"] is None
-            else _classification(equilibrium_eigenvalues(mid, inv))
-        )
+        r["classification"] = "no positive equilibrium" if r["stable"] is None else next(words)
     return {
         "g_min": report.g_min,
         "g_max": report.g_max,

@@ -22,10 +22,8 @@ m = 1 (a quadratic in T) and m = 2 (the quartic of
 :func:`chaintrick.char_poly.phi_quartic`) are kept as independent
 references; they alone use char_poly and import it when called.
 
-Eigenvalues serve only the growth-rate structure: :func:`_scan` labels a
-g grid from its equilibrium eigenvalues, all computed in one batched call,
-and bisects every label change, from which :func:`hopf_in_g` reads g1, g2
-and the stability regimes.
+:func:`hopf_in_g` counts the roots for the growth-rate structure from the
+same equation; eigenvalues serve only :func:`equilibrium_eigenvalues`.
 """
 
 import math
@@ -120,7 +118,7 @@ def _as_points(name, values, omega, speed, residual):
 
 @dataclass(frozen=True)
 class GSegment:
-    """Eigenvalue signature of one subinterval of the growth-rate scan."""
+    """Root signature of one subinterval of the growth-rate scan, at its midpoint."""
 
     lo: float
     hi: float
@@ -250,23 +248,6 @@ def _refine(label, grid, labels, tol, *rows):
         same = label(mid, *rows) == want
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
     return *idx, lo, hi
-
-
-def _scan(p, inv, name, grid, tol):
-    """Label every point of ``grid`` of the parameter ``name``: 0 where the
-    equilibrium is not positive, 1 where the Jacobian has no complex pair,
-    2 where the leading pair has Re < 0 and 3 where it has Re >= 0.  Every
-    bracket where neighbouring labels differ is bisected to ``tol``.
-    Returns the change points and the labels before and after each."""
-
-    def label(x):
-        eig = _grid_eigenvalues(p, inv, name, x)
-        lead = _split_eigenvalues(eig)[2]
-        return np.where(np.isnan(lead), ~np.isnan(eig[:, 0]), 2 + (lead.real >= 0.0))
-
-    labels = label(grid)
-    i, lo, hi = _refine(label, grid, labels, tol)
-    return 0.5 * (lo + hi), labels[i], labels[i + 1]
 
 
 def equilibrium_eigenvalues(p, inv):
@@ -516,7 +497,7 @@ def _bisect_in_T(label, w, ends, end_labels, j, m, omega_max, a, e, bc):
     return omega, T, kept
 
 
-def _axis_crossings(p, inv, alpha, g, first=False):
+def _axis_crossings(p, inv, alpha, g, first=False, below=math.inf):
     """Every critical delay of every cell (alpha[i], g[i]) at kernel order
     p.m, located on the imaginary axis in one batched computation.
 
@@ -549,10 +530,11 @@ def _axis_crossings(p, inv, alpha, g, first=False):
 
     Returns (cell, T, omega, speed, residual), one entry per crossing,
     ordered by cell and then by T; with ``first`` only the smallest T of
-    each cell.  Cells without a positive equilibrium or with |bc| <= |ae|
-    have no entry.  Raises InaccurateRoot when a returned crossing's
-    relative residual exceeds RESIDUAL_TOL and DegenerateTransversality
-    when a returned crossing has Re dlambda/dT ~ 0.
+    each cell; crossings at T >= ``below`` are dropped, unchecked.  Cells
+    without a positive equilibrium or with |bc| <= |ae| have no entry.
+    Raises InaccurateRoot when a returned crossing's relative residual
+    exceeds RESIDUAL_TOL and DegenerateTransversality when a returned
+    crossing has Re dlambda/dT ~ 0.
     """
     m = p.m
     alpha, g = np.asarray(alpha, dtype=float), np.asarray(g, dtype=float)
@@ -636,6 +618,7 @@ def _axis_crossings(p, inv, alpha, g, first=False):
 
     cell, T, omega, a, e, bc = (np.concatenate(x) for x in zip(*found))
     order = np.lexsort((T, cell))
+    order = order[T[order] < below]
     cell, T, omega, a, e, bc = (x[order] for x in (cell, T, omega, a, e, bc))
     speed, flat, residual = _crossing_speed(omega, m, m / T, a, e, bc, 0.0, 0.0, 0.0, -1.0 / T)
     bad = ~(residual <= RESIDUAL_TOL)
@@ -893,62 +876,115 @@ def _growth_hopf(p, inv, n_grid, orders=None):
 # growth-rate interval structure
 
 
+def _real_roots(p, inv, g):
+    """The positivity mask of :func:`_loop_coefficients` at each growth
+    rate of the array ``g`` (alpha, T and m of ``p``), and the numbers of
+    negative and of positive real roots of h(lambda) = bc, where
+    h = (lambda - a)(lambda - e)(1 + lambda/r)^m has its extrema at -r and
+    the roots of (m + 2) lambda^2 + (2r - (m + 1)(a + e)) lambda
+    + m ae - (a + e) r: each piece between these and 0 holds a root where
+    h - bc changes sign over it, read from log |h|."""
+    m, r = p.m, p.m / p.T
+    a, b, c, e = _loop_coefficients(p, inv, np.full(g.shape, p.alpha), g)
+    with np.errstate(all="ignore"):
+        qb, qc = 2.0 * r - (m + 1.0) * (a + e), m * a * e - (a + e) * r
+        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * (m + 2.0) * qc), qb))
+        # the ends of the pieces; a quadratic without real roots puts them at 0
+        ends = np.multiply.outer([-np.inf, -r, 0.0, np.inf], np.ones(g.shape))
+        lam = np.sort(np.concatenate([np.nan_to_num(np.stack([q / (m + 2.0), qc / q])), ends]), axis=0)
+        log_h = np.log(np.abs(lam - a)) + np.log(np.abs(lam - e)) + m * np.log(np.abs(1.0 + lam / r))
+        sign_h = np.sign((lam - a) * (lam - e)) * np.where(lam < -r, (-1.0) ** m, 1.0)
+        sign = np.where(log_h > np.log(np.abs(b * c)), sign_h, -np.sign(b * c))
+    roots = sign[:-1] * sign[1:] < 0.0
+    n_neg = np.sum(roots & (lam[1:] <= 0.0), axis=0)
+    return ~np.isnan(e), n_neg, np.sum(roots, axis=0) - n_neg
+
+
+def _unstable_roots(p, inv, g):
+    """N, the number of roots in the right half-plane, at each growth rate
+    of the array ``g``: 2 [a + e > 0] as T -> 0 (where ae - bc > 0, and no
+    real root passes 0) plus 2 sign(Re dlambda/dT) for each crossing below
+    p.T.  A crossing above p.T is not checked, so it never refuses N."""
+    alpha = np.full(g.shape, p.alpha)
+    a, _, _, e = _loop_coefficients(p, inv, alpha, g)
+    cell, _, _, speed, _ = _axis_crossings(p, inv, alpha, g, below=p.T)
+    return 2 * (a + e > 0.0) + 2 * np.bincount(cell, np.sign(speed), g.size).astype(int)
+
+
 def hopf_in_g(p, inv, m=None, n_grid=G_GRID):
-    """Scan the admissible growth interval and report its eigenvalue
-    structure.
+    """Scan the admissible growth interval and report its root structure.
 
     The Hopf points (``transversality`` Re dlambda/dg), g1_hopf and
-    g2_hopf are found on the imaginary axis by :func:`_growth_hopf`.
-    :func:`_scan` labels the same ``n_grid`` points from their eigenvalues
-    and bisects every label change to 1e-11 in g: the equilibrium leaving
-    the positive quadrant, the complex pair appearing or vanishing, or the
-    leading pair's real part changing sign.  These bound the ``segments``
-    and give g1 and g2.  On the physical range
-    ae - bc = Iy* (g x* + alpha (gamma x* - g - delta)) > 0, so no real
-    eigenvalue crosses zero and every change of ``GSegment.stable`` is one
-    of these label changes.
+    g2_hopf come from :func:`_growth_hopf`.  Its ``n_grid`` points are
+    labelled 0 without a positive equilibrium, 1 where all m + 2 roots are
+    real (:func:`_real_roots`), and 2 or 3 as N does not or does exceed the
+    positive real roots.  Where a pair can sit on the imaginary axis,
+    (bc)^2 > (ae)^2, N comes from :func:`_unstable_roots` at the first point
+    of each run; there ae - bc > 0, so it changes only at the Hopf points,
+    by 2 sign(transversality).  Each label change is bisected to 1e-11,
+    landing on a Hopf point bit for bit; they bound the ``segments``,
+    counted at their midpoints, and give g1 and g2.
     """
     if m is not None:
         p = p.replace(m=m)
-    g_lo, g_hi = growth_interval(inv, p.delta)
     gs, hopf_points, g1_hopf, g2_hopf = _growth_hopf(p, inv, n_grid)
-    bounds, before, after = _scan(p, inv, "g", gs, 1e-11)
+    # N rises by passed[k] across the first k Hopf points
+    values = np.array([h.value for h in hopf_points])
+    passed = np.cumsum([0] + [2 * int(np.sign(h.transversality)) for h in hopf_points])
+
+    def axis(x):
+        """The positivity mask, whether a pair can sit on the imaginary axis
+        at some delay, and N where none can: its value as T -> 0."""
+        a, b, c, e = _loop_coefficients(p, inv, np.full(x.shape, p.alpha), x)
+        return ~np.isnan(e), (b * c) ** 2 > (a * e) ** 2, 2 * (a + e > 0.0)
+
+    # N is counted at the first grid point of each run on the axis and
+    # carried along it, run[k] being the run of grid point k; off the axis
+    # no pair crosses at any delay, and N keeps its value as T -> 0
+    ok, on, n_off = axis(gs)
+    starts = on & np.diff(on, prepend=False)
+    run, base = np.cumsum(starts) - 1, gs[starts]
+    offset = np.append(_unstable_roots(p, inv, base) - passed[np.searchsorted(values, base)], 0)
+    carried = lambda x, k: offset[run[k]] + passed[np.searchsorted(values, x)]
+    n_from = lambda k, x: np.where(on[k], carried(x, k), n_off[k])
+    # each interval carries N from an end on the axis; _param_crossings sees
+    # no crossing in an interval that starts off the axis and can drop one
+    # in an interval that ends off it, so where the ends disagree on N, or
+    # neither is on the axis, N is counted at each point on the axis inside
+    j = np.arange(gs.size - 1)
+    near = np.append(np.where(on[j], j, j + 1), j.size)
+    differ = ok[j] & ok[j + 1] & (n_from(j, gs[j + 1]) != n_from(j + 1, gs[j + 1]))
+    trust = np.append((on[j] | on[j + 1]) & ~differ, True)
+
+    def counts(x):  # the mask, the real roots and the leading pair's sign (0 without)
+        ok, n_neg, n_pos = _real_roots(p, inv, x)
+        _, on_x, n = axis(x)
+        i = np.maximum(np.searchsorted(gs, x, side="right") - 1, 0)
+        n = np.where(on_x, carried(x, near[i]), n)
+        count = on_x & ~trust[i]
+        if count.any():
+            n[count] = _unstable_roots(p, inv, x[count])
+        return ok, n_neg, n_pos, np.where(ok & (n_neg + n_pos < p.m + 2), np.where(n > n_pos, 1, -1), 0)
+
+    def label(x):
+        ok, _, _, pair = counts(x)
+        return np.where(ok, np.where(pair == 0, 1, 2 + (pair > 0)), 0)
+
+    labels = label(gs)
+    i, lo, hi = _refine(label, gs, labels, 1e-11)
+    bounds, before, after = 0.5 * (lo + hi), labels[i], labels[i + 1]
     appears = bounds[(before == 1) & (after >= 2)].tolist()
     vanishes = bounds[(before >= 2) & (after == 1)].tolist()
     g1 = next((g for g in reversed(appears) if g1_hopf is not None and g < g1_hopf), None)
     g2 = next((g for g in vanishes if g2_hopf is not None and g > g2_hopf), None)
 
     edges = np.concatenate([gs[:1], bounds, gs[-1:]])
-    eig = _grid_eigenvalues(p, inv, "g", 0.5 * (edges[:-1] + edges[1:]))
-    n_neg, n_pos, lead = _split_eigenvalues(eig)
-    has_pair = ~np.isnan(lead)
+    at_mid = (v.tolist() for v in counts(0.5 * (edges[:-1] + edges[1:])))
     segments = tuple(
-        GSegment(
-            lo=seg_lo,
-            hi=seg_hi,
-            physical=bool(physical),
-            n_real_neg=int(neg),
-            n_real_pos=int(pos),
-            pair_real_sign=int(sign),
-            has_pair=bool(pair),
-        )
-        for seg_lo, seg_hi, physical, neg, pos, sign, pair in zip(
-            edges[:-1].tolist(),
-            edges[1:].tolist(),
-            ~np.isnan(eig[:, 0]),
-            n_neg,
-            n_pos,
-            np.sign(np.where(has_pair, lead.real, 0.0)),
-            has_pair,
-        )
+        GSegment(lo=lo, hi=hi, physical=ok, n_real_neg=neg, n_real_pos=pos, pair_real_sign=pair,
+                 has_pair=pair != 0)
+        for lo, hi, ok, neg, pos, pair in zip(edges[:-1].tolist(), edges[1:].tolist(), *at_mid)
     )
-    return GIntervalReport(
-        g_min=g_lo,
-        g_max=g_hi,
-        g1=g1,
-        g1_hopf=g1_hopf,
-        g2_hopf=g2_hopf,
-        g2=g2,
-        segments=segments,
-        hopf_points=tuple(hopf_points),
-    )
+    g_min, g_max = growth_interval(inv, p.delta)
+    return GIntervalReport(g_min=g_min, g_max=g_max, g1=g1, g1_hopf=g1_hopf, g2_hopf=g2_hopf, g2=g2,
+                           segments=segments, hopf_points=tuple(hopf_points))

@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths it checks: x* by
 bisection instead of the closed-form inverse, Jacobians by finite
 differences, characteristic coefficients reassembled from numerically
 computed eigenvalues, critical delays by eigenvalue bisection in T
-instead of on the imaginary axis, the characteristic residual in Python's
+instead of on the imaginary axis, growth-rate labels from eigenvalues
+instead of root counts, the characteristic residual in Python's
 complex arithmetic instead of numpy's, cycle periods from zero crossings
 instead of peak spacing, and trajectories cross-checked against scipy's
 own integrator.
@@ -18,7 +19,7 @@ from chaintrick.errors import (
     NoHopf,
     NonPositiveEquilibrium,
 )
-from chaintrick.hopf_locator import _as_points, _grid_eigenvalues, _scan, _split_eigenvalues
+from chaintrick.hopf_locator import _as_points, _grid_eigenvalues, _refine, _split_eigenvalues
 from chaintrick.model_core import (
     InvestmentParams,
     MacroParams,
@@ -139,6 +140,28 @@ def pair_real_from_matrix(J, imag_tol=1e-9):
     if cplx.size == 0:
         return None
     return float(cplx.real.max())
+
+
+def eigenvalue_labels(p, inv, name, x):
+    """Label every value of ``x`` of the parameter ``name`` ("T", "g" or
+    "alpha") from its equilibrium eigenvalues, all from one batched call:
+    0 where the equilibrium is not positive, 1 where the Jacobian has no
+    complex pair, 2 where the leading pair has Re < 0 and 3 where it has
+    Re >= 0."""
+    eig = _grid_eigenvalues(p, inv, name, x)
+    lead = _split_eigenvalues(eig)[2]
+    return np.where(np.isnan(lead), ~np.isnan(eig[:, 0]), 2 + (lead.real >= 0.0))
+
+
+def _scan(p, inv, name, grid, tol):
+    """The eigenvalue scan: every point of ``grid`` labelled by
+    :func:`eigenvalue_labels`, and every bracket where neighbouring labels
+    differ bisected to ``tol``.  Returns the change points and the labels
+    before and after each."""
+    label = lambda x: eigenvalue_labels(p, inv, name, x)
+    labels = label(grid)
+    i, lo, hi = _refine(label, grid, labels, tol)
+    return 0.5 * (lo + hi), labels[i], labels[i + 1]
 
 
 def pair_crossings(p, inv, name, grid, tol, step):

@@ -139,6 +139,23 @@ class TestStabilityCmd:
                 assert got[key] == want[key]
 
     @pytest.mark.parametrize("T", ["1e-5", "1e-7", "1e-9"])
+    def test_m2_classification_at_tiny_delay(self, capsys, T):
+        # the m = 2 chain roots form a complex pair near -2/T, which the
+        # eigenvalue solve splits into two reals at T = 1e-9; the counts do not
+        code, out, err = run_cli(capsys, "stability", "--m", "2", "--T", T)
+        assert code == 0, err
+        assert json.loads(out)["classification"] == "pair with positive real part"
+
+    def test_a_far_crossing_does_not_refuse_the_classification(self, capsys):
+        # the axis scan in T finds an inaccurate crossing at T* ~ 3.9e10 here,
+        # far above T = 1, where no crossing is needed for the count
+        code, out, err = run_cli(capsys, "stability", "--m", "2", "--g", "0.023124938994631524")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["classification"] == "pair with negative real part"
+        assert doc["stable"] is True
+
+    @pytest.mark.parametrize("T", ["1e-5", "1e-7", "1e-9"])
     def test_m2_verdict_at_tiny_delay(self, capsys, T):
         # the equilibrium is unstable there: a3 < 0 and the eigenvalues agree
         code, out, err = run_cli(capsys, "stability", "--m", "2", "--T", T)
@@ -631,7 +648,6 @@ def small_memory(monkeypatch):
     [
         (["simulate", "--json", "--horizon", "1e6", "--sample-dt", "1e-3"], "7.45 GiB"),
         (["stability", "--json", "--m", "100000"], "74.5 GiB"),
-        (["hopf", "--vary", "g", "--m", "1000"], "15.3 GiB"),
     ],
 )
 def test_out_of_memory_is_one_numeric_failure_line(capsys, small_memory, argv, size):
@@ -641,6 +657,15 @@ def test_out_of_memory_is_one_numeric_failure_line(capsys, small_memory, argv, s
     assert err.startswith(f"numeric failure: {argv[0]} ran out of memory (Unable to allocate ")
     assert err.count("\n") == 1
     assert size in err
+
+
+def test_vary_g_at_m_1000_fits_in_small_memory(capsys, small_memory):
+    # the growth-rate structure needs no (m+2)-square matrix
+    code, out, err = run_cli(capsys, "hopf", "--json", "--vary", "g", "--m", "1000")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert [h["crossing"] for h in doc["hopf_points"]] == ["destabilizing", "stabilizing"]
+    assert [s["g_hi"] for s in doc["segments"] if s["pair_real_sign"] > 0] == [doc["g2_hopf"]]
 
 
 def test_out_of_memory_without_a_message(capsys, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from chaintrick import hopf_locator
 from chaintrick.chain_system import build, equilibrium_state, jacobian
 from chaintrick.char_poly import coeffs_m1, coeffs_m2, cubic_coeffs_at, composites_m1
+from chaintrick.cli import main as cli_main
 from chaintrick.errors import (
     GrowthOutOfRange,
     InaccurateRoot,
@@ -33,7 +34,14 @@ from chaintrick.model_core import (
     growth_interval,
 )
 from chaintrick.sweep import table_g_bifurcations
-from oracles import characteristic_residual, hopf_in_T_numeric, pair_crossings, random_model_draw
+from oracles import (
+    _scan,
+    characteristic_residual,
+    eigenvalue_labels,
+    hopf_in_T_numeric,
+    pair_crossings,
+    random_model_draw,
+)
 
 TABLE_G = {
     1: (0.01011989, 0.02032586),
@@ -373,6 +381,114 @@ class TestHopfInG:
         assert rep.hopf_points[1].transversality < 0.0
 
 
+def _root_counts_at(p, inv):
+    """(n_neg, n_pos, pair sign) at the single cell of ``p``, from the
+    closed-form real roots and the right half-plane count."""
+    g = np.array([p.g])
+    _, n_neg, n_pos = (int(v[0]) for v in hopf_locator._real_roots(p, inv, g))
+    n_rhp = int(hopf_locator._unstable_roots(p, inv, g)[0])
+    return n_neg, n_pos, 0 if n_neg + n_pos == p.m + 2 else (1 if n_rhp > n_pos else -1)
+
+
+def _eigenvalue_counts(p, inv):
+    """The same three from the eigenvalues of the Jacobian."""
+    n_neg, n_pos, lead = hopf_locator._split_eigenvalues(equilibrium_eigenvalues(p, inv))
+    return int(n_neg), int(n_pos), 0 if np.isnan(lead) else (1 if lead.real >= 0.0 else -1)
+
+
+class TestRootCounts:
+    """The real roots counted in closed form, the right half-plane counted
+    from the crossings, and the growth-rate structure built on both."""
+
+    def test_counts_match_eigenvalues_on_random_draws(self, rng):
+        seen = set()
+        for _ in range(1000):
+            m = int(rng.integers(1, 13))
+            inv, p, _ = random_model_draw(rng, m=m, t_lo=0.01, t_hi=200.0)
+            counts = _root_counts_at(p, inv)
+            assert counts == _eigenvalue_counts(p, inv), (m, p)
+            seen.add(counts[:2])
+        # draws with 0, 1 and 3 real roots, on both sides of 0
+        assert {(0, 0), (1, 0), (3, 0), (1, 2)} <= seen
+
+    @pytest.mark.parametrize("T", [1e-5, 1e-7, 1e-9])
+    def test_counts_at_tiny_delays(self, inv_dm, baseline, T):
+        # as T -> 0 the m = 2 chain roots form the pair -2/T +- i sqrt(|bc|)
+        # (bc < 0), and the other two tend to the roots of
+        # l^2 - (a + e) l + ae - bc, a pair with real part (a + e)/2 > 0
+        p = baseline.replace(m=2, T=T)
+        a, b, c, e = hopf_locator._loop_coefficients(p, inv_dm, p.alpha, p.g)
+        assert b * c < 0.0 and a + e > 0.0 and (a - e) ** 2 + 4.0 * b * c < 0.0
+        assert _root_counts_at(p, inv_dm) == (0, 0, 1)
+
+    def test_counts_at_large_m(self, inv_dm, baseline):
+        # an odd chain keeps one real root left of -m/T (bc < 0), an even
+        # one none; the other two form the pair, unstable inside the window
+        for g, pair in ((0.016, 1), (0.0225, -1)):
+            for m in (59, 60):
+                p = baseline.replace(m=m, g=g)
+                assert _root_counts_at(p, inv_dm) == _eigenvalue_counts(p, inv_dm) == (m % 2, 0, pair)
+            for m in (100000, 100001):
+                assert _root_counts_at(baseline.replace(m=m, g=g), inv_dm) == (m % 2, 0, pair)
+
+    #: two runs of positive equilibria, with an unstable pair that turns
+    #: into two positive reals before the gap.  On 18 or 37 points the
+    #: destabilizing Hopf point lies in a grid interval that starts where
+    #: no pair can sit on the imaginary axis, and the phase scan in g does
+    #: not see it
+    HIDDEN_CROSSINGS = [
+        (InvestmentParams(a=12.8, c=0.0221, d=0.0197, v=5.57),
+         MacroParams(alpha=1.6, gamma=0.19, delta=0.049, g=0.0, G0=2.0, T=24.6, m=6)),
+        (InvestmentParams(a=13.5, c=0.0091, d=0.029, v=6.7),
+         MacroParams(alpha=1.54, gamma=0.187, delta=0.035, g=0.0, G0=2.0, T=58.9, m=1)),
+    ]
+    #: two runs where a pair can sit on the axis, split by a gap without a
+    #: positive equilibrium: unstable where the first ends and stable where
+    #: the second begins, so each run needs its own count
+    TWO_AXIS_RUNS = (InvestmentParams(a=8.28, c=0.00707, d=0.0386, v=4.06),
+                     MacroParams(alpha=0.42, gamma=0.0608, delta=0.00744, g=0.0, G0=4.4, T=3.27, m=2))
+
+    @classmethod
+    def _cases(cls, inv_dm, baseline):
+        path = Path(__file__).parent / "data" / "stability_scan_g.json"
+        recorded = json.loads(path.read_text(encoding="utf-8"))["cases"]
+        cases = {(m, 1.0, 1.0, hopf_locator.G_GRID) for m in (1, 2, 3, 4, 8, 12)}
+        for case in recorded:
+            cases |= {(case["m"], case["alpha"], case["T"], n) for n in (case["n_grid"], hopf_locator.G_GRID)}
+        return ([(inv_dm, baseline.replace(m=m, alpha=alpha, T=T), n) for m, alpha, T, n in sorted(cases)]
+                + [(inv, p, n) for inv, p in cls.HIDDEN_CROSSINGS for n in (18, 37, 256, hopf_locator.G_GRID)]
+                + [(*cls.TWO_AXIS_RUNS, n) for n in (256, hopf_locator.G_GRID)])
+
+    def test_structure_matches_the_eigenvalue_scan(self, inv_dm, baseline):
+        for inv, p, n in self._cases(inv_dm, baseline):
+            rep = hopf_in_g(p, inv, n_grid=n)
+            gs = np.linspace(rep.g_min, rep.g_max, n + 2)[1:-1]
+            bounds, before, after = _scan(p, inv, "g", gs, 1e-11)
+            edges = [s.hi for s in rep.segments[:-1]]
+            assert edges == bounds.tolist(), (p, n)
+            # every grid point carries the label of its segment
+            label = [0 if not s.physical else 1 if not s.has_pair else 2 + (s.pair_real_sign > 0)
+                     for s in rep.segments]
+            at = np.searchsorted(edges, gs)
+            assert eigenvalue_labels(p, inv, "g", gs).tolist() == [label[k] for k in at]
+            assert before.tolist() == label[:-1] and after.tolist() == label[1:]
+            for s in rep.segments:
+                if s.physical:
+                    q = p.replace(g=0.5 * (s.lo + s.hi))
+                    assert (s.n_real_neg, s.n_real_pos, s.pair_real_sign) == _eigenvalue_counts(q, inv)
+
+    def test_each_run_on_the_axis_counts_its_own_half_plane(self):
+        rep = hopf_in_g(self.TWO_AXIS_RUNS[1], self.TWO_AXIS_RUNS[0])
+        assert [s.stable for s in rep.segments] == [None, True, True, False, False, None, True, True]
+
+    def test_both_hopf_points_at_m_1000(self, inv_dm, baseline):
+        rep = hopf_in_g(baseline, inv_dm, m=1000)
+        assert [h.crossing for h in rep.hopf_points] == ["destabilizing", "stabilizing"]
+        assert rep.g1_hopf == pytest.approx(TABLE_G[4][0], abs=5e-7)
+        assert rep.g2_hopf == pytest.approx(TABLE_G[4][1], abs=5e-7)
+        assert [s.stable for s in rep.segments] == [None, True, False, True]
+
+
 class TestHopfInAlpha:
     def test_small_delay_threshold(self, inv_dm, baseline):
         # as T -> 0 the crossing approaches the undelayed threshold 0.7644
@@ -500,15 +616,19 @@ class TestAxisCrossingsInGAndAlpha:
             rep = hopf_in_g(p, inv_dm, m=m)
             assert [None if math.isnan(v) else v for v in row] == [rep.g1_hopf, rep.g2_hopf]
 
-    def test_table_and_alpha_scan_compute_no_eigenvalues(self, inv_dm, baseline, monkeypatch):
+    def test_table_and_alpha_scan_compute_no_eigenvalues(self, inv_dm, baseline, monkeypatch, capsys):
         calls = []
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or eigvals(a))
         table_g_bifurcations(baseline, inv_dm, [1, 2, 3, 4])
         hopf_in_alpha(baseline.replace(T=1.5), inv_dm, alpha_range=(0.3, 1.5))
         assert calls == []
+        # nor does the growth-rate structure, in the library or the CLI
         hopf_in_g(baseline, inv_dm, m=1)
-        assert calls
+        assert cli_main(["hopf", "--vary", "g", "--m", "2"]) == 0
+        assert cli_main(["stability", "--scan-g", "500", "--m", "3"]) == 0
+        assert "pair with positive real part" in capsys.readouterr().out
+        assert calls == []
 
 
 def _count_phase_calls(monkeypatch):
