@@ -9,19 +9,21 @@ the capital equation.  For m = 1 this is the three-dimensional system in
 w = u_1 and p = u_2.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._core._dopri import make_chain_rhs
 from .errors import CapitalNonPositive, DelayNonPositive, KernelOrderInvalid
-from .model_core import InvestmentParams, MacroParams, equilibrium, phi, phi_prime
+from .model_core import Record, _set, equilibrium, phi, phi_prime
 
 
-@dataclass(frozen=True)
-class ChainSystem:
-    params: MacroParams
-    inv: InvestmentParams
+class ChainSystem(Record):
+    """The (m+2)-dimensional chain system of the macro parameters
+    ``params`` (a MacroParams) and the investment parameters ``inv`` (an
+    InvestmentParams), as assembled by :func:`build`."""
+
+    def __init__(self, params, inv):
+        _set(self, "params", params)
+        _set(self, "inv", inv)
 
     @property
     def m(self):

@@ -18,61 +18,61 @@ equilibrium's eigenvalues come from
 :func:`chaintrick.hopf_locator.equilibrium_eigenvalues`.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DelayNonPositive
+from .model_core import Record, _set
 
 #: Routh-Hurwitz expressions closer to zero than this are reported marginal.
 MARGINAL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class CharCoeffsM1:
+class CharCoeffsM1(Record):
     """Cubic coefficients a1..a3 at delay T plus the composites A, B.
 
     ``alpha_ik_iy`` stores alpha * Ik* * Iy*, needed by the criticality
     quadratic and by the a3-positivity criterion B + alpha Ik* Iy* < 0.
     """
 
-    a1: float
-    a2: float
-    a3: float
-    A: float
-    B: float
-    alpha_ik_iy: float
-    T: float
+    def __init__(self, a1, a2, a3, A, B, alpha_ik_iy, T):
+        _set(self, "a1", a1)
+        _set(self, "a2", a2)
+        _set(self, "a3", a3)
+        _set(self, "A", A)
+        _set(self, "B", B)
+        _set(self, "alpha_ik_iy", alpha_ik_iy)
+        _set(self, "T", T)
 
 
-@dataclass(frozen=True)
-class CharCoeffsM2:
+class CharCoeffsM2(Record):
     """Quartic coefficients a1..a4 at delay T plus the composites M, N, P."""
 
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-    M: float
-    N: float
-    P: float
-    T: float
+    def __init__(self, a1, a2, a3, a4, M, N, P, T):
+        _set(self, "a1", a1)
+        _set(self, "a2", a2)
+        _set(self, "a3", a3)
+        _set(self, "a4", a4)
+        _set(self, "M", M)
+        _set(self, "N", N)
+        _set(self, "P", P)
+        _set(self, "T", T)
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(Record):
     """Routh-Hurwitz verdict with per-condition values.
 
     ``stable`` is True iff every condition value is positive; ``marginal``
     flags any condition within MARGINAL_TOL of zero (a Hopf candidate when
-    it is the composite product condition).  ``notes`` carries the side
-    quantities used in the sign analysis.
+    it is the composite product condition).  ``conditions`` is a tuple and
+    ``notes`` a dict carrying the side quantities used in the sign
+    analysis.
     """
 
-    stable: bool
-    marginal: bool
-    conditions: tuple
-    notes: dict
+    def __init__(self, stable, marginal, conditions, notes):
+        _set(self, "stable", stable)
+        _set(self, "marginal", marginal)
+        _set(self, "conditions", conditions)
+        _set(self, "notes", notes)
 
 
 def coeffs_m1(eq, p):

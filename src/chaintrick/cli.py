@@ -19,7 +19,12 @@ roots from the counts of :func:`chaintrick.hopf_locator._real_roots` and
 
 Of the computing modules only ``model_core`` is imported at start-up;
 each command handler imports the modules it runs, so a command pays the
-import cost of those alone.
+import cost of those alone.  Their records (:class:`model_core.Record`)
+generate no code as their classes are made.  ``main`` registers every
+subcommand's name and help but adds the flags of the invoked subcommand
+alone, the first argument that is not an option; ``_build_parser()``
+with no argument adds every subcommand's flags.  The help, errors and
+exit codes are those of the full parser.
 
 A command's largest linear-algebra call is the eigenvalue solve of one
 (m+2)-square matrix or a small least-squares fit, too small to gain from
@@ -40,7 +45,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 
 if "numpy" not in sys.modules:
     os.environ.setdefault("OMP_NUM_THREADS", "1")
@@ -137,7 +141,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _build_parser():
+def _build_parser(only=None):
+    """The command-line parser.  Every subcommand is registered with its
+    help, and gets its flags when ``only`` is None or names it: a command
+    line needs the flags of the subcommand it invokes alone."""
     parser = _Parser(
         prog="chaintrick",
         description="Stability, Hopf bifurcation and cycle analysis of the"
@@ -147,6 +154,8 @@ def _build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
     for command, handler in _HANDLERS.items():
         sp = subs.add_parser(command, help=handler.__doc__)
+        if only is not None and command != only:
+            continue
         for entries in _table(command).values():
             for key, (kind, _, *doc) in entries.items():
                 metavar = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else None
@@ -314,7 +323,7 @@ def _eig_list(eig):
 def _cmd_equilibrium(config, args):
     """fixed point and linearization"""
     inv, macro = _params_from(config)
-    return asdict(equilibrium(macro, inv))
+    return equilibrium(macro, inv).as_dict()
 
 
 def _stability_point(inv, macro):
@@ -408,7 +417,7 @@ def _cmd_hopf(config, args):
                 raise ValueError(f"--t-min {t_min!r} must be below --t-max {t_max!r}")
             points = critical_delays(macro, inv)
             shown = [h for h in points if t_min <= h.value <= t_max]
-            result["hopf_points"] = [asdict(h) for h in shown]
+            result["hopf_points"] = [h.as_dict() for h in shown]
             if len(shown) < len(points):
                 result["note"] = (
                     f"{len(points) - len(shown)} critical delay(s) outside"
@@ -418,9 +427,9 @@ def _cmd_hopf(config, args):
             points = hopf_in_alpha(
                 macro, inv, alpha_range=(opts["alpha_min"], opts["alpha_max"])
             )
-            result["hopf_points"] = [asdict(h) for h in points]
+            result["hopf_points"] = [h.as_dict() for h in points]
         else:
-            result.update(asdict(hopf_in_g(macro, inv)))
+            result.update(hopf_in_g(macro, inv).as_dict())
             result["segments"] = [  # a segment's lo and hi print as g_lo and g_hi
                 {"g_lo": seg.pop("lo"), "g_hi": seg.pop("hi"), **seg}
                 for seg in result["segments"]
@@ -453,7 +462,7 @@ def _cmd_simulate(config, args):
     }
     try:
         metrics = simulator.cycle_metrics(traj, transient_fraction=opts["transient"])
-        result["metrics"] = asdict(metrics)
+        result["metrics"] = metrics.as_dict()
     except InsufficientOscillations as exc:
         result["metrics"] = None
         result["note"] = str(exc)
@@ -506,7 +515,7 @@ def _cmd_sweep(config, args):
         "m": curve.m,
         "points": int(np.sum(np.isfinite(curve.t_bi))),
         "gaps": int(np.sum(~np.isfinite(curve.t_bi))),
-        "fit": None if curve.fit is None else asdict(curve.fit),
+        "fit": None if curve.fit is None else curve.fit.as_dict(),
         "csv": args.out,
         "meta": sweep.sidecar_path(args.out),
     }
@@ -542,9 +551,13 @@ _HANDLERS = {
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the root parser takes no option with a value, so its first
+    # non-option argument is the subcommand (or an invalid choice)
+    invoked = next((arg for arg in argv if not arg.startswith("-")), "")
     command = "chaintrick"
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(only=invoked).parse_args(argv)
         command = args.command
         config = _resolve_config(args)
         if args.emit_config:

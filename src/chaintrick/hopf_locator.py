@@ -27,14 +27,15 @@ same equation; eigenvalues serve only :func:`equilibrium_eigenvalues`.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DegenerateTransversality, DelayNonPositive, InaccurateRoot, NoHopf, NoStableRegime,
 )
-from .model_core import equilibrium, growth_interval, investment_derivs, solve_x_star
+from .model_core import (
+    Record, _set, equilibrium, growth_interval, investment_derivs, solve_x_star,
+)
 
 #: eigenvalues with |Im| below this (times 1 + |lambda|) count as real
 IMAG_TOL = 1e-9
@@ -69,8 +70,7 @@ ALPHA_GRID = 512
 G_GRID = 2048
 
 
-@dataclass(frozen=True)
-class HopfPoint:
+class HopfPoint(Record):
     """A located Hopf bifurcation.
 
     ``parameter`` names the varied quantity ("T", "g" or "alpha"),
@@ -85,19 +85,16 @@ class HopfPoint:
     and -psi'(T*) from the m = 2 :func:`hopf_in_T_m2`.  ``residual`` is
     |Q(i omega)(1 + i omega T/m)^m / bc - 1| at (value, omega): at most
     RESIDUAL_TOL in T, up to the bisection tolerance times |df/dx| in g
-    and alpha.
+    and alpha.  The four numbers are stored as Python floats.
     """
 
-    parameter: str
-    value: float
-    omega: float
-    crossing: str
-    transversality: float
-    residual: float
-
-    def __post_init__(self):
-        for name in ("value", "omega", "transversality", "residual"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+    def __init__(self, parameter, value, omega, crossing, transversality, residual):
+        _set(self, "parameter", parameter)
+        _set(self, "value", float(value))
+        _set(self, "omega", float(omega))
+        _set(self, "crossing", crossing)
+        _set(self, "transversality", float(transversality))
+        _set(self, "residual", float(residual))
 
 
 def _as_points(name, values, omega, speed, residual):
@@ -116,17 +113,18 @@ def _as_points(name, values, omega, speed, residual):
     ]
 
 
-@dataclass(frozen=True)
-class GSegment:
+class GSegment(Record):
     """Root signature of one subinterval of the growth-rate scan, at its midpoint."""
 
-    lo: float
-    hi: float
-    physical: bool
-    n_real_neg: int = 0
-    n_real_pos: int = 0
-    pair_real_sign: int = 0
-    has_pair: bool = False
+    def __init__(self, lo, hi, physical, n_real_neg=0, n_real_pos=0, pair_real_sign=0,
+                 has_pair=False):
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "physical", physical)
+        _set(self, "n_real_neg", n_real_neg)
+        _set(self, "n_real_pos", n_real_pos)
+        _set(self, "pair_real_sign", pair_real_sign)
+        _set(self, "has_pair", has_pair)
 
     @property
     def stable(self):
@@ -137,8 +135,7 @@ class GSegment:
         return self.n_real_pos == 0 and (not self.has_pair or self.pair_real_sign < 0)
 
 
-@dataclass(frozen=True)
-class GIntervalReport:
+class GIntervalReport(Record):
     """Structure of the admissible growth-rate interval (g_min, g_max).
 
     ``g1``/``g2`` are the real-to-complex transition points bracketing the
@@ -146,17 +143,19 @@ class GIntervalReport:
     boundary); ``g1_hopf``/``g2_hopf`` are the stability crossings where
     the limit cycle is born and destroyed.  ``segments`` classify every
     subinterval between consecutive boundaries; ``hopf_points`` carry the
-    crossing frequency and direction for each Hopf boundary.
+    crossing frequency and direction for each Hopf boundary.  A named
+    point is a float or None.
     """
 
-    g_min: float
-    g_max: float
-    g1: float | None
-    g1_hopf: float | None
-    g2_hopf: float | None
-    g2: float | None
-    segments: tuple
-    hopf_points: tuple
+    def __init__(self, g_min, g_max, g1, g1_hopf, g2_hopf, g2, segments, hopf_points):
+        _set(self, "g_min", g_min)
+        _set(self, "g_max", g_max)
+        _set(self, "g1", g1)
+        _set(self, "g1_hopf", g1_hopf)
+        _set(self, "g2_hopf", g2_hopf)
+        _set(self, "g2", g2)
+        _set(self, "segments", segments)
+        _set(self, "hopf_points", hopf_points)
 
     @property
     def boundaries(self):

@@ -6,18 +6,75 @@ output-capital ratio x = y/k, so that gross investment is I(y, k) =
 k Phi(y/k).  Everything downstream (chain systems, characteristic
 polynomials, Hopf location) is driven by the equilibrium ratio x* and the
 two linearization constants Iy_star, Ik_star computed here.
+
+This module also holds :class:`Record`, the base of the package's result
+and parameter records.  Every command imports this module, and a record
+class generates and compiles no code when it is defined, so the records
+add no more to a command's start-up than any other class.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GrowthOutOfRange, NonPositiveEquilibrium
 
+#: stores a field on a record, past the refusal of ``Record.__setattr__``
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class InvestmentParams:
+
+class Record:
+    """Immutable record whose fields are the parameters of its ``__init__``.
+
+    A subclass writes its constructor with an explicit signature and stores
+    each field with ``_set``.  The base adds what a frozen dataclass has:
+    ``==`` between records of the same class, a hash of the field values,
+    the ``Name(field=value, ...)`` repr, an ``AttributeError`` on assigning
+    or deleting an attribute, and :meth:`as_dict`.  Copies and pickles
+    restore the instance dict as for any class.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def as_dict(self):
+        """The fields by name, with each record among them, or in a tuple
+        among them, as its own dict."""
+        return {name: _plain(getattr(self, name)) for name in self._fields}
+
+
+def _plain(value):
+    if isinstance(value, Record):
+        return value.as_dict()
+    if isinstance(value, tuple):
+        return tuple(_plain(v) for v in value)
+    return value
+
+
+class InvestmentParams(Record):
     """Parameters of the logistic investment intensity.
 
     All four must be strictly positive: ``a`` is the logistic slope, ``c``
@@ -25,67 +82,76 @@ class InvestmentParams:
     output-capital sensitivity.
     """
 
-    a: float
-    c: float
-    d: float
-    v: float
-
-    def __post_init__(self):
-        for name in ("a", "c", "d", "v"):
-            if not 0.0 < getattr(self, name) < math.inf:
+    def __init__(self, a, c, d, v):
+        for name, value in (("a", a), ("c", c), ("d", d), ("v", v)):
+            if not 0.0 < value < math.inf:
                 raise ValueError(f"InvestmentParams.{name} must be finite and > 0")
+        _set(self, "a", a)
+        _set(self, "c", c)
+        _set(self, "d", d)
+        _set(self, "v", v)
 
 
 #: Dana-Malgrange estimates for the French economy, used as the CLI default.
 DANA_MALGRANGE = InvestmentParams(a=9.0, c=0.01, d=0.026, v=4.23)
 
 
-@dataclass(frozen=True)
-class MacroParams:
+def _kernel_order(m):
+    """``m`` as an int: an integral number other than a bool, at least 1.
+    Raises ValueError otherwise."""
+    try:
+        order = int(m)
+        integral = order == m and not isinstance(m, (bool, np.bool_))
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or order < 1:
+        raise ValueError("MacroParams.m must be an integer >= 1")
+    return order
+
+
+class MacroParams(Record):
     """Macro parameters: adjustment speed alpha, propensity gamma,
     depreciation delta, growth rate g, autonomous expenditure G0, mean
-    investment delay T and gamma-kernel order m."""
+    investment delay T and gamma-kernel order m.
 
-    alpha: float
-    gamma: float
-    delta: float
-    g: float
-    G0: float
-    T: float
-    m: int = 1
+    ``m`` may be any integral number but a bool and is stored as an int.
+    """
 
-    def __post_init__(self):
-        for name in ("alpha", "gamma", "delta", "G0"):
-            if not 0.0 < getattr(self, name) < math.inf:
+    def __init__(self, alpha, gamma, delta, g, G0, T, m=1):
+        for name, value in (("alpha", alpha), ("gamma", gamma), ("delta", delta), ("G0", G0)):
+            if not 0.0 < value < math.inf:
                 raise ValueError(f"MacroParams.{name} must be finite and > 0")
-        if not 0.0 <= self.T < math.inf:
-            raise ValueError(f"MacroParams.T must be finite and >= 0, got {self.T!r}")
-        if int(self.m) != self.m or self.m < 1:
-            raise ValueError("MacroParams.m must be an integer >= 1")
+        if not 0.0 <= T < math.inf:
+            raise ValueError(f"MacroParams.T must be finite and >= 0, got {T!r}")
+        _set(self, "alpha", alpha)
+        _set(self, "gamma", gamma)
+        _set(self, "delta", delta)
+        _set(self, "g", g)
+        _set(self, "G0", G0)
+        _set(self, "T", T)
+        _set(self, "m", _kernel_order(m))
 
-    def replace(self, **kw):
-        from dataclasses import replace
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, checked as a new record."""
+        fields = {name: getattr(self, name) for name in self._fields}
+        fields.update(changes)
+        return MacroParams(**fields)
 
-        return replace(self, **kw)
 
-
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(Record):
     """Fixed point of the model together with the linearization inputs.
 
     ``Ik_star = g + delta - x_star * Iy_star`` by construction, and is
-    negative exactly when x_star * Iy_star exceeds g + delta.
+    negative exactly when x_star * Iy_star exceeds g + delta.  Every field
+    is stored as a Python float.
     """
 
-    x_star: float
-    y_star: float
-    k_star: float
-    Iy_star: float
-    Ik_star: float
-
-    def __post_init__(self):
-        for name in ("x_star", "y_star", "k_star", "Iy_star", "Ik_star"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+    def __init__(self, x_star, y_star, k_star, Iy_star, Ik_star):
+        _set(self, "x_star", float(x_star))
+        _set(self, "y_star", float(y_star))
+        _set(self, "k_star", float(k_star))
+        _set(self, "Iy_star", float(Iy_star))
+        _set(self, "Ik_star", float(Ik_star))
 
 
 def _logistic(z):

@@ -9,7 +9,6 @@ the amplitude is the peak-to-trough excursion of y over the final period.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from ._core import (
 )
 from .errors import CapitalNonPositive, InsufficientOscillations, StepFailure
 from .export import _write_lines
-from .model_core import InvestmentParams, MacroParams, equilibrium
+from .model_core import Record, _set, equilibrium
 
 #: maximum |state component| before integration halts with diverged status
 DIVERGENCE_LIMIT = 1e9
@@ -38,24 +37,27 @@ EXCESS_SPREAD_FRAC = 2e-3
 DECAY_DROP = 0.5
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Sampled solution with its parameter snapshot.
 
-    ``states[:, 0]`` is y, ``states[:, -1]`` is k and the middle columns
-    are the chain stages u_1..u_m.  The integrator's work is recorded in
-    ``rhs_evaluations``, ``accepted_steps`` and ``rejected_steps``; both
-    backends count it the same way.
+    ``times`` and ``states`` are arrays, ``params`` the MacroParams and
+    ``inv`` the InvestmentParams of the run.  ``states[:, 0]`` is y,
+    ``states[:, -1]`` is k and the middle columns are the chain stages
+    u_1..u_m.  The integrator's work is recorded in ``rhs_evaluations``,
+    ``accepted_steps`` and ``rejected_steps``; both backends count it the
+    same way.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    params: MacroParams
-    inv: InvestmentParams
-    diverged: bool = False
-    rhs_evaluations: int = 0
-    accepted_steps: int = 0
-    rejected_steps: int = 0
+    def __init__(self, times, states, params, inv, diverged=False, rhs_evaluations=0,
+                 accepted_steps=0, rejected_steps=0):
+        _set(self, "times", times)
+        _set(self, "states", states)
+        _set(self, "params", params)
+        _set(self, "inv", inv)
+        _set(self, "diverged", diverged)
+        _set(self, "rhs_evaluations", rhs_evaluations)
+        _set(self, "accepted_steps", accepted_steps)
+        _set(self, "rejected_steps", rejected_steps)
 
     @property
     def y(self):
@@ -76,19 +78,20 @@ class Trajectory:
         _write_lines(path, header, (self.times, *self.states.T))
 
 
-@dataclass(frozen=True)
-class CycleMetrics:
+class CycleMetrics(Record):
     """Outcome of :func:`cycle_metrics`.
 
     ``kind`` is "limit_cycle", "damped" or "diverged"; ``period`` and
     ``amplitude`` are set for limit cycles, ``decay_rate`` (the slope of a
-    log-linear envelope fit, negative) for damped oscillations.
+    log-linear envelope fit, negative) for damped oscillations, and the
+    others are None.
     """
 
-    kind: str
-    period: float | None = None
-    amplitude: float | None = None
-    decay_rate: float | None = None
+    def __init__(self, kind, period=None, amplitude=None, decay_rate=None):
+        _set(self, "kind", kind)
+        _set(self, "period", period)
+        _set(self, "amplitude", amplitude)
+        _set(self, "decay_rate", decay_rate)
 
 
 def integrate(

@@ -16,50 +16,59 @@ threshold) and is never used as a gap marker.
 """
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .export import _write_lines, _write_sidecar, sidecar_path
 from .hopf_locator import G_GRID, _axis_crossings, _growth_hopf
+from .model_core import Record, _set
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Least-squares fit of a bifurcation curve on a fixed basis."""
+class FitResult(Record):
+    """Least-squares fit of a bifurcation curve on a fixed basis: the
+    ``coefficients`` tuple of the basis ``model``, and ``threshold_alpha``
+    a float or None."""
 
-    model: str
-    coefficients: tuple
-    residual_norm: float
-    relative_residual: float
-    threshold_alpha: float | None = None
+    def __init__(self, model, coefficients, residual_norm, relative_residual,
+                 threshold_alpha=None):
+        _set(self, "model", model)
+        _set(self, "coefficients", coefficients)
+        _set(self, "residual_norm", residual_norm)
+        _set(self, "relative_residual", relative_residual)
+        _set(self, "threshold_alpha", threshold_alpha)
 
 
-@dataclass(frozen=True)
-class BifurcationCurve:
+class BifurcationCurve(Record):
     """Critical delay T_bi sampled along one parameter axis.
 
-    ``t_bi`` holds NaN where no Hopf point exists.  ``fit`` is None when
-    fewer points than basis functions are available.
+    ``values`` and ``t_bi`` are arrays, and ``t_bi`` holds NaN where no
+    Hopf point exists.  ``fixed`` is a dict of the other parameters.
+    ``fit`` is a FitResult, or None when fewer points than basis functions
+    are available.
     """
 
-    parameter: str
-    values: np.ndarray
-    t_bi: np.ndarray
-    m: int
-    fixed: dict
-    fit: FitResult | None
+    def __init__(self, parameter, values, t_bi, m, fixed, fit):
+        _set(self, "parameter", parameter)
+        _set(self, "values", values)
+        _set(self, "t_bi", t_bi)
+        _set(self, "m", m)
+        _set(self, "fixed", fixed)
+        _set(self, "fit", fit)
 
 
-@dataclass(frozen=True)
-class SurfaceResult:
-    """Critical delay on an (alpha, g) grid; NaN marks no-Hopf cells."""
+class SurfaceResult(Record):
+    """Critical delay on an (alpha, g) grid; NaN marks no-Hopf cells.
 
-    alphas: np.ndarray
-    gs: np.ndarray
-    t_bi: np.ndarray  # shape (len(alphas), len(gs))
-    m: int
-    fixed: dict
+    ``t_bi`` has shape (len(alphas), len(gs)); ``fixed`` is a dict of the
+    other parameters.
+    """
+
+    def __init__(self, alphas, gs, t_bi, m, fixed):
+        _set(self, "alphas", alphas)
+        _set(self, "gs", gs)
+        _set(self, "t_bi", t_bi)
+        _set(self, "m", m)
+        _set(self, "fixed", fixed)
 
 
 def _smallest_delays(p, inv, m, alphas, gs):
@@ -190,7 +199,7 @@ def write_curve_csv(curve, path):
                 "hi": float(curve.values[-1]),
                 "count": int(len(curve.values)),
             },
-            "fit": asdict(curve.fit) if curve.fit is not None else None,
+            "fit": curve.fit.as_dict() if curve.fit is not None else None,
         },
     )
 

@@ -3,6 +3,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaintrick import cli
 from chaintrick.chain_system import build, constant_history_state
 from chaintrick.cli import _SETTINGS, _build_parser, _resolve_config, _table, main
-from chaintrick.hopf_locator import pair_max_real
+from chaintrick.hopf_locator import hopf_in_g, pair_max_real
 from chaintrick.model_core import DANA_MALGRANGE, MacroParams
 from chaintrick.simulator import integrate
 
@@ -163,6 +166,54 @@ class TestStabilityCmd:
         doc = json.loads(out)
         assert doc["stable"] is False
         assert max(re for re, _ in doc["eigenvalues"]) > 0.0
+
+
+def _point_dict(h):
+    return {"parameter": h.parameter, "value": h.value, "omega": h.omega, "crossing": h.crossing,
+            "transversality": h.transversality, "residual": h.residual}
+
+
+class TestNestedRecordsInJson:
+    """The JSON of the growth-rate commands equals dicts built field by
+    field from the GIntervalReport, its GSegments and its HopfPoints."""
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_hopf_vary_g(self, capsys, baseline, inv_dm, m):
+        code, out, _ = run_cli(capsys, "hopf", "--vary", "g", "--json", "--m", str(m))
+        rep = hopf_in_g(baseline.replace(m=m), inv_dm)
+        want = {
+            "vary": "g", "m": m, "g_min": rep.g_min, "g_max": rep.g_max, "g1": rep.g1,
+            "g1_hopf": rep.g1_hopf, "g2_hopf": rep.g2_hopf, "g2": rep.g2,
+            "segments": [
+                {"g_lo": s.lo, "g_hi": s.hi, "physical": s.physical, "n_real_neg": s.n_real_neg,
+                 "n_real_pos": s.n_real_pos, "pair_real_sign": s.pair_real_sign,
+                 "has_pair": s.has_pair}
+                for s in rep.segments
+            ],
+            "hopf_points": [_point_dict(h) for h in rep.hopf_points],
+        }
+        assert code == 0 and len(rep.hopf_points) == 2
+        assert json.loads(out) == want
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_stability_scan_g(self, capsys, baseline, inv_dm, m):
+        code, out, _ = run_cli(capsys, "stability", "--scan-g", "64", "--json", "--m", str(m))
+        macro = baseline.replace(m=m)
+        rep = hopf_in_g(macro, inv_dm, n_grid=64)
+        regimes = []
+        for s in rep.segments:
+            if regimes and regimes[-1]["stable"] == s.stable:
+                regimes[-1]["g_hi"] = s.hi
+            else:
+                regimes.append({"g_lo": s.lo, "g_hi": s.hi, "stable": s.stable})
+        words = iter(cli._classifications(inv_dm, macro, [
+            0.5 * (r["g_lo"] + r["g_hi"]) for r in regimes if r["stable"] is not None]))
+        for r in regimes:
+            r["classification"] = "no positive equilibrium" if r["stable"] is None else next(words)
+        want = {"g_min": rep.g_min, "g_max": rep.g_max, "n_grid": 64,
+                "boundaries": [r["g_lo"] for r in regimes[1:]], "regimes": regimes}
+        assert code == 0 and len(regimes) >= 3
+        assert json.loads(out) == want
 
 
 class TestHopfCmd:
@@ -716,6 +767,92 @@ def test_cli_surface_is_pinned(capsys, tmp_path, command):
     want = {"command": command, "investment": _INVESTMENT, "macro": _MACRO,
             "options": options, "version": 1}
     assert cfg.read_text(encoding="utf-8") == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+_COMMANDS = ["equilibrium", "stability", "hopf", "simulate", "sweep", "table2"]
+
+
+def _subcommands(parser):
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices
+
+
+def _flags(parser):
+    return {s for action in parser._actions for s in action.option_strings}
+
+
+# runs main() in a fresh interpreter, with the parser of every subcommand's
+# flags when the first argument is "full"
+_MAIN = """
+import sys
+from chaintrick import cli
+if sys.argv[1] == "full":
+    build = cli._build_parser
+    cli._build_parser = lambda only=None: build()
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+class TestParserPerCommand:
+    """``main`` adds the flags of the invoked subcommand alone, with the
+    output of the parser that has every subcommand's flags."""
+
+    def test_main_adds_the_flags_of_the_invoked_command_alone(self, capsys, monkeypatch):
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(_build_parser(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_build_parser", spy)
+        code, out, _ = run_cli(capsys, "hopf", "--json", "--vary", "T", "--alpha", "0.7")
+        assert code == 0 and json.loads(out)["hopf_points"]
+        (parser,) = built
+        subs = _subcommands(parser)
+        assert list(subs) == _COMMANDS
+        assert _flags(subs["hopf"]) == _COMMON_FLAGS | _SURFACE["hopf"][0]
+        for command in _COMMANDS:
+            if command != "hopf":
+                assert _flags(subs[command]) == {"-h", "--help"}
+
+    def test_the_full_parser_has_every_commands_flags(self):
+        subs = _subcommands(_build_parser())
+        assert list(subs) == _COMMANDS
+        for command in _COMMANDS:
+            assert _flags(subs[command]) == _COMMON_FLAGS | _SURFACE[command][0]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], *([c, "--help"] for c in _COMMANDS)],
+                             ids=" ".join)
+    def test_help_is_the_full_parsers(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(argv)
+        assert capsys.readouterr().out == text
+        assert text.startswith(f"usage: chaintrick {argv[0] if len(argv) > 1 else ''}")
+
+    @pytest.mark.parametrize("argv", [["nosuch"], ["nosuch", "--m", "2"], [], ["--json"]],
+                             ids=repr)
+    def test_a_bad_command_is_the_full_parsers_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        with pytest.raises(ValueError) as exc:
+            _build_parser().parse_args(argv)
+        assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["hopf", "--help"], 0), (["--version"], 0), (["nosuch"], 2),
+        (["equilibrium", "--json"], 0), (["--", "hopf", "--json"], 2),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_a_process_exits_as_with_the_full_parser(self, argv, code):
+        runs = [subprocess.run([sys.executable, "-c", _MAIN, parser, *argv],
+                               capture_output=True, text=True) for parser in ("invoked", "full")]
+        invoked, full = [(r.returncode, r.stdout, r.stderr) for r in runs]
+        assert invoked == full
+        assert invoked[0] == code and (invoked[1] == "") == (code != 0)
+        if argv == ["nosuch"]:
+            assert invoked[2].startswith("error: argument command: invalid choice: 'nosuch'")
 
 
 def _conforms(spec, value):

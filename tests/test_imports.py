@@ -1,7 +1,9 @@
-"""What each CLI command and ``import chaintrick`` load, the bytecode the
-in-place build leaves, the BLAS threads beside a command, and the lazy
-public names of the package."""
+"""What each CLI command and ``import chaintrick`` load, that no module
+generates code as it loads, the bytecode the in-place build leaves, the
+BLAS threads beside a command, and the lazy public names of the
+package."""
 
+import ast
 import importlib
 import os
 import shutil
@@ -68,6 +70,74 @@ def test_import_chaintrick_loads_only_the_version():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.split() == ["chaintrick", "chaintrick._version"]
+
+
+def _code_generators(path):
+    """The ``dataclasses`` imports and the calls of ``exec``, ``eval`` and
+    ``compile`` in the module at ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            modules = []
+        found += [m for m in modules if m.split(".")[0] == "dataclasses"]
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "builtins":
+                name = func.attr
+            else:
+                name = getattr(func, "id", None)
+            if name in ("exec", "eval", "compile"):
+                found.append(f"{name}()")
+    return found
+
+
+def test_no_module_generates_code():
+    modules = sorted((ROOT / "src" / "chaintrick").rglob("*.py"))
+    assert len(modules) > 10
+    found = {p.name: _code_generators(p) for p in modules}
+    assert {name: f for name, f in found.items() if f} == {}
+
+
+def test_the_scan_sees_dataclasses_and_exec(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import dataclasses.x\nfrom dataclasses import dataclass\n"
+                      "import builtins\nexec('1')\nbuiltins.compile('1', '', 'eval')\n"
+                      "re.compile('x')\n", encoding="utf-8")
+    assert _code_generators(module) == ["dataclasses.x", "dataclasses", "exec()", "compile()"]
+
+
+# imports the package's modules and runs two commands, with the builtins
+# that make code from text recording their callers, and prints the calls
+# from outside the import system (which compiles and runs modules), and
+# whether dataclasses was loaded
+_GENERATED = """
+import builtins, contextlib, io, sys
+import numpy, argparse, json
+calls = []
+def recording(name, real):
+    def call(*args, **kwargs):
+        calls.append(f"{sys._getframe(1).f_globals.get('__name__')}: {name}")
+        return real(*args, **kwargs)
+    return call
+for name in ("exec", "eval", "compile"):
+    setattr(builtins, name, recording(name, getattr(builtins, name)))
+import chaintrick.cli, chaintrick.chain_system, chaintrick.char_poly, chaintrick.sweep
+import chaintrick.simulator
+with contextlib.redirect_stdout(io.StringIO()):
+    chaintrick.cli.main(["stability", "--m", "2"])
+    chaintrick.cli.main(["hopf", "--vary", "g"])
+print(sorted({c for c in calls if not c.startswith("importlib.")}), "dataclasses" in sys.modules)
+"""
+
+
+def test_importing_the_package_generates_no_code():
+    out = subprocess.run([sys.executable, "-c", _GENERATED], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[] False\n"
 
 
 def _built_copy(dest, **env):
