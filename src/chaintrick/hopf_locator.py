@@ -12,12 +12,13 @@ grid point and the phase labels it; the gains do not depend on m, so the
 orders of a table share them and one solve of all their brackets.  Every
 route solves each bracket of its grid by Newton's method on the
 characteristic equation from the secant point of the phase, and keeps the
-root where it satisfies the equation inside the bracket; the other
-brackets are bisected with :func:`_refine` and polished in T, and narrowed
-by regula falsi in g and alpha, which report the point on which bisecting
-the grid interval lands, replayed elementwise against each root.  Every
-route takes the direction from the analytic Re dlambda/d(parameter) and
-reports the residual of the characteristic equation.  The closed forms for
+root where it satisfies the equation inside the bracket.  :func:`_refine`
+bisects the other brackets by their labels: in T for BISECT_STEPS
+halvings, then Newton again from the midpoint; in g and alpha to the
+tolerance, and those two report the point on which bisecting the grid
+interval lands, replayed elementwise against each root.  Every route
+takes the direction from the analytic Re dlambda/d(parameter) and reports
+the residual of the characteristic equation.  The closed forms for
 m = 1 (a quadratic in T) and m = 2 (the quartic of
 :func:`chaintrick.char_poly.phi_quartic`) are kept as independent
 references; they alone use char_poly and import it when called.
@@ -56,10 +57,9 @@ NEWTON_STEPS = 4
 NEWTON_TOL = 1e-12
 
 #: the fallback in T for a bracket whose Newton root is not accepted:
-#: bisection steps on the bracket, then Newton steps kept inside it (twice
-#: as many for a root still off the equation by NEWTON_TOL)
+#: bisection steps on the bracket, then Newton from its midpoint, whose root
+#: is kept where it stays inside the narrowed bracket
 BISECT_STEPS = 12
-POLISH_STEPS = 3
 
 #: a critical delay whose relative residual exceeds this is refused
 RESIDUAL_TOL = 1e-10
@@ -472,30 +472,6 @@ def _crossing_speed(omega, m, r, a, e, bc, da, de, dbc, dlnr):
     return slope.real, np.abs(slope.real) <= TRANSVERSALITY_TOL * np.abs(slope), np.abs(f)
 
 
-def _bisect_in_T(label, w, ends, end_labels, j, m, omega_max, a, e, bc):
-    """:func:`_axis_crossings` for the brackets whose Newton root it does
-    not accept (``ends`` in w, with ``end_labels``, on grid interval
-    ``j``): BISECT_STEPS halvings, then the Newton polish.  Returns omega,
-    T and the mask of brackets with omega and T finite and > 0."""
-    tol = np.abs(np.diff(w)) * 2.0 ** (0.5 - BISECT_STEPS)
-    *_, lo, hi = _refine(label, ends, end_labels, tol[j, None], omega_max, a, e, bc)
-    omega = omega_max * (0.5 * (lo + hi))
-    with np.errstate(divide="ignore"):
-        T = m * _chain_ratio(omega, a, e, bc, m) / omega
-    kept = (omega > 0.0) & (T > 0.0) & np.isfinite(T)
-    # the root lies in its bracket: a Newton step that leaves it (with one
-    # bracket width to spare for rounding in the phase) is refused
-    width, centre = omega_max * np.abs(hi - lo), omega
-    with np.errstate(all="ignore"):
-        for n in range(2 * POLISH_STEPS):
-            f, d_om, d_T, _ = _newton_step(omega, m, m / T, a, e, bc, 0.0, 0.0, 0.0, -1.0 / T)
-            om_new, T_new = omega + d_om, T + d_T
-            ok = kept & (np.abs(om_new - centre) <= width) & (T_new > 0.0)
-            ok &= (n < POLISH_STEPS) | ~(np.abs(f) < NEWTON_TOL)
-            omega, T = np.where(ok, om_new, omega), np.where(ok, T_new, T)
-    return omega, T, kept
-
-
 def _axis_crossings(p, inv, alpha, g, first=False, below=math.inf):
     """Every critical delay of every cell (alpha[i], g[i]) at kernel order
     p.m, located on the imaginary axis in one batched computation.
@@ -511,7 +487,9 @@ def _axis_crossings(p, inv, alpha, g, first=False, below=math.inf):
     bracket where floor(G / 2 pi) changes, over all cells, is solved at
     once by Newton steps in (omega, T) from the secant point of the phase,
     and the root kept where its residual is below NEWTON_TOL and its omega
-    strictly inside the bracket; :func:`_bisect_in_T` takes the others.
+    strictly inside the bracket.  The others take BISECT_STEPS halvings
+    with :func:`_refine`, then Newton again from the midpoint, whose root
+    replaces it where omega stays strictly inside the narrowed bracket.
     The crossing speed Re dlambda/dT is that of :func:`_crossing_speed`
     with a, e and bc fixed and (ln r)' = -1/T.
 
@@ -598,12 +576,20 @@ def _axis_crossings(p, inv, alpha, g, first=False, below=math.inf):
         settled = ((res < NEWTON_TOL) & (om_max * ends[1] < omega) & (omega < om_max * ends[0])
                    & (T > 0.0) & (T < math.inf))
 
+        # the others: BISECT_STEPS halvings (hi < lo in w), then Newton from the midpoint
         fb = np.nonzero(~settled)[0]
         if fb.size:
-            omega[fb], T[fb], settled[fb] = _bisect_in_T(
-                label, w, ends[:, fb].T, end_labels[:, fb].T, j[fb], m,
-                om_max[fb], a_j[fb], e_j[fb], bc_j[fb],
-            )
+            om_fb, *coeffs = om_max[fb], a_j[fb], e_j[fb], bc_j[fb]
+            tol = (ends[0, fb] - ends[1, fb])[:, None] * 2.0 ** (0.5 - BISECT_STEPS)
+            *_, lo, hi = _refine(label, ends[:, fb].T, end_labels[:, fb].T, tol, om_fb, *coeffs)
+            with np.errstate(all="ignore"):
+                om_mid = om_fb * (0.5 * (lo + hi))
+                T_mid = m * _chain_ratio(om_mid, *coeffs, m) / om_mid
+                om_new, T_new, _ = _newton(om_mid, T_mid, m,
+                                           lambda T: (m / T, *coeffs, 0.0, 0.0, 0.0, -1.0 / T))
+            inside = (om_fb * hi < om_new) & (om_new < om_fb * lo) & (T_new > 0.0) & (T_new < math.inf)
+            omega[fb], T[fb] = np.where(inside, om_new, om_mid), np.where(inside, T_new, T_mid)
+            settled[fb] = (omega[fb] > 0.0) & (T[fb] > 0.0) & (T[fb] < math.inf)
         kept = np.nonzero(settled)[0]
         if first:
             # a cell's brackets run down in omega, so up in T: keep its first
@@ -690,22 +676,18 @@ def _param_crossings(p, inv, name, grid, tol, orders=None):
     its own m and r, are solved at once by Newton steps in (omega, x) from
     the secant point of G / 2 pi - level (level being the integer the phase
     crosses), and the root kept where its residual is below NEWTON_TOL and
-    it lies strictly inside the bracket.  The Illinois regula falsi
-    (Dowell & Jarratt, BIT 11, 1971) narrows every other bracket to ``tol``
-    on G / 2 pi - level: each step evaluates the phase at the secant point,
-    kept tol/2 inside the bracket, and bisects instead where that point is
-    not finite or after three steps in a row that did not halve the
-    bracket; no bracket takes more steps than bisection would on the widest
-    one of its order.  A bracket without a phase at its upper end (no
-    positive equilibrium there) is bisected alongside the others of its
-    order; one that ends off the axis is dropped.  Its root is the secant
-    point of the final bracket.  The reported value is the midpoint on
-    which bisecting the grid interval to ``tol`` by the labels lands,
-    replayed elementwise against the root: no other root lies in that
-    interval, so the labels change there at it alone.  As each step treats
-    each bracket on its own, no point depends, bit for bit, on the orders
-    solved beside it.  Raises DegenerateTransversality when a crossing has
-    Re dlambda/dx ~ 0.
+    it lies strictly inside the bracket.  :func:`_refine` bisects every
+    other bracket by the labels (-inf where no pair sits on the axis) at
+    least as often as bisecting the widest label change of its order to
+    ``tol`` takes; the root is the midpoint of the final bracket, kept
+    where its upper end has a pair on the axis, so that a bracket ending
+    beyond the positive equilibria keeps a crossing below that edge.  The
+    reported value is the midpoint on which bisecting the grid interval to
+    ``tol`` by the labels lands, replayed elementwise against the root: no
+    other root lies in that interval, so the labels change there at it
+    alone, and bisecting deeper lands on the same point.  So no point
+    depends, bit for bit, on the orders solved beside it.  Raises
+    DegenerateTransversality when a crossing has Re dlambda/dx ~ 0.
     """
     ms = [p.replace(m=m).m for m in ([p.m] if orders is None else orders)]
     if not ms:
@@ -743,19 +725,20 @@ def _param_crossings(p, inv, name, grid, tol, orders=None):
         return np.where((omega > 0.0) & (omega < np.inf), omega, np.nan)
 
     def turns(m, r, a, e, bc, *_):
-        """G / 2 pi from the gains a, e and bc, where a pair sits on the
-        axis, and omega; elsewhere omega is 0, where G has its limit as the
-        pair leaves the axis (NaN without a positive equilibrium)."""
+        """G / 2 pi from the gains a, e and bc, its label floor(G / 2 pi)
+        and omega where a pair sits on the axis; elsewhere the label is
+        -inf and omega is 0, where G has its limit as the pair leaves the
+        axis (NaN without a positive equilibrium)."""
         omega = axis(m, r, a, e, bc)
         on_axis = ~np.isnan(omega)
         omega = np.where(on_axis, omega, 0.0)
-        return _phase(omega, a, e, bc, m, omega / r) / (2.0 * math.pi), on_axis, omega
+        t = _phase(omega, a, e, bc, m, omega / r) / (2.0 * math.pi)
+        return t, np.where(on_axis, np.floor(t), -np.inf), omega
 
     with np.errstate(all="ignore"):
         at_grid, parts = gains(grid), []
         for i, m in enumerate(ms):
-            t, on_axis, om = turns(m, m / p.T, *at_grid)
-            labels = np.where(on_axis, np.floor(t), -np.inf)
+            t, labels, om = turns(m, m / p.T, *at_grid)
             j = np.nonzero(labels[:-1] != labels[1:])[0]
             # a crossing needs a pair on the axis at the lower end and a phase
             # off that end's label at the upper end
@@ -767,56 +750,23 @@ def _param_crossings(p, inv, name, grid, tol, orders=None):
             f_lo, f_hi = t_lo - level, t_hi - level
             x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
             omega = om[k] + (x - lo) / (hi - lo) * (om[k + 1] - om[k])
-            # the halvings that bring the widest bracket and label change to ``tol``
-            caps = (max(math.floor(np.max(np.log2(d / tol), initial=-1.0)) + 1, 0)
-                    for d in (hi - lo, np.abs(grid[j + 1] - grid[j])))
-            parts.append((*(np.full(k.size, v) for v in (i, m, m / p.T, *caps)),
-                          k, want, t_lo, t_hi, on_axis[k + 1], x, omega))
-        owner, m, r, steps, halvings, k, want, t_lo, t_hi, on_hi, x, omega = map(np.concatenate, zip(*parts))
+            # the halvings that bring the widest label change to ``tol``
+            halvings = max(math.floor(np.max(np.log2(np.diff(grid)[j] / tol), initial=-1.0)) + 1, 0)
+            parts.append((*(np.full(k.size, v) for v in (i, m, m / p.T, halvings)),
+                          k, np.stack([want, labels[k + 1]], axis=-1), x, omega))
+        owner, m, r, halvings, k, end_labels, x, omega = map(np.concatenate, zip(*parts))
         lo, hi = grid[k], grid[k + 1]
         omega, root, res = _newton(omega, x, m, lambda x: (r, *gains(x), 0.0))
         settled = (res < NEWTON_TOL) & (lo < root) & (root < hi) & (omega > 0.0) & (omega < np.inf)
 
-        # the other brackets by regula falsi, in at most the steps bisection
-        # takes on the widest bracket of their order, which also ends a
-        # bracket that floats too coarse for ``tol`` cannot narrow
-        fb = ~settled
-        own, want, lo, hi, t_lo, t_hi, on_hi, steps, m_fb, r_fb = (
-            v[fb] for v in (owner, want, lo, hi, t_lo, t_hi, on_hi, steps, m, r))
-        # Illinois weights on the end values, the end the last step replaced
-        # (-1 lo, +1 hi) and the steps in a row that did not halve the bracket
-        w_lo, w_hi, moved, slow = np.ones(lo.shape), np.ones(lo.shape), np.zeros(lo.shape), 0
-        running = np.ones(len(ms), dtype=bool)
-        for n in range(steps.max(initial=0) + 1):
-            level = want + (np.floor(t_hi) > want)
-            f_lo, f_hi = t_lo - level, t_hi - level
-            # an order ends at its cap or once no bracket of it with a phase at
-            # its upper end is wide; a bracket without is bisected alongside
-            wide = hi - lo > tol
-            running &= np.bincount(own, wide & ~np.isnan(t_hi), len(ms)) > 0
-            wide &= running[own] & (n < steps)
-            if not wide.any():
-                break
-            x = hi - w_hi * f_hi * (hi - lo) / (w_hi * f_hi - w_lo * f_lo)
-            bisect = ~np.isfinite(x) | (slow >= 3)
-            x = np.where(bisect, 0.5 * (lo + hi), np.clip(x, lo + 0.5 * tol, hi - 0.5 * tol))
-            t_x, on_x, _ = turns(m_fb, r_fb, *gains(x))
-            # x replaces the lower end where it has that end's label, as in bisection
-            low = wide & on_x & (np.floor(t_x) == want)
-            high = wide & ~low
-            halved = bisect | (np.where(low, hi - x, x - lo) <= 0.5 * (hi - lo))
-            slow = np.where(halved, 0, slow + 1)
-            # an end that a second step in a row keeps has its weight halved
-            w_lo = np.where(low, 1.0, np.where(high & (moved > 0.0), 0.5 * w_lo, w_lo))
-            w_hi = np.where(high, 1.0, np.where(low & (moved < 0.0), 0.5 * w_hi, w_hi))
-            lo, t_lo = np.where(low, x, lo), np.where(low, t_x, t_lo)
-            hi, t_hi = np.where(high, x, hi), np.where(high, t_x, t_hi)
-            on_hi = np.where(high, on_x, on_hi)
-            moved = np.where(low, -1.0, 1.0)
-        # a bracket that ends where no pair sits on the axis is not a
-        # crossing; the root is the secant point of each final bracket
-        root[fb] = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        settled[fb] = on_hi
+        # the others: bisection as deep as the replay below, kept with a pair on the axis at hi
+        fb = np.nonzero(~settled)[0]
+        if fb.size:
+            label = lambda x, m, r: turns(m, r, *gains(x))[1]
+            tol_fb = (hi - lo)[fb, None] * 2.0 ** (0.5 - halvings[fb, None])
+            *_, lo, hi = _refine(label, np.stack([lo, hi], -1)[fb], end_labels[fb], tol_fb, m[fb], r[fb])
+            root[fb] = 0.5 * (lo + hi)
+            settled[fb] = ~np.isnan(axis(m[fb], r[fb], *gains(hi)[:3]))
 
         # bisect each crossing's grid interval again, against its root, in Python floats
         owner, k, root, halvings, m, r = (v[settled] for v in (owner, k, root, halvings, m, r))
@@ -842,8 +792,8 @@ def hopf_in_alpha(p, inv, m=None, alpha_range=(0.05, 2.0)):
     """Hopf crossings as the adjustment speed alpha varies at fixed T, g.
 
     :func:`_param_crossings` scans an ALPHA_GRID-point geometric alpha grid
-    on the imaginary axis, solves every bracket by Newton's method (regula
-    falsi where Newton does not settle) and reports the point that
+    on the imaginary axis, solves every bracket by Newton's method (label
+    bisection where Newton does not settle) and reports the point that
     bisection to 1e-12 lands on; the ``transversality`` of each point is
     Re dlambda/dalpha.  Raises NoHopf when there is no crossing.
     """

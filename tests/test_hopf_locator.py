@@ -815,16 +815,114 @@ class TestTableInOneSolve:
 
     def test_an_order_ends_its_regula_falsi_on_its_own(self, inv_dm, baseline, monkeypatch):
         # with no Newton root accepted, m = 2 has one bracket, whose upper end
-        # lies outside the admissible interval: on its own its regula falsi
-        # ends at once and drops it, and so it must beside m = 1, whose
-        # bracket below 0.0203263 runs on
+        # has no positive equilibrium: its bisection lands on the crossing
+        # just above 0.0203263, alone and beside m = 1, whose bracket below
+        # 0.0203263 is bisected with it
         monkeypatch.setattr(hopf_locator, "NEWTON_TOL", 0.0)
         grid = np.array([0.015, 0.0203263, 0.0295])
         both = hopf_locator._param_crossings(baseline, inv_dm, "g", grid, 1e-11, [1, 2])
         alone = [hopf_locator._param_crossings(baseline.replace(m=m), inv_dm, "g", grid, 1e-11)
                  for m in (1, 2)]
         assert [_bits(points) for points in both] == [_bits(points) for points in alone]
-        assert [len(points) for points in both] == [1, 0]
+        assert [len(points) for points in both] == [1, 1]
+
+
+def _assert_eigenvalues_cross(p, inv, h, tol):
+    """``h``, located to ``tol``, solves the characteristic equation to
+    1e4 tol, and the leading pair's real part changes sign across it in the
+    direction of its crossing."""
+    at = lambda x: p.replace(**{h.parameter: x})
+    assert characteristic_residual(at(h.value), inv, h.omega) <= 1e4 * tol, h
+    dn, up = (pair_max_real(at(h.value + s * abs(h.value)), inv)[0] for s in (-1e-6, 1e-6))
+    assert dn * up < 0.0 and (up > 0.0) == (h.crossing == "destabilizing"), (h, dn, up)
+
+
+class TestCrossingBesideThePositivityEdge:
+    """A bracket whose upper end has no positive equilibrium holds a
+    crossing when its bisection ends with a pair on the axis."""
+
+    def test_the_stabilizing_g_point_at_m2(self, inv_dm, baseline):
+        p = baseline.replace(m=2)
+        grid = np.array([0.015, 0.0203263, 0.0295])
+        [h] = hopf_locator._param_crossings(p, inv_dm, "g", grid, 1e-11)
+        assert h.crossing == "stabilizing"
+        assert hopf_in_g(p, inv_dm).g2_hopf == pytest.approx(0.0203267334953874, rel=0.0, abs=1e-15)
+        assert h.value == pytest.approx(0.0203267334953874, rel=0.0, abs=1e-11)
+        _assert_eigenvalues_cross(p, inv_dm, h, 1e-11)
+
+    def test_the_destabilizing_alpha_point_at_m9(self):
+        inv = InvestmentParams(a=8.284218621059068, c=0.022880425336343196,
+                               d=0.05007004612762565, v=6.739825353784279)
+        p = MacroParams(alpha=0.1295533116474492, gamma=0.2046091310033356,
+                        delta=0.019477978442258393, g=0.04009670087002219,
+                        G0=3.847492913535129, T=26.203090304139483, m=9)
+        [h] = hopf_locator._param_crossings(p, inv, "alpha", np.geomspace(0.05, 2.0, 7), 1e-12)
+        assert h.crossing == "destabilizing"
+        assert [x.value for x in hopf_in_alpha(p, inv)] == pytest.approx([0.17376268480427987],
+                                                                         rel=0.0, abs=1e-15)
+        assert h.value == pytest.approx(0.17376268480427987, rel=0.0, abs=1e-12)
+        _assert_eigenvalues_cross(p, inv, h, 1e-12)
+
+
+class TestCoarseGridCensus:
+    """On grids of 3 to 32 points, for kernel orders 1 to 12: every point
+    in g and alpha is a crossing of the leading pair, the orders solved
+    together give the points of each order alone, and a crossing that a
+    grid 8 times finer finds alone in a coarse interval is found there
+    too where the interval starts with a pair on the axis and ends with
+    one or without a positive equilibrium.  (An interval that ends off the
+    axis with a positive equilibrium can hide a crossing.)"""
+
+    @staticmethod
+    def _intervals(p, inv, name, grid):
+        """The grid intervals that start with a pair on the axis and end
+        with one or without a positive equilibrium, as (lo, hi) pairs."""
+        a, b, c, e = hopf_locator._loop_coefficients(
+            p, inv, *(np.broadcast_to(grid if key == name else getattr(p, key), grid.shape)
+                      for key in ("alpha", "g")))
+        on = (b * c) ** 2 > (a * e) ** 2
+        kept = on[:-1] & (on[1:] | np.isnan(e[1:]))
+        return list(zip(grid[:-1][kept], grid[1:][kept]))
+
+    @staticmethod
+    def _check_found(intervals, coarse, fine, tol):
+        for lo, hi in intervals:
+            want = [h for h in fine if lo < h.value < hi]
+            if len(want) == 1:
+                got = [h for h in coarse if lo < h.value < hi]
+                assert len(got) == 1, (lo, hi, want, got)
+                assert got[0].value == pytest.approx(want[0].value, rel=0.0, abs=10.0 * tol)
+                assert got[0].crossing == want[0].crossing
+
+    def test_seeded_draws(self):
+        rng = np.random.default_rng(5)
+        orders = list(range(1, 13))
+        points = 0
+        for draw in range(260):
+            inv, p, _ = random_model_draw(rng, t_hi=40.0)
+            n = int(rng.integers(3, 33))
+            gs, rows = hopf_locator._growth_hopf(p, inv, n, orders)
+            by_g = [found for found, _, _ in rows]
+            # two orders a draw, each order every sixth draw
+            alone = orders[2 * (draw % 6):2 * (draw % 6) + 2]
+            assert [_bits(by_g[m - 1]) for m in alone] == _one_by_one(p, inv, alone, n)[1], draw
+            alphas = np.geomspace(0.05, 2.0, n)
+            by_alpha = hopf_locator._param_crossings(p, inv, "alpha", alphas, 1e-12, orders)
+            _, fine_g = hopf_locator._growth_hopf(p, inv, 8 * n, orders)
+            fine_alpha = hopf_locator._param_crossings(
+                p, inv, "alpha", np.geomspace(0.05, 2.0, 8 * n), 1e-12, orders)
+            # the loop gains, and so the intervals, do not depend on m
+            in_g, in_alpha = (self._intervals(p, inv, name, x) for name, x in (("g", gs), ("alpha", alphas)))
+            for m, g_points, alpha_points, (fine, _, _), fine_a in zip(
+                    orders, by_g, by_alpha, fine_g, fine_alpha):
+                for h in g_points:
+                    _assert_eigenvalues_cross(p.replace(m=m), inv, h, 1e-11)
+                for h in alpha_points:
+                    _assert_eigenvalues_cross(p.replace(m=m), inv, h, 1e-12)
+                self._check_found(in_g, g_points, fine, 1e-11)
+                self._check_found(in_alpha, alpha_points, fine_a, 1e-12)
+                points += len(g_points) + len(alpha_points)
+        assert points >= 2000
 
 
 class TestNewtonFromGridBrackets:
@@ -902,10 +1000,11 @@ class TestNewtonFromGridBrackets:
                 assert h.residual <= (1e-12 if h.parameter == "T" else 1e-8)
 
     def test_refuses_a_critical_delay_off_the_equation(self, inv_dm, baseline, monkeypatch):
-        # with one polish step and no Newton start the first crossing at
-        # m = 8192 misses the equation by about 2e-4, and is refused
+        # with one Newton step from the secant point and one from the
+        # bisection midpoint the first crossing at m = 8192 misses the
+        # equation, and is refused
         monkeypatch.setattr(hopf_locator, "NEWTON_TOL", 0.0)
-        monkeypatch.setattr(hopf_locator, "POLISH_STEPS", 0)
+        monkeypatch.setattr(hopf_locator, "NEWTON_STEPS", 0)
         with pytest.raises(InaccurateRoot, match="T\\* = 1.02"):
             hopf_in_T(baseline.replace(alpha=0.7), inv_dm, m=8192)
 

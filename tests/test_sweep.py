@@ -418,9 +418,9 @@ class TestFirstCrossingScan:
                         delta=0.023011763759519167, g=0.01716349444756876,
                         G0=1.7891032911526168, T=0.5145770153485768, m=12)
         brackets = []
-        bisect = hopf_locator._bisect_in_T
-        monkeypatch.setattr(hopf_locator, "_bisect_in_T",
-                            lambda *args: brackets.append(len(args[4])) or bisect(*args))
+        refine = hopf_locator._refine
+        monkeypatch.setattr(hopf_locator, "_refine",
+                            lambda *args: brackets.append(len(args[4])) or refine(*args))
         assert self._check(p, inv, [p.alpha], [p.g]) == 1
         assert smallest_critical_delay(p, inv) == pytest.approx(29.821917385408238, rel=1e-13)
         assert brackets[-1] == 1
