@@ -11,11 +11,14 @@ bad flag, config value, unreadable config file or unwritable output path),
 3 numeric failure (including running out of memory).
 
 ``stability`` reports the Routh-Hurwitz verdict of char_poly for m = 1
-and m = 2 beside the equilibrium eigenvalues; ``stability --scan-g N``
-merges the segments of :func:`chaintrick.hopf_locator.hopf_in_g` on an
-N-point grid into stable and unstable regimes.  Both modes classify the
-roots from the counts of :func:`chaintrick.hopf_locator._real_roots` and
-:func:`chaintrick.hopf_locator._unstable_roots`, with no eigenvalues.
+and m = 2 beside the equilibrium eigenvalues, and refuses a delay at which
+those closed forms leave the float range with a numeric failure that
+names T; ``stability --scan-g N`` merges the segments of
+:func:`chaintrick.hopf_locator.hopf_in_g` on an N-point grid into stable
+and unstable regimes.  Both modes classify the roots from the counts of
+:func:`chaintrick.hopf_locator._real_roots` and
+:func:`chaintrick.hopf_locator._unstable_roots`, with no eigenvalues and
+no crossing located in T.
 
 Of the computing modules only ``model_core`` is imported at start-up;
 each command handler imports the modules it runs, so a command pays the
@@ -347,19 +350,31 @@ def _stability_point(inv, macro):
     from . import char_poly
 
     eq = equilibrium(macro, inv)
-    if macro.m == 1:
-        c = char_poly.coeffs_m1(eq, macro)
-        verdict = char_poly.routh_hurwitz_cubic(c)
-        out["coefficients"] = {
-            "a1": c.a1, "a2": c.a2, "a3": c.a3, "A": c.A, "B": c.B,
-        }
-    else:
-        c = char_poly.coeffs_m2(eq, macro)
-        verdict = char_poly.routh_hurwitz_quartic(c)
-        out["coefficients"] = {
-            "a1": c.a1, "a2": c.a2, "a3": c.a3, "a4": c.a4,
-            "M": c.M, "N": c.N, "P": c.P,
-        }
+    # the closed forms hold powers of 1/T, which leave the float range at
+    # extreme delays: as inf or NaN, or as Python's OverflowError or
+    # ZeroDivisionError
+    try:
+        if macro.m == 1:
+            c = char_poly.coeffs_m1(eq, macro)
+            verdict = char_poly.routh_hurwitz_cubic(c)
+            out["coefficients"] = {
+                "a1": c.a1, "a2": c.a2, "a3": c.a3, "A": c.A, "B": c.B,
+            }
+        else:
+            c = char_poly.coeffs_m2(eq, macro)
+            verdict = char_poly.routh_hurwitz_quartic(c)
+            out["coefficients"] = {
+                "a1": c.a1, "a2": c.a2, "a3": c.a3, "a4": c.a4,
+                "M": c.M, "N": c.N, "P": c.P,
+            }
+        numbers = [*out["coefficients"].values(), *(value for _, value, _ in verdict.conditions),
+                   *(value for value in verdict.notes.values() if value is not None)]
+        in_range = all(map(math.isfinite, numbers))
+    except (OverflowError, ZeroDivisionError):
+        in_range = False
+    if not in_range:
+        raise OverflowError(
+            f"the m = {macro.m} Routh-Hurwitz quantities leave the float range at T = {macro.T:g}")
     out["conditions"] = [
         {"name": name, "value": value, "satisfied": sat}
         for name, value, sat in verdict.conditions

@@ -11,8 +11,9 @@ sweeps do.  In g and alpha at fixed T the modulus gives omega at every
 grid point and the phase labels it; the gains do not depend on m, so the
 orders of a table share them and one solve of all their brackets.  Every
 route solves each bracket of its grid by Newton's method on the
-characteristic equation from the secant point of the phase, and keeps the
-root where it satisfies the equation inside the bracket.  :func:`_refine`
+characteristic equation, with the chain factor (1 + i s)^m taken from
+s = omega T / m, from the secant point of the phase, and keeps the root
+where it satisfies the equation inside the bracket.  :func:`_refine`
 bisects the other brackets by their labels: in T for BISECT_STEPS
 halvings, then Newton again from the midpoint; in g and alpha to the
 tolerance, and those two report the point on which bisecting the grid
@@ -23,8 +24,12 @@ m = 1 (a quadratic in T) and m = 2 (the quartic of
 :func:`chaintrick.char_poly.phi_quartic`) are kept as independent
 references; they alone use char_poly and import it when called.
 
-:func:`hopf_in_g` counts the roots for the growth-rate structure from the
-same equation; eigenvalues serve only :func:`equilibrium_eigenvalues`.
+:func:`hopf_in_g`'s growth-rate structure counts the roots from the same
+equation, at any delay and with no crossing located: the real roots from
+the sign changes of one real function (:func:`_real_roots`), and those in
+the right half-plane from the phase at the delay and as T -> 0
+(:func:`_unstable_roots`).  Eigenvalues serve only
+:func:`equilibrium_eigenvalues`.
 """
 
 import math
@@ -429,6 +434,34 @@ def _phase(omega, a, e, bc, m, s=None):
     return np.arctan2(omega, -a) + np.arctan2(omega, -e) + m * np.arctan(s) - np.arctan2(0.0, bc)
 
 
+def _axis_omega(m, r, a, e, bc):
+    """omega at r = m/T from the modulus condition; NaN where no pair sits
+    on the axis, or where omega is not finite and positive, as when
+    u = omega^2 underflows.
+
+    In u the modulus condition reads
+    F(u) = ln(u + a^2) + ln(u + e^2) + m ln(1 + u/r^2) - ln(bc^2) = 0 and
+    has one root where bc^2 > a^2 e^2 and none elsewhere.  F increases, is
+    convex in ln u and is >= 0 at omega_max^2, so Newton steps in ln u from
+    there fall monotonically onto the root; a point stops once its
+    residual is no longer positive."""
+    a2, e2, bc2 = a * a, e * e, bc * bc
+    a2, e2, bc2 = (np.where(bc2 > a2 * e2, v, np.nan) for v in (a2, e2, bc2))
+    w = np.log(2.0 * (bc2 - a2 * e2) / (a2 + e2 + np.sqrt((a2 - e2) ** 2 + 4.0 * bc2)))
+    log_bc2, r2 = np.log(bc2), r * r
+    for _ in range(60):
+        u = np.exp(w)
+        ua, ue = u + a2, u + e2
+        f = np.log(ua) + np.log(ue) + m * np.log1p(u / r2) - log_bc2
+        step = w - f / (u / ua + u / ue + m * u / (u + r2))
+        down = (f > 0.0) & (step < w)
+        if not down.any():
+            break
+        w = np.where(down, step, w)
+    omega = np.exp(0.5 * w)
+    return np.where((omega > 0.0) & (omega < np.inf), omega, np.nan)
+
+
 def _newton_step(omega, m, r, a, e, bc, da, de, dbc, dlnr):
     """One Newton step in the real unknowns (omega, x) on the characteristic
     equation f = Q(i omega)(1 + i omega/r)^m / bc - 1 = 0, where x is the
@@ -438,11 +471,11 @@ def _newton_step(omega, m, r, a, e, bc, da, de, dbc, dlnr):
     F_x = -[a'/(lambda - a) + e'/(lambda - e) + (bc)'/bc
     + m lambda (ln r)'/(lambda + r)].  Returns f, the step (d omega, d x)
     and the slope dlambda/dx = -F_x / F_lambda."""
-    lam = 1j * omega
+    lam, s = 1j * omega, omega / r
     la, le, lr = lam - a, lam - e, lam + r
-    q = lr / r
-    # numpy squares q by its own route for a scalar m = 2: an array of orders takes it too
-    f1 = la * le * (q ** m if np.ndim(m) == 0 else np.where(m == 2, q * q, q ** m)) / bc
+    # (1 + i s)^m from s itself: raising a rounded 1 + i s to the power m
+    # multiplies its rounding error by m
+    f1 = la * le * np.exp(m * (0.5 * np.log1p(s * s) + 1j * np.arctan(s))) / bc
     F_lam = 1.0 / la + 1.0 / le + m / lr
     slope = (da / la + de / le + dbc + m * lam * dlnr / lr) / F_lam
     # f_omega = i f_lambda, so i d_omega - slope d_x = -f / f_lambda = -rho,
@@ -472,7 +505,7 @@ def _crossing_speed(omega, m, r, a, e, bc, da, de, dbc, dlnr):
     return slope.real, np.abs(slope.real) <= TRANSVERSALITY_TOL * np.abs(slope), np.abs(f)
 
 
-def _axis_crossings(p, inv, alpha, g, first=False, below=math.inf):
+def _axis_crossings(p, inv, alpha, g, first=False):
     """Every critical delay of every cell (alpha[i], g[i]) at kernel order
     p.m, located on the imaginary axis in one batched computation.
 
@@ -507,8 +540,8 @@ def _axis_crossings(p, inv, alpha, g, first=False, below=math.inf):
 
     Returns (cell, T, omega, speed, residual), one entry per crossing,
     ordered by cell and then by T; with ``first`` only the smallest T of
-    each cell; crossings at T >= ``below`` are dropped, unchecked.  Cells
-    without a positive equilibrium or with |bc| <= |ae| have no entry.
+    each cell.  Cells without a positive equilibrium or with |bc| <= |ae|
+    have no entry.
     Raises InaccurateRoot when a returned crossing's relative residual
     exceeds RESIDUAL_TOL and DegenerateTransversality when a returned
     crossing has Re dlambda/dT ~ 0.
@@ -603,7 +636,6 @@ def _axis_crossings(p, inv, alpha, g, first=False, below=math.inf):
 
     cell, T, omega, a, e, bc = (np.concatenate(x) for x in zip(*found))
     order = np.lexsort((T, cell))
-    order = order[T[order] < below]
     cell, T, omega, a, e, bc = (x[order] for x in (cell, T, omega, a, e, bc))
     speed, flat, residual = _crossing_speed(omega, m, m / T, a, e, bc, 0.0, 0.0, 0.0, -1.0 / T)
     bad = ~(residual <= RESIDUAL_TOL)
@@ -659,14 +691,9 @@ def _param_crossings(p, inv, name, grid, tol, orders=None):
     ``orders`` one list per kernel order in it, all from one solve.  The
     gains a, e and bc do not depend on m, so every order shares them.
 
-    With r = m/T the modulus condition in u = omega^2,
-    F(u) = ln(u + a^2) + ln(u + e^2) + m ln(1 + u/r^2) - ln(bc^2) = 0,
-    has one root where bc^2 > a^2 e^2 and none elsewhere.  F increases,
-    is convex in ln u and is >= 0 at omega_max^2, so Newton steps in ln u
-    from there fall monotonically onto the root; a point stops once its
-    residual is no longer positive.  The point is labelled
-    floor(G / 2 pi) from the phase G at that omega (-inf without a root,
-    or where omega is not finite and positive, as when u underflows).
+    Every grid point takes omega from the modulus condition at r = m/T
+    (:func:`_axis_omega`) and is labelled floor(G / 2 pi) from the phase G
+    at that omega (-inf where that gives NaN).
 
     Neighbouring grid points whose labels differ bracket a crossing when the
     lower one has a pair on the axis and the upper one's phase is off its
@@ -707,29 +734,12 @@ def _param_crossings(p, inv, name, grid, tol, orders=None):
         diy = inv.a * inv.v * (1.0 - 2.0 * (g + p.delta - inv.c) / inv.d)
         return a, e, b * c, alpha * diy - 1.0, -1.0 + e / c * diy, diy * (b + alpha * e) / (b * c)
 
-    def axis(m, r, a, e, bc):
-        """omega from the modulus condition; NaN where no pair sits on the axis."""
-        a2, e2, bc2 = a * a, e * e, bc * bc
-        a2, e2, bc2 = (np.where(bc2 > a2 * e2, v, np.nan) for v in (a2, e2, bc2))
-        w = np.log(2.0 * (bc2 - a2 * e2) / (a2 + e2 + np.sqrt((a2 - e2) ** 2 + 4.0 * bc2)))
-        log_bc2 = np.log(bc2)
-        for _ in range(60):
-            u = np.exp(w)
-            f = np.log(u + a2) + np.log(u + e2) + m * np.log1p(u / (r * r)) - log_bc2
-            step = w - f / (u / (u + a2) + u / (u + e2) + m * u / (u + r * r))
-            down = (f > 0.0) & (step < w)
-            if not down.any():
-                break
-            w = np.where(down, step, w)
-        omega = np.exp(0.5 * w)
-        return np.where((omega > 0.0) & (omega < np.inf), omega, np.nan)
-
     def turns(m, r, a, e, bc, *_):
         """G / 2 pi from the gains a, e and bc, its label floor(G / 2 pi)
         and omega where a pair sits on the axis; elsewhere the label is
         -inf and omega is 0, where G has its limit as the pair leaves the
         axis (NaN without a positive equilibrium)."""
-        omega = axis(m, r, a, e, bc)
+        omega = _axis_omega(m, r, a, e, bc)
         on_axis = ~np.isnan(omega)
         omega = np.where(on_axis, omega, 0.0)
         t = _phase(omega, a, e, bc, m, omega / r) / (2.0 * math.pi)
@@ -766,7 +776,7 @@ def _param_crossings(p, inv, name, grid, tol, orders=None):
             tol_fb = (hi - lo)[fb, None] * 2.0 ** (0.5 - halvings[fb, None])
             *_, lo, hi = _refine(label, np.stack([lo, hi], -1)[fb], end_labels[fb], tol_fb, m[fb], r[fb])
             root[fb] = 0.5 * (lo + hi)
-            settled[fb] = ~np.isnan(axis(m[fb], r[fb], *gains(hi)[:3]))
+            settled[fb] = ~np.isnan(_axis_omega(m[fb], r[fb], *gains(hi)[:3]))
 
         # bisect each crossing's grid interval again, against its root, in Python floats
         owner, k, root, halvings, m, r = (v[settled] for v in (owner, k, root, halvings, m, r))
@@ -777,7 +787,7 @@ def _param_crossings(p, inv, name, grid, tol, orders=None):
                 lo, hi = (lo, mid) if at < mid else (mid, hi)
             x.append(0.5 * (lo + hi))
         a, e, bc, da, de, dbc = gains(x := np.array(x))
-        omega = axis(m, r, a, e, bc)
+        omega = _axis_omega(m, r, a, e, bc)
         speed, flat, residual = _crossing_speed(omega, m, r, a, e, bc, da, de, dbc, 0.0)
     found = np.isfinite(omega)
     owner, x, omega, speed, flat, residual = (v[found] for v in (owner, x, omega, speed, flat, residual))
@@ -825,16 +835,17 @@ def _growth_hopf(p, inv, n_grid, orders=None):
 # growth-rate interval structure
 
 
-def _real_roots(p, inv, g):
+def _real_roots(p, inv, g, gains=None):
     """The positivity mask of :func:`_loop_coefficients` at each growth
     rate of the array ``g`` (alpha, T and m of ``p``), and the numbers of
     negative and of positive real roots of h(lambda) = bc, where
     h = (lambda - a)(lambda - e)(1 + lambda/r)^m has its extrema at -r and
     the roots of (m + 2) lambda^2 + (2r - (m + 1)(a + e)) lambda
     + m ae - (a + e) r: each piece between these and 0 holds a root where
-    h - bc changes sign over it, read from log |h|."""
+    h - bc changes sign over it, read from log |h|.  ``gains`` are the
+    loop gains at ``g`` where they are already known."""
     m, r = p.m, p.m / p.T
-    a, b, c, e = _loop_coefficients(p, inv, np.full(g.shape, p.alpha), g)
+    a, b, c, e = _loop_coefficients(p, inv, np.full(g.shape, p.alpha), g) if gains is None else gains
     with np.errstate(all="ignore"):
         qb, qc = 2.0 * r - (m + 1.0) * (a + e), m * a * e - (a + e) * r
         q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * (m + 2.0) * qc), qb))
@@ -849,15 +860,30 @@ def _real_roots(p, inv, g):
     return ~np.isnan(e), n_neg, np.sum(roots, axis=0) - n_neg
 
 
-def _unstable_roots(p, inv, g):
+def _unstable_roots(p, inv, g, gains=None):
     """N, the number of roots in the right half-plane, at each growth rate
-    of the array ``g``: 2 [a + e > 0] as T -> 0 (where ae - bc > 0, and no
-    real root passes 0) plus 2 sign(Re dlambda/dT) for each crossing below
-    p.T.  A crossing above p.T is not checked, so it never refuses N."""
-    alpha = np.full(g.shape, p.alpha)
-    a, _, _, e = _loop_coefficients(p, inv, alpha, g)
-    cell, _, _, speed, _ = _axis_crossings(p, inv, alpha, g, below=p.T)
-    return 2 * (a + e > 0.0) + 2 * np.bincount(cell, np.sign(speed), g.size).astype(int)
+    of the array ``g``: 2 [a + e > 0] as T -> 0, where ae - bc > 0 and no
+    real root passes 0.  Where a pair can sit on the imaginary axis,
+    (bc)^2 > (ae)^2, N then changes by 2 at each crossing below p.T, where
+    the phase G passes a multiple of 2 pi, upwards at a destabilizing
+    crossing and downwards at a stabilizing one.  So N adds
+    2 (floor(G(omega_T) / 2 pi) - floor(G(omega_max) / 2 pi)), with omega_T
+    from the modulus condition at p.T (:func:`_axis_omega`, and its limit 0
+    where omega_T^2 underflows) and omega_max its value as T -> 0.
+    ``gains`` are the loop gains at ``g`` where they are already known."""
+    m, r = p.m, p.m / p.T
+    a, b, c, e = _loop_coefficients(p, inv, np.full(g.shape, p.alpha), g) if gains is None else gains
+    bc = b * c
+    with np.errstate(all="ignore"):
+        omega = _axis_omega(m, r, a, e, bc)
+        # NaN on the axis where omega_T^2 underflows: take its limit 0 there
+        under = np.isnan(omega)
+        omega, s = np.where(under, 0.0, omega), np.where(under, _chain_ratio(0.0, a, e, bc, m), omega / r)
+        a2, e2, bc2 = a * a, e * e, bc * bc
+        omega_max = np.sqrt(2.0 * (bc2 - a2 * e2) / (a2 + e2 + np.sqrt((a2 - e2) ** 2 + 4.0 * bc2)))
+        G = _phase(np.stack([omega, omega_max]), a, e, bc, m, np.stack([s, np.zeros_like(s)]))
+        turns = np.floor(G / (2.0 * math.pi))
+    return 2 * (a + e > 0.0) + 2 * np.where(bc2 > a2 * e2, turns[0] - turns[1], 0.0).astype(int)
 
 
 def hopf_in_g(p, inv, m=None, n_grid=G_GRID):
@@ -866,53 +892,19 @@ def hopf_in_g(p, inv, m=None, n_grid=G_GRID):
     The Hopf points (``transversality`` Re dlambda/dg), g1_hopf and
     g2_hopf come from :func:`_growth_hopf`.  Its ``n_grid`` points are
     labelled 0 without a positive equilibrium, 1 where all m + 2 roots are
-    real (:func:`_real_roots`), and 2 or 3 as N does not or does exceed the
-    positive real roots.  Where a pair can sit on the imaginary axis,
-    (bc)^2 > (ae)^2, N comes from :func:`_unstable_roots` at the first point
-    of each run; there ae - bc > 0, so it changes only at the Hopf points,
-    by 2 sign(transversality).  Each label change is bisected to 1e-11,
-    landing on a Hopf point bit for bit; they bound the ``segments``,
-    counted at their midpoints, and give g1 and g2.
+    real (:func:`_real_roots`), and 2 or 3 as N (:func:`_unstable_roots`)
+    does not or does exceed the positive real roots.  Each label change is
+    bisected to 1e-11, landing on a Hopf point bit for bit; they bound the
+    ``segments``, counted at their midpoints, and give g1 and g2.
     """
     if m is not None:
         p = p.replace(m=m)
     gs, hopf_points, g1_hopf, g2_hopf = _growth_hopf(p, inv, n_grid)
-    # N rises by passed[k] across the first k Hopf points
-    values = np.array([h.value for h in hopf_points])
-    passed = np.cumsum([0] + [2 * int(np.sign(h.transversality)) for h in hopf_points])
-
-    def axis(x):
-        """The positivity mask, whether a pair can sit on the imaginary axis
-        at some delay, and N where none can: its value as T -> 0."""
-        a, b, c, e = _loop_coefficients(p, inv, np.full(x.shape, p.alpha), x)
-        return ~np.isnan(e), (b * c) ** 2 > (a * e) ** 2, 2 * (a + e > 0.0)
-
-    # N is counted at the first grid point of each run on the axis and
-    # carried along it, run[k] being the run of grid point k; off the axis
-    # no pair crosses at any delay, and N keeps its value as T -> 0
-    ok, on, n_off = axis(gs)
-    starts = on & np.diff(on, prepend=False)
-    run, base = np.cumsum(starts) - 1, gs[starts]
-    offset = np.append(_unstable_roots(p, inv, base) - passed[np.searchsorted(values, base)], 0)
-    carried = lambda x, k: offset[run[k]] + passed[np.searchsorted(values, x)]
-    n_from = lambda k, x: np.where(on[k], carried(x, k), n_off[k])
-    # each interval carries N from an end on the axis; _param_crossings sees
-    # no crossing in an interval that starts off the axis and can drop one
-    # in an interval that ends off it, so where the ends disagree on N, or
-    # neither is on the axis, N is counted at each point on the axis inside
-    j = np.arange(gs.size - 1)
-    near = np.append(np.where(on[j], j, j + 1), j.size)
-    differ = ok[j] & ok[j + 1] & (n_from(j, gs[j + 1]) != n_from(j + 1, gs[j + 1]))
-    trust = np.append((on[j] | on[j + 1]) & ~differ, True)
 
     def counts(x):  # the mask, the real roots and the leading pair's sign (0 without)
-        ok, n_neg, n_pos = _real_roots(p, inv, x)
-        _, on_x, n = axis(x)
-        i = np.maximum(np.searchsorted(gs, x, side="right") - 1, 0)
-        n = np.where(on_x, carried(x, near[i]), n)
-        count = on_x & ~trust[i]
-        if count.any():
-            n[count] = _unstable_roots(p, inv, x[count])
+        gains = _loop_coefficients(p, inv, np.full(x.shape, p.alpha), x)
+        ok, n_neg, n_pos = _real_roots(p, inv, x, gains)
+        n = _unstable_roots(p, inv, x, gains)
         return ok, n_neg, n_pos, np.where(ok & (n_neg + n_pos < p.m + 2), np.where(n > n_pos, 1, -1), 0)
 
     def label(x):

@@ -167,6 +167,36 @@ class TestStabilityCmd:
         assert doc["stable"] is False
         assert max(re for re, _ in doc["eigenvalues"]) > 0.0
 
+    def test_a_pair_between_close_crossings_in_T(self, capsys):
+        # T = 38.4 lies between the critical delays 38.113489 and 38.715841,
+        # closer together than one interval of the omega grid, so that
+        # hopf --vary T finds neither of them
+        code, out, err = run_cli(
+            capsys, "stability", "--m", "2", "--T", "38.4", "--alpha", "2.0682142228223594",
+            "--gamma", "0.40909974419042383", "--delta", "0.02926925127739697",
+            "--g", "0.002101850387924124", "--G0", "1.5871337651802013", "--a", "11.161564963517655",
+            "--c", "0.025567859623014055", "--d", "0.030079552617508474", "--v", "7.283449862298589")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["classification"] == "pair with positive real part"
+        assert doc["stable"] is False
+        assert max(re for re, _ in doc["eigenvalues"]) > 0.0
+
+    @pytest.mark.parametrize("m, T", [("1", "1e-200"), ("1", "1e-120"), ("2", "1e200"), ("2", "1e-200")])
+    def test_a_delay_beyond_the_closed_forms_is_refused_by_name(self, capsys, m, T):
+        # powers of 1/T there overflow, or underflow to a zero divisor
+        code, out, err = run_cli(capsys, "stability", "--m", m, "--T", T)
+        assert (code, out) == (3, "")
+        assert err == (f"numeric failure: the m = {m} Routh-Hurwitz quantities leave the float range"
+                       f" at T = {float(T):g}\n")
+
+    def test_scan_at_a_huge_delay_counts_without_locating_crossings(self, capsys):
+        # the count locates no critical delay, and hopf --vary T refuses some
+        # of those below T = 1e12 here as off the equation
+        code, out, err = run_cli(capsys, "stability", "--scan-g", "200", "--m", "1000", "--T", "1e12")
+        assert code == 0, err
+        assert [r["stable"] for r in json.loads(out)["regimes"]] == [True, False, True]
+
 
 def _point_dict(h):
     return {"parameter": h.parameter, "value": h.value, "omega": h.omega, "crossing": h.crossing,
@@ -301,7 +331,7 @@ class TestHopfCmd:
 
     def test_vary_T_at_a_large_order_finds_the_first_crossing(self, capsys):
         # the crossing lies inside the first grid interval below omega_max;
-        # bisection with its polish reported 1.0256987 (residual 2e-4)
+        # an earlier bisection route reported 1.0256987 (residual 2e-4)
         code, out, _ = run_cli(capsys, "hopf", "--vary", "T", "--alpha", "0.7", "--m", "8192")
         assert code == 0
         first = json.loads(out)["hopf_points"][0]
@@ -317,6 +347,15 @@ class TestHopfCmd:
         else:
             assert code == 3 and out == ""
             assert err.startswith("numeric failure: relative residual") and err.count("\n") == 1
+
+    def test_vary_T_at_a_million_stages_settles_every_crossing(self, capsys):
+        # raising a rounded q = 1 + i omega/r to the power m multiplies its
+        # rounding by m, which gives a residual of 1.1e-10 at T* = 340.476
+        code, out, err = run_cli(capsys, "hopf", "--vary", "T", "--alpha", "0.7", "--m", "1000000")
+        assert code == 0, err
+        points = json.loads(out)["hopf_points"]
+        assert points[0]["value"] == pytest.approx(1.0220543445454333, rel=1e-12)
+        assert max(h["residual"] for h in points) <= 1e-12
 
     def test_vary_T_empty_window_is_domain_error(self, capsys):
         code, _, err = run_cli(

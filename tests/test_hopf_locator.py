@@ -477,6 +477,41 @@ class TestRootCounts:
                     q = p.replace(g=0.5 * (s.lo + s.hi))
                     assert (s.n_real_neg, s.n_real_pos, s.pair_real_sign) == _eigenvalue_counts(q, inv)
 
+    #: points inside the window between two critical delays closer together
+    #: than one interval of the omega grid (draws 154 and 2946 of a census,
+    #: windows 38.113489-38.715841 and 34.235297-34.296171), where the
+    #: eigenvalues hold an unstable pair: hopf_in_T finds neither crossing,
+    #: so the count must not rest on the crossings it locates
+    CLOSE_PAIRS = [
+        (InvestmentParams(a=11.161564963517655, c=0.025567859623014055, d=0.030079552617508474,
+                          v=7.283449862298589),
+         MacroParams(alpha=2.0682142228223594, gamma=0.40909974419042383, delta=0.02926925127739697,
+                     g=0.002101850387924124, G0=1.5871337651802013, T=38.4, m=2)),
+        (InvestmentParams(a=13.218216818487363, c=0.02000271891337682, d=0.07007894900669126,
+                          v=3.8577210074468766),
+         MacroParams(alpha=2.298236525665438, gamma=0.3809296976200732, delta=0.03834949908465696,
+                     g=-0.011540670273119523, G0=4.954614507047536, T=34.265, m=3)),
+    ]
+
+    def test_unstable_count_matches_eigenvalues_on_a_census(self):
+        # m up to 89 and T log-uniform on [0.001, 500], after the two close pairs
+        rng = np.random.default_rng(22)
+        cases = list(self.CLOSE_PAIRS)
+        for _ in range(300):
+            inv, p, _ = random_model_draw(rng, m=int(rng.integers(1, 90)))
+            cases.append((inv, p.replace(T=float(10.0 ** rng.uniform(-3.0, math.log10(500.0))))))
+        counted = []
+        for inv, p in cases:
+            eig = equilibrium_eigenvalues(p, inv)
+            # a spectrum this near the imaginary axis does not show its side
+            if np.min(np.abs(eig.real)) < 1e-9 * (1.0 + np.max(np.abs(eig))):
+                continue
+            n_rhp = int(np.sum(eig.real > 0.0))
+            assert int(hopf_locator._unstable_roots(p, inv, np.array([p.g]))[0]) == n_rhp, p
+            counted.append(n_rhp)
+        assert counted[:2] == [2, 2]
+        assert len(counted) >= 290 and {0, 2, 4} <= set(counted)
+
     def test_each_run_on_the_axis_counts_its_own_half_plane(self):
         rep = hopf_in_g(self.TWO_AXIS_RUNS[1], self.TWO_AXIS_RUNS[0])
         assert [s.stable for s in rep.segments] == [None, True, True, False, False, None, True, True]
@@ -745,7 +780,7 @@ class TestTableInOneSolve:
             want_rows, want_points = _one_by_one(p, inv, m_list)
             assert _row_bits(got) == _row_bits(want_rows), draw
             assert _batched_points(p, inv, m_list) == want_points, draw
-            # the regula falsi route: on a coarse grid Newton leaves brackets unsettled
+            # the bisection route: on a coarse grid Newton leaves brackets unsettled
             n = (3, 4, 5, 7)[draw % 4]
             coarse = _batched_points(p, inv, orders, n)
             assert coarse == _one_by_one(p, inv, orders, n)[1], draw
@@ -799,8 +834,8 @@ class TestTableInOneSolve:
             assert (g1, g2) == pytest.approx(TABLE_G[m], abs=2e-6)
 
     def test_a_newton_step_over_many_orders_is_that_of_each_order(self):
-        # numpy raises to the scalar power 2 by a route of its own, which the
-        # step has to take for the m = 2 entries of an array of orders too
+        # the entries of each order in an array of orders take the
+        # arithmetic of that order alone
         rng = np.random.default_rng(2)
         m = np.repeat(np.arange(1, 13), 2000)
         r = m / rng.uniform(0.2, 40.0, m.size)
@@ -813,7 +848,7 @@ class TestTableInOneSolve:
             for got, want in zip(batched, alone):
                 assert np.array_equal(got[at], want), order
 
-    def test_an_order_ends_its_regula_falsi_on_its_own(self, inv_dm, baseline, monkeypatch):
+    def test_an_order_ends_its_bisection_on_its_own(self, inv_dm, baseline, monkeypatch):
         # with no Newton root accepted, m = 2 has one bracket, whose upper end
         # has no positive equilibrium: its bisection lands on the crossing
         # just above 0.0203263, alone and beside m = 1, whose bracket below
@@ -928,8 +963,9 @@ class TestCoarseGridCensus:
 class TestNewtonFromGridBrackets:
     """Every Hopf point is the root that Newton's method reaches from the
     secant point of its grid bracket, where that root passes the residual
-    and bracket test, and the root of bisection (T) or of regula falsi (g
-    and alpha) otherwise."""
+    and bracket test, and otherwise the root that label bisection reaches:
+    Newton again from its midpoint (T), or the midpoint itself (g and
+    alpha)."""
 
     def test_every_critical_delay_solves_the_characteristic_equation(self):
         # 481 crossings, five of them at T in [1e4, 1e5], three through the
@@ -951,7 +987,8 @@ class TestNewtonFromGridBrackets:
 
     def test_a_cell_newton_does_not_settle_takes_the_bisection_route(self, monkeypatch):
         # draw 730 above: Newton from the secant point of one bracket fails
-        # the acceptance test, and bisection with the polish finds the root
+        # the acceptance test, and bisection, then Newton from its midpoint,
+        # finds the root
         inv = InvestmentParams(a=12.872673088718981, c=0.021369158765164868,
                                d=0.07640355547789085, v=3.2728254540027493)
         p = MacroParams(alpha=0.11017309628440969, gamma=0.45035772212228664,
@@ -966,15 +1003,15 @@ class TestNewtonFromGridBrackets:
         for h in points:
             assert characteristic_residual(p.replace(T=h.value), inv, h.omega) <= 1e-12
 
-    def test_a_coarse_g_grid_takes_the_regula_falsi_route(self, inv_dm, baseline, monkeypatch):
+    def test_a_coarse_g_grid_takes_the_bisection_route(self, inv_dm, baseline, monkeypatch):
         calls = _count_phase_calls(monkeypatch)
         _, points, _, _ = hopf_locator._growth_hopf(baseline, inv_dm, 3)
-        assert calls[0] > 1  # the grid pass, then regula falsi
+        assert calls[0] > 1  # the grid pass, then bisection
         assert [h.value for h in points] == [0.010119897982338439, 0.02032585520320571]
         assert [h.crossing for h in points] == ["destabilizing", "stabilizing"]
 
     def test_newton_takes_few_phase_evaluations(self, inv_dm, baseline, monkeypatch):
-        # 13, 24 and 6 with bisection in T and regula falsi in g and alpha
+        # the routes before Newton from the secant point took 13, 24 and 6
         p = baseline.replace(alpha=0.58, g=0.015)
         calls = _count_phase_calls(monkeypatch)
         critical_delays(p, inv_dm, m=3)
