@@ -13,7 +13,7 @@ import numpy as np
 
 from ._core._dopri import make_chain_rhs
 from .errors import CapitalNonPositive, DelayNonPositive, KernelOrderInvalid
-from .model_core import Record, _set, equilibrium, phi, phi_prime
+from .model_core import Record, equilibrium, phi, phi_prime
 
 
 class ChainSystem(Record):
@@ -22,8 +22,7 @@ class ChainSystem(Record):
     InvestmentParams), as assembled by :func:`build`."""
 
     def __init__(self, params, inv):
-        _set(self, "params", params)
-        _set(self, "inv", inv)
+        self._keep(locals())
 
     @property
     def m(self):

@@ -21,7 +21,7 @@ equilibrium's eigenvalues come from
 import numpy as np
 
 from .errors import DelayNonPositive
-from .model_core import Record, _set
+from .model_core import Record
 
 #: Routh-Hurwitz expressions closer to zero than this are reported marginal.
 MARGINAL_TOL = 1e-8
@@ -35,27 +35,14 @@ class CharCoeffsM1(Record):
     """
 
     def __init__(self, a1, a2, a3, A, B, alpha_ik_iy, T):
-        _set(self, "a1", a1)
-        _set(self, "a2", a2)
-        _set(self, "a3", a3)
-        _set(self, "A", A)
-        _set(self, "B", B)
-        _set(self, "alpha_ik_iy", alpha_ik_iy)
-        _set(self, "T", T)
+        self._keep(locals())
 
 
 class CharCoeffsM2(Record):
     """Quartic coefficients a1..a4 at delay T plus the composites M, N, P."""
 
     def __init__(self, a1, a2, a3, a4, M, N, P, T):
-        _set(self, "a1", a1)
-        _set(self, "a2", a2)
-        _set(self, "a3", a3)
-        _set(self, "a4", a4)
-        _set(self, "M", M)
-        _set(self, "N", N)
-        _set(self, "P", P)
-        _set(self, "T", T)
+        self._keep(locals())
 
 
 class StabilityVerdict(Record):
@@ -69,10 +56,7 @@ class StabilityVerdict(Record):
     """
 
     def __init__(self, stable, marginal, conditions, notes):
-        _set(self, "stable", stable)
-        _set(self, "marginal", marginal)
-        _set(self, "conditions", conditions)
-        _set(self, "notes", notes)
+        self._keep(locals())
 
 
 def coeffs_m1(eq, p):

@@ -343,6 +343,10 @@ def _stability_point(inv, macro):
         out["coefficients"] = {
             f"a{i}": float(coeffs[i]) for i in range(1, len(coeffs))
         }
+        # the coefficients grow as powers of m/T and overflow at extreme delays
+        if not np.all(np.isfinite(coeffs)):
+            raise OverflowError(
+                f"the m = {macro.m} characteristic coefficients leave the float range at T = {macro.T:g}")
         out["conditions"] = []
         out["stable"] = bool(np.all(eig.real < 0.0))
         out["marginal"] = bool(np.any(np.abs(eig.real) < 1e-8))

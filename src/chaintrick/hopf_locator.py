@@ -39,9 +39,7 @@ import numpy as np
 from .errors import (
     DegenerateTransversality, DelayNonPositive, InaccurateRoot, NoHopf, NoStableRegime,
 )
-from .model_core import (
-    Record, _set, equilibrium, growth_interval, investment_derivs, solve_x_star,
-)
+from .model_core import Record, equilibrium, growth_interval, investment_derivs, solve_x_star
 
 #: eigenvalues with |Im| below this (times 1 + |lambda|) count as real
 IMAG_TOL = 1e-9
@@ -94,12 +92,9 @@ class HopfPoint(Record):
     """
 
     def __init__(self, parameter, value, omega, crossing, transversality, residual):
-        _set(self, "parameter", parameter)
-        _set(self, "value", float(value))
-        _set(self, "omega", float(omega))
-        _set(self, "crossing", crossing)
-        _set(self, "transversality", float(transversality))
-        _set(self, "residual", float(residual))
+        value, omega = float(value), float(omega)
+        transversality, residual = float(transversality), float(residual)
+        self._keep(locals())
 
 
 def _as_points(name, values, omega, speed, residual):
@@ -123,13 +118,7 @@ class GSegment(Record):
 
     def __init__(self, lo, hi, physical, n_real_neg=0, n_real_pos=0, pair_real_sign=0,
                  has_pair=False):
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
-        _set(self, "physical", physical)
-        _set(self, "n_real_neg", n_real_neg)
-        _set(self, "n_real_pos", n_real_pos)
-        _set(self, "pair_real_sign", pair_real_sign)
-        _set(self, "has_pair", has_pair)
+        self._keep(locals())
 
     @property
     def stable(self):
@@ -153,14 +142,7 @@ class GIntervalReport(Record):
     """
 
     def __init__(self, g_min, g_max, g1, g1_hopf, g2_hopf, g2, segments, hopf_points):
-        _set(self, "g_min", g_min)
-        _set(self, "g_max", g_max)
-        _set(self, "g1", g1)
-        _set(self, "g1_hopf", g1_hopf)
-        _set(self, "g2_hopf", g2_hopf)
-        _set(self, "g2", g2)
-        _set(self, "segments", segments)
-        _set(self, "hopf_points", hopf_points)
+        self._keep(locals())
 
     @property
     def boundaries(self):
@@ -434,6 +416,15 @@ def _phase(omega, a, e, bc, m, s=None):
     return np.arctan2(omega, -a) + np.arctan2(omega, -e) + m * np.arctan(s) - np.arctan2(0.0, bc)
 
 
+def _omega_max_sq(a, e, bc):
+    """omega_max^2, where |Q(i omega)| = |bc| and T -> 0: the positive root
+    u of (u + a^2)(u + e^2) = bc^2.  NaN where no pair can sit on the
+    imaginary axis, bc^2 <= a^2 e^2."""
+    excess = bc * bc - a * a * e * e
+    excess = np.where(excess > 0.0, excess, np.nan)
+    return 2.0 * excess / (a * a + e * e + np.sqrt((a * a - e * e) ** 2 + 4.0 * bc * bc))
+
+
 def _axis_omega(m, r, a, e, bc):
     """omega at r = m/T from the modulus condition; NaN where no pair sits
     on the axis, or where omega is not finite and positive, as when
@@ -445,10 +436,8 @@ def _axis_omega(m, r, a, e, bc):
     convex in ln u and is >= 0 at omega_max^2, so Newton steps in ln u from
     there fall monotonically onto the root; a point stops once its
     residual is no longer positive."""
-    a2, e2, bc2 = a * a, e * e, bc * bc
-    a2, e2, bc2 = (np.where(bc2 > a2 * e2, v, np.nan) for v in (a2, e2, bc2))
-    w = np.log(2.0 * (bc2 - a2 * e2) / (a2 + e2 + np.sqrt((a2 - e2) ** 2 + 4.0 * bc2)))
-    log_bc2, r2 = np.log(bc2), r * r
+    w = np.log(_omega_max_sq(a, e, bc))
+    a2, e2, log_bc2, r2 = a * a, e * e, np.log(bc * bc), r * r
     for _ in range(60):
         u = np.exp(w)
         ua, ue = u + a2, u + e2
@@ -550,12 +539,9 @@ def _axis_crossings(p, inv, alpha, g, first=False):
     alpha, g = np.asarray(alpha, dtype=float), np.asarray(g, dtype=float)
     a, b, c, e = _loop_coefficients(p, inv, alpha, g)
     bc = b * c
-    # omega_max^2 solves (x + a^2)(x + e^2) = bc^2, a quadratic in x
-    excess = bc * bc - a * a * e * e
-    cell = np.nonzero(excess > 0.0)[0]
-    a, e, bc, excess = a[cell], e[cell], bc[cell], excess[cell]
-    root = np.sqrt((a * a - e * e) ** 2 + 4.0 * bc * bc)
-    omega_max = np.sqrt(2.0 * excess / (a * a + e * e + root))
+    u_max = _omega_max_sq(a, e, bc)
+    cell = np.nonzero(~np.isnan(u_max))[0]
+    a, e, bc, omega_max = a[cell], e[cell], bc[cell], np.sqrt(u_max[cell])
     # arg(i omega - a) has no limit at omega = 0 when ae = 0: no bracket there
     no_limit = a * e == 0.0
 
@@ -879,11 +865,10 @@ def _unstable_roots(p, inv, g, gains=None):
         # NaN on the axis where omega_T^2 underflows: take its limit 0 there
         under = np.isnan(omega)
         omega, s = np.where(under, 0.0, omega), np.where(under, _chain_ratio(0.0, a, e, bc, m), omega / r)
-        a2, e2, bc2 = a * a, e * e, bc * bc
-        omega_max = np.sqrt(2.0 * (bc2 - a2 * e2) / (a2 + e2 + np.sqrt((a2 - e2) ** 2 + 4.0 * bc2)))
+        omega_max = np.sqrt(_omega_max_sq(a, e, bc))
         G = _phase(np.stack([omega, omega_max]), a, e, bc, m, np.stack([s, np.zeros_like(s)]))
         turns = np.floor(G / (2.0 * math.pi))
-    return 2 * (a + e > 0.0) + 2 * np.where(bc2 > a2 * e2, turns[0] - turns[1], 0.0).astype(int)
+    return 2 * (a + e > 0.0) + 2 * np.where(np.isnan(omega_max), 0.0, turns[0] - turns[1]).astype(int)
 
 
 def hopf_in_g(p, inv, m=None, n_grid=G_GRID):

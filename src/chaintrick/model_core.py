@@ -8,9 +8,10 @@ polynomials, Hopf location) is driven by the equilibrium ratio x* and the
 two linearization constants Iy_star, Ik_star computed here.
 
 This module also holds :class:`Record`, the base of the package's result
-and parameter records.  Every command imports this module, and a record
-class generates and compiles no code when it is defined, so the records
-add no more to a command's start-up than any other class.
+and parameter records.  Each record's constructor stores its arguments with
+one :meth:`Record._keep` call.  Every command imports this module, and a
+record class generates and compiles no code when it is defined, so the
+records add no more to a command's start-up than any other class.
 """
 
 import math
@@ -19,18 +20,21 @@ import numpy as np
 
 from .errors import GrowthOutOfRange, NonPositiveEquilibrium
 
-#: stores a field on a record, past the refusal of ``Record.__setattr__``
+#: stores a field on a record, past the refusal of ``Record.__setattr__``;
+#: unlike a write to ``__dict__`` it keeps the instance's attribute
+#: storage on CPython's fast path, which the numeric code reads often
 _set = object.__setattr__
 
 
 class Record:
     """Immutable record whose fields are the parameters of its ``__init__``.
 
-    A subclass writes its constructor with an explicit signature and stores
-    each field with ``_set``.  The base adds what a frozen dataclass has:
-    ``==`` between records of the same class, a hash of the field values,
-    the ``Name(field=value, ...)`` repr, an ``AttributeError`` on assigning
-    or deleting an attribute, and :meth:`as_dict`.  Copies and pickles
+    A subclass writes its constructor with an explicit signature and ends
+    it with ``self._keep(locals())``, which stores every argument as its
+    field.  The base adds what a frozen dataclass has: ``==`` between
+    records of the same class, a hash of the field values, the
+    ``Name(field=value, ...)`` repr, an ``AttributeError`` on assigning or
+    deleting an attribute, and :meth:`as_dict`.  Copies and pickles
     restore the instance dict as for any class.
     """
 
@@ -38,6 +42,17 @@ class Record:
         super().__init_subclass__(**kwargs)
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _keep(self, scope):
+        """Store ``scope[name]`` as the field ``name``, for every field.
+
+        ``scope`` is the constructor's ``locals()``, so a constructor that
+        converts or checks an argument rebinds the parameter before the
+        call (``value = float(value)``), and the field holds what it was
+        rebound to.
+        """
+        for name in self._fields:
+            _set(self, name, scope[name])
 
     def _values(self):
         return tuple([getattr(self, name) for name in self._fields])
@@ -86,10 +101,7 @@ class InvestmentParams(Record):
         for name, value in (("a", a), ("c", c), ("d", d), ("v", v)):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"InvestmentParams.{name} must be finite and > 0")
-        _set(self, "a", a)
-        _set(self, "c", c)
-        _set(self, "d", d)
-        _set(self, "v", v)
+        self._keep(locals())
 
 
 #: Dana-Malgrange estimates for the French economy, used as the CLI default.
@@ -123,13 +135,8 @@ class MacroParams(Record):
                 raise ValueError(f"MacroParams.{name} must be finite and > 0")
         if not 0.0 <= T < math.inf:
             raise ValueError(f"MacroParams.T must be finite and >= 0, got {T!r}")
-        _set(self, "alpha", alpha)
-        _set(self, "gamma", gamma)
-        _set(self, "delta", delta)
-        _set(self, "g", g)
-        _set(self, "G0", G0)
-        _set(self, "T", T)
-        _set(self, "m", _kernel_order(m))
+        m = _kernel_order(m)
+        self._keep(locals())
 
     def replace(self, **changes):
         """A copy with ``changes`` applied, checked as a new record."""
@@ -147,11 +154,9 @@ class Equilibrium(Record):
     """
 
     def __init__(self, x_star, y_star, k_star, Iy_star, Ik_star):
-        _set(self, "x_star", float(x_star))
-        _set(self, "y_star", float(y_star))
-        _set(self, "k_star", float(k_star))
-        _set(self, "Iy_star", float(Iy_star))
-        _set(self, "Ik_star", float(Ik_star))
+        x_star, y_star, k_star = float(x_star), float(y_star), float(k_star)
+        Iy_star, Ik_star = float(Iy_star), float(Ik_star)
+        self._keep(locals())
 
 
 def _logistic(z):

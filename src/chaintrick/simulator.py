@@ -20,7 +20,7 @@ from ._core import (
 )
 from .errors import CapitalNonPositive, InsufficientOscillations, StepFailure
 from .export import _write_lines
-from .model_core import Record, _set, equilibrium
+from .model_core import Record, equilibrium
 
 #: maximum |state component| before integration halts with diverged status
 DIVERGENCE_LIMIT = 1e9
@@ -50,14 +50,7 @@ class Trajectory(Record):
 
     def __init__(self, times, states, params, inv, diverged=False, rhs_evaluations=0,
                  accepted_steps=0, rejected_steps=0):
-        _set(self, "times", times)
-        _set(self, "states", states)
-        _set(self, "params", params)
-        _set(self, "inv", inv)
-        _set(self, "diverged", diverged)
-        _set(self, "rhs_evaluations", rhs_evaluations)
-        _set(self, "accepted_steps", accepted_steps)
-        _set(self, "rejected_steps", rejected_steps)
+        self._keep(locals())
 
     @property
     def y(self):
@@ -88,10 +81,7 @@ class CycleMetrics(Record):
     """
 
     def __init__(self, kind, period=None, amplitude=None, decay_rate=None):
-        _set(self, "kind", kind)
-        _set(self, "period", period)
-        _set(self, "amplitude", amplitude)
-        _set(self, "decay_rate", decay_rate)
+        self._keep(locals())
 
 
 def integrate(

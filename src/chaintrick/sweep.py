@@ -21,7 +21,7 @@ import numpy as np
 
 from .export import _write_lines, _write_sidecar, sidecar_path
 from .hopf_locator import G_GRID, _axis_crossings, _growth_hopf
-from .model_core import Record, _set
+from .model_core import Record
 
 
 class FitResult(Record):
@@ -31,11 +31,7 @@ class FitResult(Record):
 
     def __init__(self, model, coefficients, residual_norm, relative_residual,
                  threshold_alpha=None):
-        _set(self, "model", model)
-        _set(self, "coefficients", coefficients)
-        _set(self, "residual_norm", residual_norm)
-        _set(self, "relative_residual", relative_residual)
-        _set(self, "threshold_alpha", threshold_alpha)
+        self._keep(locals())
 
 
 class BifurcationCurve(Record):
@@ -48,12 +44,7 @@ class BifurcationCurve(Record):
     """
 
     def __init__(self, parameter, values, t_bi, m, fixed, fit):
-        _set(self, "parameter", parameter)
-        _set(self, "values", values)
-        _set(self, "t_bi", t_bi)
-        _set(self, "m", m)
-        _set(self, "fixed", fixed)
-        _set(self, "fit", fit)
+        self._keep(locals())
 
 
 class SurfaceResult(Record):
@@ -64,11 +55,7 @@ class SurfaceResult(Record):
     """
 
     def __init__(self, alphas, gs, t_bi, m, fixed):
-        _set(self, "alphas", alphas)
-        _set(self, "gs", gs)
-        _set(self, "t_bi", t_bi)
-        _set(self, "m", m)
-        _set(self, "fixed", fixed)
+        self._keep(locals())
 
 
 def _smallest_delays(p, inv, m, alphas, gs):

@@ -190,6 +190,14 @@ class TestStabilityCmd:
         assert err == (f"numeric failure: the m = {m} Routh-Hurwitz quantities leave the float range"
                        f" at T = {float(T):g}\n")
 
+    @pytest.mark.parametrize("m", ["3", "6"])
+    def test_coefficients_beyond_the_float_range_are_refused_by_name(self, capsys, m):
+        # the coefficients from the eigenvalues grow as powers of m/T
+        code, out, err = run_cli(capsys, "stability", "--json", "--m", m, "--T", "1e-200")
+        assert (code, out) == (3, "")
+        assert err == (f"numeric failure: the m = {m} characteristic coefficients leave the float"
+                       f" range at T = 1e-200\n")
+
     def test_scan_at_a_huge_delay_counts_without_locating_crossings(self, capsys):
         # the count locates no critical delay, and hopf --vary T refuses some
         # of those below T = 1e12 here as off the equation
