@@ -10,15 +10,20 @@ pass the same check.  Exit codes: 0 success, 2 domain error (including a
 bad flag, config value, unreadable config file or unwritable output path),
 3 numeric failure (including running out of memory).
 
-``stability`` reports the Routh-Hurwitz verdict of char_poly for m = 1
-and m = 2 beside the equilibrium eigenvalues, and refuses a delay at which
-those closed forms leave the float range with a numeric failure that
-names T; ``stability --scan-g N`` merges the segments of
+``stability`` answers for every m from one route, the root counts of
+:func:`chaintrick.hopf_locator._root_signature`, with no eigenvalues and
+no crossing located in T: the classification in words, ``stable`` where
+no root lies in the right half-plane, and ``marginal`` where that count
+differs within a relative MARGINAL_RTOL on either side of T, at a
+crossing.  It prints the coefficients of the characteristic equation
+(for m = 1 and m = 2 the Routh-Hurwitz coefficients, conditions and notes
+of char_poly; above, the expansion of
+(lambda - a)(lambda - e)(lambda + m/T)^m - bc (m/T)^m) and the equilibrium
+eigenvalues, and refuses a delay at which those coefficients leave the
+float range, by overflow or underflow, with a numeric failure that names
+T.  ``stability --scan-g N`` merges the segments of
 :func:`chaintrick.hopf_locator.hopf_in_g` on an N-point grid into stable
-and unstable regimes.  Both modes classify the roots from the counts of
-:func:`chaintrick.hopf_locator._real_roots` and
-:func:`chaintrick.hopf_locator._unstable_roots`, with no eigenvalues and
-no crossing located in T.
+and unstable regimes, classified from the same counts.
 
 Of the computing modules only ``model_core`` is imported at start-up;
 each command handler imports the modules it runs, so a command pays the
@@ -296,27 +301,24 @@ def _emit(result, args):
 
 
 def _classifications(inv, macro, gs):
-    """The roots at each growth rate of ``gs`` in words: the numbers of
+    """The roots at each growth rate of ``gs`` in words, from
+    :func:`chaintrick.hopf_locator._root_signature`: the numbers of
     negative and of positive real roots, and the sign of the leading
-    complex pair's real part, which is positive where more roots lie in the
-    right half-plane than positive real ones."""
-    from .hopf_locator import _real_roots, _unstable_roots
+    complex pair's real part."""
+    from .hopf_locator import _root_signature
 
-    gs = np.asarray(gs, dtype=float)
-    _, n_negs, n_poss = _real_roots(macro, inv, gs)
-    n_rhps = _unstable_roots(macro, inv, gs)
+    _, n_negs, n_poss, pairs = _root_signature(macro, inv, np.asarray(gs, dtype=float))
     out = []
-    for n_neg, n_pos, n_rhp in zip(n_negs.tolist(), n_poss.tolist(), n_rhps.tolist()):
+    for n_neg, n_pos, pair in zip(n_negs.tolist(), n_poss.tolist(), pairs.tolist()):
         parts = [f"{n} {sign}" for n, sign in ((n_neg, "negative"), (n_pos, "positive")) if n]
         if n_neg + n_pos < macro.m + 2:
-            parts.append(f"pair with {'positive' if n_rhp > n_pos else 'negative'} real part")
+            parts.append(f"pair with {'positive' if pair > 0 else 'negative'} real part")
         out.append(", ".join(parts))
     return out
 
 
 def _eig_list(eig):
-    order = np.lexsort((eig.imag, eig.real))
-    return [[float(e.real), float(e.imag)] for e in eig[order]]
+    return sorted([float(e.real), float(e.imag)] for e in eig)
 
 
 # ---------------------------------------------------------------------------
@@ -330,67 +332,63 @@ def _cmd_equilibrium(config, args):
 
 
 def _stability_point(inv, macro):
+    from .hopf_locator import MARGINAL_RTOL, _loop_coefficients, _root_signature, _unstable_roots
     from .hopf_locator import equilibrium_eigenvalues
 
+    # the (m+2)-square eigenvalue solve runs first, so that a kernel order
+    # too large for it is refused as out of memory; its roots are printed only
     eig = equilibrium_eigenvalues(macro, inv)
+    g = np.array([macro.g])
     out = {
         "m": macro.m,
         "eigenvalues": _eig_list(eig),
-        "classification": _classifications(inv, macro, [macro.g])[0],
+        "classification": _classifications(inv, macro, g)[0],
+        "conditions": [],
     }
-    if macro.m > 2:
-        coeffs = np.poly(eig).real
-        out["coefficients"] = {
-            f"a{i}": float(coeffs[i]) for i in range(1, len(coeffs))
-        }
-        # the coefficients grow as powers of m/T and overflow at extreme delays
-        if not np.all(np.isfinite(coeffs)):
-            raise OverflowError(
-                f"the m = {macro.m} characteristic coefficients leave the float range at T = {macro.T:g}")
-        out["conditions"] = []
-        out["stable"] = bool(np.all(eig.real < 0.0))
-        out["marginal"] = bool(np.any(np.abs(eig.real) < 1e-8))
-        return out
-    from . import char_poly
-
-    eq = equilibrium(macro, inv)
-    # the closed forms hold powers of 1/T, which leave the float range at
-    # extreme delays: as inf or NaN, or as Python's OverflowError or
-    # ZeroDivisionError
+    # the coefficients hold powers of m/T, which leave the float range at
+    # extreme delays: as inf or NaN, as a zero or subnormal that underflowed,
+    # or as Python's OverflowError or ZeroDivisionError
+    what = "characteristic coefficients" if macro.m > 2 else "Routh-Hurwitz quantities"
     try:
-        if macro.m == 1:
-            c = char_poly.coeffs_m1(eq, macro)
-            verdict = char_poly.routh_hurwitz_cubic(c)
-            out["coefficients"] = {
-                "a1": c.a1, "a2": c.a2, "a3": c.a3, "A": c.A, "B": c.B,
-            }
+        if macro.m > 2:
+            # (lambda - a)(lambda - e)(lambda + r)^m - bc r^m, with no
+            # coefficient zero unless ae = bc
+            a, b, c, e = (float(x[0]) for x in _loop_coefficients(macro, inv, np.full(1, macro.alpha), g))
+            r = macro.m / macro.T
+            coeffs = np.poly([a, e] + [-r] * macro.m)
+            coeffs[-1] -= b * c * r**macro.m
+            out["coefficients"] = {f"a{i}": float(x) for i, x in enumerate(coeffs[1:], 1)}
+            in_range = all(np.finfo(float).tiny <= abs(x) < math.inf for x in coeffs)
         else:
-            c = char_poly.coeffs_m2(eq, macro)
-            verdict = char_poly.routh_hurwitz_quartic(c)
-            out["coefficients"] = {
-                "a1": c.a1, "a2": c.a2, "a3": c.a3, "a4": c.a4,
-                "M": c.M, "N": c.N, "P": c.P,
-            }
-        numbers = [*out["coefficients"].values(), *(value for _, value, _ in verdict.conditions),
-                   *(value for value in verdict.notes.values() if value is not None)]
-        in_range = all(map(math.isfinite, numbers))
+            from . import char_poly
+
+            cubic = macro.m == 1
+            c = (char_poly.coeffs_m1 if cubic else char_poly.coeffs_m2)(equilibrium(macro, inv), macro)
+            verdict = (char_poly.routh_hurwitz_cubic if cubic else char_poly.routh_hurwitz_quartic)(c)
+            out["coefficients"] = {k: v for k, v in c.as_dict().items() if k not in ("alpha_ik_iy", "T")}
+            out["conditions"] = [{"name": name, "value": value, "satisfied": sat}
+                                 for name, value, sat in verdict.conditions]
+            out["notes"] = dict(verdict.notes)
+            numbers = [*out["coefficients"].values(), *(value for _, value, _ in verdict.conditions),
+                       *(value for value in verdict.notes.values() if value is not None)]
+            in_range = all(map(math.isfinite, numbers))
     except (OverflowError, ZeroDivisionError):
         in_range = False
     if not in_range:
-        raise OverflowError(
-            f"the m = {macro.m} Routh-Hurwitz quantities leave the float range at T = {macro.T:g}")
-    out["conditions"] = [
-        {"name": name, "value": value, "satisfied": sat}
-        for name, value, sat in verdict.conditions
-    ]
-    out["stable"] = verdict.stable
-    out["marginal"] = verdict.marginal
-    out["notes"] = dict(verdict.notes)
+        raise OverflowError(f"the m = {macro.m} {what} leave the float range at T = {macro.T:g}")
+    # stable where no root lies in the right half-plane, and marginal where
+    # that count changes within MARGINAL_RTOL of T (capped at the largest
+    # float): at a crossing
+    _, _, n_pos, pair = (int(v[0]) for v in _root_signature(macro, inv, g))
+    out["stable"] = n_pos == 0 and pair <= 0
+    below, above = (_unstable_roots(macro.replace(T=min(T, sys.float_info.max)), inv, g)
+                    for T in (macro.T * (1.0 - MARGINAL_RTOL), macro.T * (1.0 + MARGINAL_RTOL)))
+    out["marginal"] = bool(below[0] != above[0])
     return out
 
 
 def _cmd_stability(config, args):
-    """Routh-Hurwitz verdict and eigenvalues"""
+    """stability verdict from the count of unstable roots"""
     inv, macro = _params_from(config)
     scan = config["options"].get("scan_g")
     if scan is None:

@@ -28,7 +28,8 @@ references; they alone use char_poly and import it when called.
 equation, at any delay and with no crossing located: the real roots from
 the sign changes of one real function (:func:`_real_roots`), and those in
 the right half-plane from the phase at the delay and as T -> 0
-(:func:`_unstable_roots`).  Eigenvalues serve only
+(:func:`_unstable_roots`); :func:`_root_signature` combines the two, for
+it and for the stability verdict of the CLI.  Eigenvalues serve only
 :func:`equilibrium_eigenvalues`.
 """
 
@@ -66,6 +67,10 @@ BISECT_STEPS = 12
 
 #: a critical delay whose relative residual exceeds this is refused
 RESIDUAL_TOL = 1e-10
+
+#: the relative distance in T within which a crossing makes the stability
+#: verdict at T marginal: the count N differs at T (1 - tol) and T (1 + tol)
+MARGINAL_RTOL = 1e-8
 
 #: points of the geometric alpha grid scanned by :func:`hopf_in_alpha`
 ALPHA_GRID = 512
@@ -855,8 +860,10 @@ def _unstable_roots(p, inv, g, gains=None):
     crossing and downwards at a stabilizing one.  So N adds
     2 (floor(G(omega_T) / 2 pi) - floor(G(omega_max) / 2 pi)), with omega_T
     from the modulus condition at p.T (:func:`_axis_omega`, and its limit 0
-    where omega_T^2 underflows) and omega_max its value as T -> 0.
-    ``gains`` are the loop gains at ``g`` where they are already known."""
+    where omega_T^2 underflows) and omega_max its value as T -> 0.  Since
+    ae - bc does not depend on T, N changes with T at these crossings
+    alone, which is how the CLI tells a marginal delay.  ``gains`` are the
+    loop gains at ``g`` where they are already known."""
     m, r = p.m, p.m / p.T
     a, b, c, e = _loop_coefficients(p, inv, np.full(g.shape, p.alpha), g) if gains is None else gains
     bc = b * c
@@ -871,29 +878,39 @@ def _unstable_roots(p, inv, g, gains=None):
     return 2 * (a + e > 0.0) + 2 * np.where(np.isnan(omega_max), 0.0, turns[0] - turns[1]).astype(int)
 
 
+def _root_signature(p, inv, g):
+    """The roots at each growth rate of the array ``g`` (alpha, T and m of
+    ``p``): the positivity mask and the numbers of negative and of positive
+    real roots of :func:`_real_roots`, and the sign of the leading complex
+    pair's real part, 0 where all m + 2 roots are real or the equilibrium is
+    not positive.  The pair leans right where more roots lie in the right
+    half-plane (:func:`_unstable_roots`) than positive real ones, so the
+    equilibrium is stable where there is no positive real root and the
+    sign is not positive."""
+    gains = _loop_coefficients(p, inv, np.full(g.shape, p.alpha), g)
+    ok, n_neg, n_pos = _real_roots(p, inv, g, gains)
+    n = _unstable_roots(p, inv, g, gains)
+    return ok, n_neg, n_pos, np.where(ok & (n_neg + n_pos < p.m + 2), np.where(n > n_pos, 1, -1), 0)
+
+
 def hopf_in_g(p, inv, m=None, n_grid=G_GRID):
     """Scan the admissible growth interval and report its root structure.
 
     The Hopf points (``transversality`` Re dlambda/dg), g1_hopf and
     g2_hopf come from :func:`_growth_hopf`.  Its ``n_grid`` points are
-    labelled 0 without a positive equilibrium, 1 where all m + 2 roots are
-    real (:func:`_real_roots`), and 2 or 3 as N (:func:`_unstable_roots`)
-    does not or does exceed the positive real roots.  Each label change is
-    bisected to 1e-11, landing on a Hopf point bit for bit; they bound the
-    ``segments``, counted at their midpoints, and give g1 and g2.
+    labelled from :func:`_root_signature`: 0 without a positive
+    equilibrium, 1 where all m + 2 roots are real, and 2 or 3 as the
+    leading pair leans left or right.  Each label change is bisected to
+    1e-11, landing on a Hopf point bit for bit; they bound the
+    ``segments``, whose signatures are taken at their midpoints, and give
+    g1 and g2.
     """
     if m is not None:
         p = p.replace(m=m)
     gs, hopf_points, g1_hopf, g2_hopf = _growth_hopf(p, inv, n_grid)
 
-    def counts(x):  # the mask, the real roots and the leading pair's sign (0 without)
-        gains = _loop_coefficients(p, inv, np.full(x.shape, p.alpha), x)
-        ok, n_neg, n_pos = _real_roots(p, inv, x, gains)
-        n = _unstable_roots(p, inv, x, gains)
-        return ok, n_neg, n_pos, np.where(ok & (n_neg + n_pos < p.m + 2), np.where(n > n_pos, 1, -1), 0)
-
     def label(x):
-        ok, _, _, pair = counts(x)
+        ok, _, _, pair = _root_signature(p, inv, x)
         return np.where(ok, np.where(pair == 0, 1, 2 + (pair > 0)), 0)
 
     labels = label(gs)
@@ -905,7 +922,7 @@ def hopf_in_g(p, inv, m=None, n_grid=G_GRID):
     g2 = next((g for g in vanishes if g2_hopf is not None and g > g2_hopf), None)
 
     edges = np.concatenate([gs[:1], bounds, gs[-1:]])
-    at_mid = (v.tolist() for v in counts(0.5 * (edges[:-1] + edges[1:])))
+    at_mid = (v.tolist() for v in _root_signature(p, inv, 0.5 * (edges[:-1] + edges[1:])))
     segments = tuple(
         GSegment(lo=lo, hi=hi, physical=ok, n_real_neg=neg, n_real_pos=pos, pair_real_sign=pair,
                  has_pair=pair != 0)

@@ -10,6 +10,7 @@ import pytest
 
 import chaintrick._core as core
 from chaintrick._core import HAVE_COMPILED, get_integrator
+from chaintrick import simulator
 from chaintrick.chain_system import build, constant_history_state
 from chaintrick.simulator import cycle_metrics, integrate
 
@@ -63,6 +64,45 @@ def test_status_protocol_matches(inv_dm, baseline):
     *_, status_c, _ = run_c(s0, *args)
     *_, status_py, _ = run_py(s0, *args)
     assert status_c == status_py == 3
+
+
+@needs_compiled
+def test_divergence_agrees(inv_dm, baseline, monkeypatch):
+    # a guard low enough that the cycle peak trips it
+    monkeypatch.setattr(simulator, "DIVERGENCE_LIMIT", 120.0)
+    sys_ = build(baseline.replace(alpha=0.9, T=3.0), inv_dm)
+    s0 = constant_history_state(sys_, 15.0, 100.0)
+    a = integrate(sys_, s0, 4000.0, sample_dt=0.5, backend="compiled")
+    b = integrate(sys_, s0, 4000.0, sample_dt=0.5, backend="python")
+    assert a.diverged and b.diverged
+    np.testing.assert_array_equal(a.times, b.times)
+    np.testing.assert_allclose(a.states, b.states, rtol=1e-7, atol=1e-9)
+    work = ("rhs_evaluations", "accepted_steps", "rejected_steps")
+    assert [getattr(a, w) for w in work] == [getattr(b, w) for w in work]
+
+
+@needs_compiled
+@pytest.mark.parametrize("g, horizon, status", [(10.0, 5.0, 0), (1e14, 1e-12, 2)])
+def test_capital_exits_agree(inv_dm, baseline, g, horizon, status):
+    # k' = k (Phi - g - delta) decays at about the rate g, so a trial stage
+    # of a long step reaches k <= 0 and the step is rejected and halved; at
+    # g = 1e14 the halved step falls below its floor and the run stops
+    p = baseline.replace(g=g)
+    s0 = np.array([15.0, 15.0, 100.0])
+    out = []
+    for run in (get_integrator("compiled"), get_integrator("python")):
+        counts = np.zeros(3, dtype=np.int64)
+        times, states, code, t_stop = run(
+            s0, p.m, p.alpha, p.gamma, p.delta, p.g, p.G0, p.T, inv_dm.a, inv_dm.c, inv_dm.d,
+            inv_dm.v, 0.0, horizon, horizon / 10.0, 1e-6, 1e-8, counts=counts,
+        )
+        out.append((times, states, code, t_stop, counts.tolist()))
+    (t_c, s_c, code_c, stop_c, counts_c), (t_py, s_py, code_py, stop_py, counts_py) = out
+    assert code_c == code_py == status
+    assert stop_c == stop_py
+    assert counts_c == counts_py and counts_c[2] > 0
+    np.testing.assert_array_equal(t_c, t_py)
+    np.testing.assert_allclose(s_c, s_py, rtol=1e-7, atol=1e-9)
 
 
 KERNEL_SOURCE = Path(core.__file__).with_name("_chain.c")

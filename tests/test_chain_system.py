@@ -86,6 +86,12 @@ class TestRhs:
         with pytest.raises(CapitalNonPositive):
             jacobian(sys_, np.array([10.0, 10.0, -1.0]))
 
+    @pytest.mark.parametrize("state", [[10.0, 100.0], [10.0, 10.0, 10.0, 100.0], [[10.0, 10.0, 100.0]]])
+    def test_state_shape_guard(self, inv_dm, baseline, state):
+        sys_ = build(baseline, inv_dm)
+        with pytest.raises(ValueError, match=r"state must have shape \(3,\)"):
+            rhs(sys_, state)
+
     def test_linearized_growth_of_perturbation(self, inv_dm, baseline):
         # first component responds like (alpha (Iy - gamma) - g) eps for
         # a pure y-perturbation

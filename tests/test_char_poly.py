@@ -76,6 +76,11 @@ class TestCoeffsM1:
 
 
 class TestCoeffsM2:
+    def test_delay_validation(self, inv_dm, baseline):
+        eq = equilibrium(baseline, inv_dm)
+        with pytest.raises(DelayNonPositive):
+            coeffs_m2(eq, baseline.replace(T=0.0, m=2))
+
     def test_N_equals_minus_x_iy(self, rng):
         for _ in range(100):
             inv, p, eq = random_model_draw(rng, m=2)

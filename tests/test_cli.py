@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaintrick import cli
+from chaintrick import char_poly, cli
 from chaintrick.chain_system import build, constant_history_state
 from chaintrick.cli import _SETTINGS, _build_parser, _resolve_config, _table, main
-from chaintrick.hopf_locator import hopf_in_g, pair_max_real
-from chaintrick.model_core import DANA_MALGRANGE, MacroParams
+from chaintrick.hopf_locator import critical_delays, hopf_in_g, pair_max_real
+from chaintrick.model_core import DANA_MALGRANGE, MacroParams, equilibrium
 from chaintrick.simulator import integrate
+from oracles import random_model_draw
 
 
 def run_cli(capsys, *argv):
@@ -204,6 +205,66 @@ class TestStabilityCmd:
         code, out, err = run_cli(capsys, "stability", "--scan-g", "200", "--m", "1000", "--T", "1e12")
         assert code == 0, err
         assert [r["stable"] for r in json.loads(out)["regimes"]] == [True, False, True]
+
+    @pytest.mark.parametrize("m", ["1", "2", "3", "4", "6", "8"])
+    def test_the_verdict_as_the_delay_vanishes_does_not_depend_on_m(self, capsys, m):
+        # as T -> 0 the chain collapses onto the 2-D system, stable here for
+        # every m; the eigenvalue solve of the chain cluster near -m/T is not
+        code, out, err = run_cli(capsys, "stability", "--json", "--m", m, "--g", "0.0101",
+                                 "--alpha", "0.6", "--T", "1e-30")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["stable"] is True
+        assert "positive" not in doc["classification"]
+
+    def test_the_verdict_follows_the_count_at_a_tiny_delay(self, capsys):
+        code, out, err = run_cli(capsys, "stability", "--json", "--m", "6", "--T", "1e-20",
+                                 "--g", "0.015")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["classification"] == "pair with positive real part"
+        assert doc["stable"] is False
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_marginal_at_a_critical_delay_alone(self, capsys, m):
+        # marginal means a crossing within a relative 1e-8 of T; quantities
+        # that scale with powers of 1/T, tested against an absolute 1e-8,
+        # would call every huge T marginal
+        (first, *_) = critical_delays(MacroParams(alpha=0.7, gamma=0.15, delta=0.007, g=0.016,
+                                                  G0=2.0, T=1.0, m=m), DANA_MALGRANGE)
+        marginal = {}
+        for T in (first.value, 1e9):
+            code, out, err = run_cli(capsys, "stability", "--json", "--alpha", "0.7", "--m", str(m),
+                                     "--T", repr(T))
+            assert code == 0, err
+            marginal[T] = json.loads(out)["marginal"]
+        assert marginal == {first.value: True, 1e9: False}
+
+    @pytest.mark.parametrize("m", ["3", "8"])
+    def test_coefficients_that_underflow_are_refused_by_name(self, capsys, m):
+        # the low coefficients hold powers of m/T ~ 1e-200 and underflow to 0
+        code, out, err = run_cli(capsys, "stability", "--json", "--m", m, "--T", "1e200")
+        assert (code, out) == (3, "")
+        assert err == (f"numeric failure: the m = {m} characteristic coefficients leave the float"
+                       f" range at T = 1e+200\n")
+
+    def test_the_verdict_is_routh_hurwitz_on_a_census(self):
+        # m = 1 and 2, T log-uniform on [1e-6, 1e4]
+        rng = np.random.default_rng(24)
+        verdicts = []
+        for _ in range(500):
+            m = int(rng.integers(1, 3))
+            inv, p, _ = random_model_draw(rng, m=m)
+            p = p.replace(T=float(10.0 ** rng.uniform(-6.0, 4.0)))
+            eq = equilibrium(p, inv)
+            if m == 1:
+                verdict = char_poly.routh_hurwitz_cubic(char_poly.coeffs_m1(eq, p))
+            else:
+                verdict = char_poly.routh_hurwitz_quartic(char_poly.coeffs_m2(eq, p))
+            assert cli._stability_point(inv, p)["stable"] == verdict.stable, p
+            verdicts.append(verdict.stable)
+        # both verdicts are well represented (417 stable at this seed)
+        assert 50 < sum(verdicts) < 450
 
 
 def _point_dict(h):

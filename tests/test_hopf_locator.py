@@ -10,6 +10,7 @@ from chaintrick.chain_system import build, equilibrium_state, jacobian
 from chaintrick.char_poly import coeffs_m1, coeffs_m2, cubic_coeffs_at, composites_m1
 from chaintrick.cli import main as cli_main
 from chaintrick.errors import (
+    DelayNonPositive,
     GrowthOutOfRange,
     InaccurateRoot,
     NoHopf,
@@ -272,6 +273,10 @@ class TestGridEigenvalues:
         with pytest.raises(NonPositiveEquilibrium):
             equilibrium_eigenvalues(baseline.replace(g=g_lo + 2e-5), inv_dm)
         assert pair_max_real(baseline.replace(g=0.005), inv_dm) is None
+
+    def test_a_delay_of_zero_is_refused(self, inv_dm, baseline):
+        with pytest.raises(DelayNonPositive):
+            pair_max_real(baseline.replace(T=0.0), inv_dm)
 
 
 # reference results at the baseline parameters from a per-point scan (one
@@ -543,6 +548,17 @@ class TestHopfInAlpha:
     def test_no_sign_change_raises(self, inv_dm, baseline):
         with pytest.raises(NoHopf):
             hopf_in_alpha(baseline, inv_dm, alpha_range=(0.1, 0.2))
+
+    @pytest.mark.parametrize("alpha_range", [(0.0, 1.0), (-0.5, 1.0), (1.5, 0.3), (0.7, 0.7)])
+    def test_alpha_range_must_satisfy_0_lt_lo_lt_hi(self, inv_dm, baseline, alpha_range):
+        with pytest.raises(ValueError, match="0 < lo < hi"):
+            hopf_in_alpha(baseline, inv_dm, alpha_range=alpha_range)
+
+    def test_the_order_argument_replaces_m(self, inv_dm, baseline):
+        p = baseline.replace(T=1.5)
+        got = hopf_in_alpha(p, inv_dm, m=3, alpha_range=(0.3, 1.5))
+        assert got == hopf_in_alpha(p.replace(m=3), inv_dm, alpha_range=(0.3, 1.5))
+        assert got != hopf_in_alpha(p, inv_dm, alpha_range=(0.3, 1.5))
 
 
 #: the case grid of the imaginary-axis checks in g and alpha
