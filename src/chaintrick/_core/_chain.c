@@ -262,10 +262,6 @@ EXPORT void chain_integrate(double *y, int m, const double *par, double t0, doub
             *status = STATUS_DIVERGED;
             break;
         }
-        if (y[n - 1] <= 0.0) {
-            *status = STATUS_CAPITAL;
-            break;
-        }
     }
 done:
     counts[0] = ch.n_rhs;

@@ -217,9 +217,6 @@ def chain_integrate(y, m, par, t0, t_end, sample_dt, rtol, atol, max_abs, max_st
         if np.abs(y).max() > max_abs:
             status = STATUS_DIVERGED
             break
-        if y[-1] <= 0.0:
-            status = STATUS_CAPITAL
-            break
 
     counts[:] = work
     return status, j, t

@@ -307,11 +307,16 @@ def _classifications(inv, macro, gs):
     complex pair's real part."""
     from .hopf_locator import _root_signature
 
-    _, n_negs, n_poss, pairs = _root_signature(macro, inv, np.asarray(gs, dtype=float))
+    return _in_words(macro.m, *_root_signature(macro, inv, np.asarray(gs, dtype=float))[1:])
+
+
+def _in_words(m, n_negs, n_poss, pairs):
+    """The classification words of :func:`_classifications` from the
+    counts of a root signature at kernel order ``m``."""
     out = []
     for n_neg, n_pos, pair in zip(n_negs.tolist(), n_poss.tolist(), pairs.tolist()):
         parts = [f"{n} {sign}" for n, sign in ((n_neg, "negative"), (n_pos, "positive")) if n]
-        if n_neg + n_pos < macro.m + 2:
+        if n_neg + n_pos < m + 2:
             parts.append(f"pair with {'positive' if pair > 0 else 'negative'} real part")
         out.append(", ".join(parts))
     return out
@@ -339,10 +344,11 @@ def _stability_point(inv, macro):
     # too large for it is refused as out of memory; its roots are printed only
     eig = equilibrium_eigenvalues(macro, inv)
     g = np.array([macro.g])
+    signature = _root_signature(macro, inv, g)
     out = {
         "m": macro.m,
         "eigenvalues": _eig_list(eig),
-        "classification": _classifications(inv, macro, g)[0],
+        "classification": _in_words(macro.m, *signature[1:])[0],
         "conditions": [],
     }
     # the coefficients hold powers of m/T, which leave the float range at
@@ -379,7 +385,7 @@ def _stability_point(inv, macro):
     # stable where no root lies in the right half-plane, and marginal where
     # that count changes within MARGINAL_RTOL of T (capped at the largest
     # float): at a crossing
-    _, _, n_pos, pair = (int(v[0]) for v in _root_signature(macro, inv, g))
+    _, _, n_pos, pair = (int(v[0]) for v in signature)
     out["stable"] = n_pos == 0 and pair <= 0
     below, above = (_unstable_roots(macro.replace(T=min(T, sys.float_info.max)), inv, g)
                     for T in (macro.T * (1.0 - MARGINAL_RTOL), macro.T * (1.0 + MARGINAL_RTOL)))

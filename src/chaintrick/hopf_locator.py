@@ -8,8 +8,9 @@ modulus gives T as an explicit function of the frequency omega and the
 phase gives the crossings as roots in omega, with no cap on T; one call of
 :func:`hopf_in_T`'s solver takes a whole batch of (alpha, g) cells, as the
 sweeps do.  In g and alpha at fixed T the modulus gives omega at every
-grid point and the phase labels it; the gains do not depend on m, so the
-orders of a table share them and one solve of all their brackets.  Every
+grid point, and the number of roots in the right half-plane there labels
+it (:func:`_axis_count`); the gains do not depend on m, so the orders of a
+table share them, one labelling and one solve of all their brackets.  Every
 route solves each bracket of its grid by Newton's method on the
 characteristic equation, with the chain factor (1 + i s)^m taken from
 s = omega T / m, from the secant point of the phase, and keeps the root
@@ -27,10 +28,10 @@ references; they alone use char_poly and import it when called.
 :func:`hopf_in_g`'s growth-rate structure counts the roots from the same
 equation, at any delay and with no crossing located: the real roots from
 the sign changes of one real function (:func:`_real_roots`), and those in
-the right half-plane from the phase at the delay and as T -> 0
-(:func:`_unstable_roots`); :func:`_root_signature` combines the two, for
-it and for the stability verdict of the CLI.  Eigenvalues serve only
-:func:`equilibrium_eigenvalues`.
+the right half-plane from the phase at the delay (:func:`_unstable_roots`,
+the count that labels the g and alpha scans); :func:`_root_signature`
+combines the two, for it and for the stability verdict of the CLI.
+Eigenvalues serve only :func:`equilibrium_eigenvalues`.
 """
 
 import math
@@ -440,8 +441,9 @@ def _axis_omega(m, r, a, e, bc):
     has one root where bc^2 > a^2 e^2 and none elsewhere.  F increases, is
     convex in ln u and is >= 0 at omega_max^2, so Newton steps in ln u from
     there fall monotonically onto the root; a point stops once its
-    residual is no longer positive."""
-    w = np.log(_omega_max_sq(a, e, bc))
+    residual is no longer positive.  The result has the shape of all five
+    arguments broadcast together."""
+    w = np.broadcast_to(np.log(_omega_max_sq(a, e, bc)), np.broadcast(m, r, a, e, bc).shape)
     a2, e2, log_bc2, r2 = a * a, e * e, np.log(bc * bc), r * r
     for _ in range(60):
         u = np.exp(w)
@@ -454,6 +456,37 @@ def _axis_omega(m, r, a, e, bc):
         w = np.where(down, step, w)
     omega = np.exp(0.5 * w)
     return np.where((omega > 0.0) & (omega < np.inf), omega, np.nan)
+
+
+def _axis_count(m, r, a, e, bc):
+    """G(omega_T) / 2 pi, omega_T and N, the number of roots in the right
+    half-plane, at r = m/T from the gains a, e and bc, all broadcast
+    together; m and r may hold one row per kernel order, since the gains
+    do not depend on it.
+
+    omega_T comes from the modulus condition (:func:`_axis_omega`).  Where
+    no pair sits on the axis, (bc)^2 <= (ae)^2, and where omega_T^2
+    underflows, omega_T is its limit 0 and s = omega_T T / m that of the
+    modulus condition at omega = 0 (0 off the axis).  N is 2 [a + e > 0]
+    as T -> 0, where ae - bc > 0 and no real root passes 0; where a pair
+    can sit on the axis it changes by 2 at each crossing below T, where G
+    passes a multiple of 2 pi, upwards at a destabilizing crossing and
+    downwards at a stabilizing one.  So N adds
+    2 (floor(G(omega_T) / 2 pi) - floor(G(omega_max) / 2 pi)), omega_max
+    being omega_T as T -> 0.  There s = 0 and
+    G(omega_max) = arg Q(i omega_max) - arg(bc) lies in (-pi, 2 pi), below
+    0 exactly where bc < 0 and Im Q(i omega_max) = -omega_max (a + e) > 0,
+    so floor(G(omega_max) / 2 pi) is -[bc < 0 and a + e < 0].  Because
+    ae - bc > 0 wherever the equilibrium is positive, N changes with T or
+    with a gain at the crossings alone.  N is -1 where the equilibrium is
+    not positive."""
+    omega = _axis_omega(m, r, a, e, bc)
+    under = np.isnan(omega)
+    omega, s = np.where(under, 0.0, omega), np.where(under, _chain_ratio(0.0, a, e, bc, m), omega / r)
+    t = _phase(omega, a, e, bc, m, s) / (2.0 * math.pi)
+    turns = np.floor(t) + ((bc < 0.0) & (a + e < 0.0))
+    n = 2 * (a + e > 0.0) + 2 * np.where(np.isnan(_omega_max_sq(a, e, bc)), 0.0, turns).astype(int)
+    return t, omega, np.where(np.isnan(e), -1, n)
 
 
 def _newton_step(omega, m, r, a, e, bc, da, de, dbc, dlnr):
@@ -682,29 +715,27 @@ def _param_crossings(p, inv, name, grid, tol, orders=None):
     ``orders`` one list per kernel order in it, all from one solve.  The
     gains a, e and bc do not depend on m, so every order shares them.
 
-    Every grid point takes omega from the modulus condition at r = m/T
-    (:func:`_axis_omega`) and is labelled floor(G / 2 pi) from the phase G
-    at that omega (-inf where that gives NaN).
-
-    Neighbouring grid points whose labels differ bracket a crossing when the
-    lower one has a pair on the axis and the upper one's phase is off its
-    label.  Where no pair sits on the axis the phase is taken at omega = 0,
-    its limit where the pair leaves the axis, so an interval that only runs
-    off the axis brackets nothing.  The brackets of all orders, each with
-    its own m and r, are solved at once by Newton steps in (omega, x) from
-    the secant point of G / 2 pi - level (level being the integer the phase
-    crosses), and the root kept where its residual is below NEWTON_TOL and
-    it lies strictly inside the bracket.  :func:`_refine` bisects every
-    other bracket by the labels (-inf where no pair sits on the axis) at
-    least as often as bisecting the widest label change of its order to
+    Every grid point is labelled by N, the number of roots in the right
+    half-plane, with the phase G at omega_T: one call of
+    :func:`_axis_count` labels all orders.  Within a run of positive
+    equilibria N changes at the crossings alone, so a change of N between
+    neighbouring grid points brackets a crossing where the lower point has
+    a positive equilibrium and, if the upper point has none, a pair on the
+    axis.
+    The brackets of all orders, each with its own m and r, are solved at
+    once by Newton steps in (omega, x) from the secant point of
+    G / 2 pi - level (level being the integer the phase crosses), and the
+    root kept where its residual is below NEWTON_TOL and it lies strictly
+    inside the bracket.  :func:`_refine` bisects every other bracket by N
+    at least as often as bisecting the widest change of N of its order to
     ``tol`` takes; the root is the midpoint of the final bracket, kept
-    where its upper end has a pair on the axis, so that a bracket ending
-    beyond the positive equilibria keeps a crossing below that edge.  The
-    reported value is the midpoint on which bisecting the grid interval to
-    ``tol`` by the labels lands, replayed elementwise against the root: no
-    other root lies in that interval, so the labels change there at it
-    alone, and bisecting deeper lands on the same point.  So no point
-    depends, bit for bit, on the orders solved beside it.  Raises
+    where its upper end has a positive equilibrium, so that a bracket
+    ending beyond the positive equilibria keeps a crossing below that
+    edge.  The reported value is the midpoint on which bisecting the grid
+    interval to ``tol`` by N lands, replayed elementwise against the root:
+    no other root lies in that interval, so N changes there at it alone,
+    and bisecting deeper lands on the same point.  So no point depends,
+    bit for bit, on the orders solved beside it.  Raises
     DegenerateTransversality when a crossing has Re dlambda/dx ~ 0.
     """
     ms = [p.replace(m=m).m for m in ([p.m] if orders is None else orders)]
@@ -725,49 +756,41 @@ def _param_crossings(p, inv, name, grid, tol, orders=None):
         diy = inv.a * inv.v * (1.0 - 2.0 * (g + p.delta - inv.c) / inv.d)
         return a, e, b * c, alpha * diy - 1.0, -1.0 + e / c * diy, diy * (b + alpha * e) / (b * c)
 
-    def turns(m, r, a, e, bc, *_):
-        """G / 2 pi from the gains a, e and bc, its label floor(G / 2 pi)
-        and omega where a pair sits on the axis; elsewhere the label is
-        -inf and omega is 0, where G has its limit as the pair leaves the
-        axis (NaN without a positive equilibrium)."""
-        omega = _axis_omega(m, r, a, e, bc)
-        on_axis = ~np.isnan(omega)
-        omega = np.where(on_axis, omega, 0.0)
-        t = _phase(omega, a, e, bc, m, omega / r) / (2.0 * math.pi)
-        return t, np.where(on_axis, np.floor(t), -np.inf), omega
-
     with np.errstate(all="ignore"):
         at_grid, parts = gains(grid), []
+        m_col = np.array(ms)[:, None]
+        turns, oms, counts = _axis_count(m_col, m_col / p.T, *at_grid[:3])
         for i, m in enumerate(ms):
-            t, labels, om = turns(m, m / p.T, *at_grid)
-            j = np.nonzero(labels[:-1] != labels[1:])[0]
-            # a crossing needs a pair on the axis at the lower end and a phase
-            # off that end's label at the upper end
-            k = j[np.isfinite(labels[j]) & (np.floor(t[j + 1]) != labels[j])]
-            want, lo, hi, t_lo, t_hi = labels[k], grid[k], grid[k + 1], t[k], t[k + 1]
+            t, om, n = turns[i], oms[i], counts[i]
+            j = np.nonzero(n[:-1] != n[1:])[0]
+            # a crossing needs a positive equilibrium at the lower end, and a
+            # pair on the axis there where the upper end has none
+            k = j[(n[j] >= 0) & ((n[j + 1] >= 0) | (om[j] > 0.0))]
+            lo, hi, t_lo, t_hi = grid[k], grid[k + 1], t[k], t[k + 1]
             # Newton from the secant point of G / 2 pi - level, where the phase
-            # crosses level = want + 1 going up and want going down
-            level = want + (np.floor(t_hi) > want)
+            # crosses level = floor(t_lo) + 1 going up and floor(t_lo) going down
+            level = np.floor(t_lo) + (np.floor(t_hi) > np.floor(t_lo))
             f_lo, f_hi = t_lo - level, t_hi - level
             x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
             omega = om[k] + (x - lo) / (hi - lo) * (om[k + 1] - om[k])
-            # the halvings that bring the widest label change to ``tol``
+            # the halvings that bring the widest count change to ``tol``
             halvings = max(math.floor(np.max(np.log2(np.diff(grid)[j] / tol), initial=-1.0)) + 1, 0)
             parts.append((*(np.full(k.size, v) for v in (i, m, m / p.T, halvings)),
-                          k, np.stack([want, labels[k + 1]], axis=-1), x, omega))
+                          k, np.stack([n[k], n[k + 1]], axis=-1), x, omega))
         owner, m, r, halvings, k, end_labels, x, omega = map(np.concatenate, zip(*parts))
         lo, hi = grid[k], grid[k + 1]
         omega, root, res = _newton(omega, x, m, lambda x: (r, *gains(x), 0.0))
         settled = (res < NEWTON_TOL) & (lo < root) & (root < hi) & (omega > 0.0) & (omega < np.inf)
 
-        # the others: bisection as deep as the replay below, kept with a pair on the axis at hi
+        # the others: bisection by the count as deep as the replay below,
+        # kept with a positive equilibrium at hi
         fb = np.nonzero(~settled)[0]
         if fb.size:
-            label = lambda x, m, r: turns(m, r, *gains(x))[1]
+            label = lambda x, m, r: _axis_count(m, r, *gains(x)[:3])[2]
             tol_fb = (hi - lo)[fb, None] * 2.0 ** (0.5 - halvings[fb, None])
             *_, lo, hi = _refine(label, np.stack([lo, hi], -1)[fb], end_labels[fb], tol_fb, m[fb], r[fb])
             root[fb] = 0.5 * (lo + hi)
-            settled[fb] = ~np.isnan(_axis_omega(m[fb], r[fb], *gains(hi)[:3]))
+            settled[fb] = ~np.isnan(gains(hi)[1])
 
         # bisect each crossing's grid interval again, against its root, in Python floats
         owner, k, root, halvings, m, r = (v[settled] for v in (owner, k, root, halvings, m, r))
@@ -853,29 +876,14 @@ def _real_roots(p, inv, g, gains=None):
 
 def _unstable_roots(p, inv, g, gains=None):
     """N, the number of roots in the right half-plane, at each growth rate
-    of the array ``g``: 2 [a + e > 0] as T -> 0, where ae - bc > 0 and no
-    real root passes 0.  Where a pair can sit on the imaginary axis,
-    (bc)^2 > (ae)^2, N then changes by 2 at each crossing below p.T, where
-    the phase G passes a multiple of 2 pi, upwards at a destabilizing
-    crossing and downwards at a stabilizing one.  So N adds
-    2 (floor(G(omega_T) / 2 pi) - floor(G(omega_max) / 2 pi)), with omega_T
-    from the modulus condition at p.T (:func:`_axis_omega`, and its limit 0
-    where omega_T^2 underflows) and omega_max its value as T -> 0.  Since
-    ae - bc does not depend on T, N changes with T at these crossings
-    alone, which is how the CLI tells a marginal delay.  ``gains`` are the
-    loop gains at ``g`` where they are already known."""
-    m, r = p.m, p.m / p.T
+    of the array ``g`` (alpha, T and m of ``p``): the count of
+    :func:`_axis_count`, -1 where the equilibrium is not positive.  It
+    changes with T at the crossings alone, which is how the CLI tells a
+    marginal delay.  ``gains`` are the loop gains at ``g`` where they are
+    already known."""
     a, b, c, e = _loop_coefficients(p, inv, np.full(g.shape, p.alpha), g) if gains is None else gains
-    bc = b * c
     with np.errstate(all="ignore"):
-        omega = _axis_omega(m, r, a, e, bc)
-        # NaN on the axis where omega_T^2 underflows: take its limit 0 there
-        under = np.isnan(omega)
-        omega, s = np.where(under, 0.0, omega), np.where(under, _chain_ratio(0.0, a, e, bc, m), omega / r)
-        omega_max = np.sqrt(_omega_max_sq(a, e, bc))
-        G = _phase(np.stack([omega, omega_max]), a, e, bc, m, np.stack([s, np.zeros_like(s)]))
-        turns = np.floor(G / (2.0 * math.pi))
-    return 2 * (a + e > 0.0) + 2 * np.where(np.isnan(omega_max), 0.0, turns[0] - turns[1]).astype(int)
+        return _axis_count(p.m, p.m / p.T, a, e, b * c)[2]
 
 
 def _root_signature(p, inv, g):

@@ -744,6 +744,7 @@ class TestBadInput:
             (["simulate", "--T", "fast"], "--T"),
             (["table2", "--m-list", ""], "--m-list"),
             (["table2", "--m-list", " , "], "--m-list"),
+            (["hopf", "--vary", "g", "--T", "0"], "chain reduction needs T > 0"),
         ],
     )
     def test_flag(self, capsys, tmp_path, monkeypatch, argv, key):
@@ -779,6 +780,13 @@ class TestBadInput:
         _, by_flag, _ = run_cli(capsys, "table2", "--m-list", "1,2")
         assert json.loads(out)["rows"] == json.loads(by_flag)["rows"]
         assert len(json.loads(out)["rows"]) == 2
+
+    def test_m_list_list_in_config(self, capsys, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {"version": 1, "options": {"m_list": [1, 2]}})
+        code, out, _ = run_cli(capsys, "table2", "--config", cfg)
+        assert code == 0
+        _, by_flag, _ = run_cli(capsys, "table2", "--m-list", "1,2")
+        assert json.loads(out)["rows"] == json.loads(by_flag)["rows"]
 
 
 #: the largest array the ``small_memory`` fixture lets numpy allocate

@@ -439,8 +439,8 @@ class TestRootCounts:
     #: two runs of positive equilibria, with an unstable pair that turns
     #: into two positive reals before the gap.  On 18 or 37 points the
     #: destabilizing Hopf point lies in a grid interval that starts where
-    #: no pair can sit on the imaginary axis, and the phase scan in g does
-    #: not see it
+    #: no pair can sit on the imaginary axis; the count of roots in the
+    #: right half-plane changes across it all the same
     HIDDEN_CROSSINGS = [
         (InvestmentParams(a=12.8, c=0.0221, d=0.0197, v=5.57),
          MacroParams(alpha=1.6, gamma=0.19, delta=0.049, g=0.0, G0=2.0, T=24.6, m=6)),
@@ -481,6 +481,14 @@ class TestRootCounts:
                 if s.physical:
                     q = p.replace(g=0.5 * (s.lo + s.hi))
                     assert (s.n_real_neg, s.n_real_pos, s.pair_real_sign) == _eigenvalue_counts(q, inv)
+
+    @pytest.mark.parametrize("n", [18, 37])
+    def test_hidden_crossings_are_found_on_coarse_grids(self, n):
+        for inv, p in self.HIDDEN_CROSSINGS:
+            _, points, g1_hopf, _ = hopf_locator._growth_hopf(p, inv, n)
+            _, _, want, _ = hopf_locator._growth_hopf(p, inv, hopf_locator.G_GRID)
+            assert [h.crossing for h in points] == ["destabilizing"], p
+            assert g1_hopf == pytest.approx(want, rel=0.0, abs=1e-11), p
 
     #: points inside the window between two critical delays closer together
     #: than one interval of the omega grid (draws 154 and 2946 of a census,
@@ -627,10 +635,17 @@ class TestAxisCrossingsInGAndAlpha:
                 want = pair_crossings(p, inv_dm, "alpha", alphas, 1e-12, 1e-7)
                 _check_oracle_points_matched(p, inv_dm, got, want, 1e-12)
 
+    def test_a_delay_of_zero_is_refused(self, inv_dm, baseline):
+        p = baseline.replace(T=0.0)
+        with pytest.raises(DelayNonPositive, match="chain reduction needs T > 0"):
+            hopf_in_alpha(p, inv_dm)
+        with pytest.raises(DelayNonPositive, match="chain reduction needs T > 0"):
+            table_g_bifurcations(p, inv_dm, [1, 2])
+
     def test_no_point_where_a_grid_interval_spans_a_stretch_without_one(self):
-        # |bc| <= |ae| inside this one grid interval, where bc changes sign:
-        # the phase labels at its ends differ (-1 and 0), but no pair sits
-        # on the axis in between
+        # the root counts at the ends of this one grid interval differ (2
+        # and 0), but between them the equilibrium is not positive, so no
+        # pair sits on the axis in between
         inv = InvestmentParams(a=13.678170607444452, c=0.01828097557223656,
                                d=0.021344759579789173, v=1.6345970898203253)
         p = MacroParams(alpha=1.170403680889611, gamma=0.03257840038446474,
@@ -921,8 +936,9 @@ class TestCoarseGridCensus:
     together give the points of each order alone, and a crossing that a
     grid 8 times finer finds alone in a coarse interval is found there
     too where the interval starts with a pair on the axis and ends with
-    one or without a positive equilibrium.  (An interval that ends off the
-    axis with a positive equilibrium can hide a crossing.)"""
+    one or without a positive equilibrium.  In g, on grids of 8 to 64
+    points, so is every crossing alone in an interval that starts with a
+    positive equilibrium, on the axis or off it."""
 
     @staticmethod
     def _intervals(p, inv, name, grid):
@@ -974,6 +990,24 @@ class TestCoarseGridCensus:
                 self._check_found(in_alpha, alpha_points, fine_a, 1e-12)
                 points += len(g_points) + len(alpha_points)
         assert points >= 2000
+
+    def test_every_lone_crossing_in_g_is_found(self):
+        rng = np.random.default_rng(19)
+        alone = 0
+        for _ in range(150):
+            inv, p, _ = random_model_draw(rng, m=int(rng.integers(1, 13)), t_hi=40.0)
+            fine = hopf_locator._growth_hopf(p, inv, hopf_locator.G_GRID)[1]
+            for n in (8, 18, 37, 64):
+                gs, coarse, _, _ = hopf_locator._growth_hopf(p, inv, n)
+                # no point that the fine grid does not have
+                for h in coarse:
+                    assert any(abs(h.value - f.value) <= 1e-10 and h.crossing == f.crossing
+                               for f in fine), (p, n, h)
+                physical = ~np.isnan(hopf_locator._loop_coefficients(p, inv, np.full(n, p.alpha), gs)[0])
+                intervals = list(zip(gs[:-1][physical[:-1]], gs[1:][physical[:-1]]))
+                self._check_found(intervals, coarse, fine, 1e-11)
+                alone += sum(sum(lo < f.value < hi for f in fine) == 1 for lo, hi in intervals)
+        assert alone >= 300
 
 
 class TestNewtonFromGridBrackets:

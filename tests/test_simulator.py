@@ -85,6 +85,20 @@ class TestIntegrate:
         with pytest.raises(CapitalNonPositive):
             integrate(cycle_sys, np.array([15.0, 15.0, -1.0]), 10.0)
 
+    @pytest.mark.parametrize(
+        "backend",
+        ["python", pytest.param("compiled", marks=pytest.mark.skipif(
+            not HAVE_COMPILED, reason="compiled integrator core not built"))],
+    )
+    def test_capital_exit_in_the_run(self, inv_dm, baseline, backend):
+        # at g = 1e14 a trial stage reaches k <= 0, and the halved step falls
+        # below its floor: the kernel stops with the capital status (the run
+        # of test_backends.test_capital_exits_agree)
+        sys_ = build(baseline.replace(g=1e14), inv_dm)
+        with pytest.raises(CapitalNonPositive, match="capital reached k <= 0 at t = "):
+            integrate(sys_, np.array([15.0, 15.0, 100.0]), 1e-12, sample_dt=1e-13, rtol=1e-6,
+                      atol=1e-8, backend=backend)
+
     def test_divergence_status(self, cycle_sys, monkeypatch):
         # force the guard low enough that the cycle peak trips it
         monkeypatch.setattr(simulator, "DIVERGENCE_LIMIT", 120.0)
