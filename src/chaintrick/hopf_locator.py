@@ -10,20 +10,21 @@ phase gives the crossings as roots in omega, with no cap on T; one call of
 sweeps do.  In g and alpha at fixed T the modulus gives omega at every
 grid point, and the number of roots in the right half-plane there labels
 it (:func:`_axis_count`); the gains do not depend on m, so the orders of a
-table share them, one labelling and one solve of all their brackets.  Every
-route solves each bracket of its grid by Newton's method on the
-characteristic equation, with the chain factor (1 + i s)^m taken from
-s = omega T / m, from the secant point of the phase, and keeps the root
-where it satisfies the equation inside the bracket.  :func:`_refine`
-bisects the other brackets by their labels: in T for BISECT_STEPS
-halvings, then Newton again from the midpoint; in g and alpha to the
-tolerance, and those two report the point on which bisecting the grid
-interval lands, replayed elementwise against each root.  Every route
-takes the direction from the analytic Re dlambda/d(parameter) and reports
-the residual of the characteristic equation.  The closed forms for
-m = 1 (a quadratic in T) and m = 2 (the quartic of
-:func:`chaintrick.char_poly.phi_quartic`) are kept as independent
-references; they alone use char_poly and import it when called.
+table share them, one labelling and one solve of all their brackets.  In
+T the omega grid is labelled by the same count.  One solver
+(:func:`_solve`) takes the brackets of every route: Newton's method on
+the characteristic equation, with the chain factor (1 + i s)^m taken
+from s = omega T / m, from the secant point of the phase, keeps the root
+where it satisfies the equation inside the bracket, and :func:`_refine`
+bisects the other brackets by the count: in T until the ends are
+adjacent floats, in g and alpha to the tolerance, and those two report
+the point on which bisecting the grid interval lands, replayed
+elementwise against each root.  Every route takes the direction from the
+analytic Re dlambda/d(parameter) and reports the residual of the
+characteristic equation.  The closed forms for m = 1 (a quadratic in T)
+and m = 2 (the quartic of :func:`chaintrick.char_poly.phi_quartic`) are
+kept as independent references; they alone use char_poly and import it
+when called.
 
 :func:`hopf_in_g`'s growth-rate structure counts the roots from the same
 equation, at any delay and with no crossing located: the real roots from
@@ -60,11 +61,6 @@ SCAN_BLOCK = 32
 #: they reach is accepted
 NEWTON_STEPS = 4
 NEWTON_TOL = 1e-12
-
-#: the fallback in T for a bracket whose Newton root is not accepted:
-#: bisection steps on the bracket, then Newton from its midpoint, whose root
-#: is kept where it stays inside the narrowed bracket
-BISECT_STEPS = 12
 
 #: a critical delay whose relative residual exceeds this is refused
 RESIDUAL_TOL = 1e-10
@@ -224,21 +220,22 @@ def _split_eigenvalues(eig):
 def _refine(label, grid, labels, tol, *rows):
     """Bisect together every bracket [grid[..., j], grid[..., j+1]] along
     the last axis whose end labels differ, all as often as it takes to
-    bring each below its ``tol`` (a scalar, or one value per grid point).
-    ``label(x, *r)`` labels an array of points in one batched evaluation,
-    where ``r`` holds each of ``rows`` (one value per grid row) taken at
-    every point's row.  Returns the index of each bracket's lower end, one
-    array per axis, then the final (lo, hi).
+    bring each below its ``tol`` (a scalar, or one value per grid point; 0
+    for adjacent floats).  ``label(x, *r)`` labels an array of points in
+    one batched evaluation, where ``r`` holds each of ``rows`` (one value
+    per grid row) taken at every point's row.  Returns the index of each
+    bracket's lower end, one array per axis, then the final (lo, hi).
     """
     idx = np.nonzero(labels[..., :-1] != labels[..., 1:])
     lo, hi, want = grid[idx], grid[idx[:-1] + (idx[-1] + 1,)], labels[idx]
     tol = tol[idx] if np.ndim(tol) else tol
     rows = [r[idx[:-1]] for r in rows]
-    steps = math.floor(np.max(np.log2(np.abs(hi - lo) / tol), initial=-1.0)) + 1
-    for _ in range(steps):
+    steps, k = np.max(np.log2(np.abs(hi - lo) / tol), initial=-1.0), 0
+    # past adjacent floats a halving changes no bracket's midpoint
+    while k <= steps and np.any((lo < 0.5 * (lo + hi)) & (0.5 * (lo + hi) < hi)):
         mid = 0.5 * (lo + hi)
         same = label(mid, *rows) == want
-        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        lo, hi, k = np.where(same, mid, lo), np.where(same, hi, mid), k + 1
     return *idx, lo, hi
 
 
@@ -484,9 +481,14 @@ def _axis_count(m, r, a, e, bc):
     under = np.isnan(omega)
     omega, s = np.where(under, 0.0, omega), np.where(under, _chain_ratio(0.0, a, e, bc, m), omega / r)
     t = _phase(omega, a, e, bc, m, s) / (2.0 * math.pi)
-    turns = np.floor(t) + ((bc < 0.0) & (a + e < 0.0))
-    n = 2 * (a + e > 0.0) + 2 * np.where(np.isnan(_omega_max_sq(a, e, bc)), 0.0, turns).astype(int)
+    n = np.where(np.isnan(_omega_max_sq(a, e, bc)), 2 * (a + e > 0.0), _count(t, a, e, bc))
     return t, omega, np.where(np.isnan(e), -1, n)
+
+
+def _count(t, a, e, bc):
+    """N where a pair can sit on the axis and G / 2 pi = t at the delay,
+    2 [a + e > 0] + 2 (floor(t) + [bc < 0 and a + e < 0]) (:func:`_axis_count`)."""
+    return 2 * (np.floor(t) + ((bc < 0.0) & (a + e < 0.0)) + (a + e > 0.0)).astype(int)
 
 
 def _newton_step(omega, m, r, a, e, bc, da, de, dbc, dlnr):
@@ -512,24 +514,73 @@ def _newton_step(omega, m, r, a, e, bc, da, de, dbc, dlnr):
     return f1 - 1.0, slope.imag * d_x - rho.imag, d_x, slope
 
 
-def _newton(omega, x, m, partials):
+def _newton(omega, x, partials):
     """NEWTON_STEPS + 1 steps of :func:`_newton_step` from (omega, x), where
-    ``partials(x)`` gives its r, a, e, bc and derivatives at x; returns the
-    final (omega, x) and the relative residual |f| from which the last
+    ``partials(x)`` gives its m, r, a, e, bc and derivatives at x; returns
+    the final (omega, x) and the relative residual |f| from which the last
     step was taken."""
     for _ in range(NEWTON_STEPS + 1):
-        f, d_om, d_x, _ = _newton_step(omega, m, *partials(x))
+        f, d_om, d_x, _ = _newton_step(omega, *partials(x))
         omega, x = omega + d_om, x + d_x
     return omega, x, np.abs(f)
 
 
-def _crossing_speed(omega, m, r, a, e, bc, da, de, dbc, dlnr):
-    """Re dlambda/dx at the root lambda = i omega of
-    (lambda - a)(lambda - e)(lambda + r)^m = bc r^m, the mask of crossings
-    too flat to give a direction, and the relative residual |f|, all from
-    :func:`_newton_step`."""
-    f, _, _, slope = _newton_step(omega, m, r, a, e, bc, da, de, dbc, dlnr)
-    return slope.real, np.abs(slope.real) <= TRANSVERSALITY_TOL * np.abs(slope), np.abs(f)
+def _solve(name, partials, rows, x, omega, ends, counts, halvings):
+    """Hopf points in the parameter ``name`` ("T", "g" or "alpha"), one per
+    bracket ``ends`` (k, 2) over which N, the number of roots in the right
+    half-plane, changes from ``counts[:, 0]`` to ``counts[:, 1]``;
+    ``partials(x, *rows)`` gives the arguments of :func:`_newton_step`
+    after omega at x, ``rows`` holding one value per bracket.
+
+    Newton's method from (omega, x) settles a bracket where the residual is
+    below NEWTON_TOL, the root lies strictly inside and omega is finite and
+    positive.  :func:`_refine` bisects the others by N, an upper end at
+    T = inf first taking the lower end, doubled until N there differs; the
+    midpoint is kept where the upper end has a positive equilibrium.
+    Without ``halvings`` (T) it ends at adjacent floats, so no point depends
+    on the brackets beside it; with ``halvings`` (g and alpha) it is as deep
+    as the largest, and each value is where that many halvings of its
+    bracket land, replayed against the root.  Omega is Newton's, or the
+    modulus condition's at a bisected or replayed value.  Returns each
+    point's bracket index, value, omega, Re dlambda/dx and residual |f|;
+    raises DegenerateTransversality where Re dlambda/dx ~ 0.
+    """
+    omega, x, res = _newton(omega, x, lambda x: partials(x, *rows))
+    keep = (res < NEWTON_TOL) & (ends[:, 0] < x) & (x < ends[:, 1]) & (omega > 0.0) & (omega < np.inf)
+    fb = np.nonzero(~keep)[0]
+    if fb.size:
+        label = lambda x, *r: _axis_count(*partials(x, *r)[:5])[2]
+        y, n, sub = ends[fb], counts[fb], [v[fb] for v in rows]
+        # an upper end at T = inf: double the lower end until N there differs
+        up = np.nonzero(np.isinf(y[:, 1]))[0]
+        while up.size:
+            top = 2.0 * y[up, 0]
+            same = label(top, *(v[up] for v in sub)) == n[up, 0]
+            y[up, 1 - same] = top
+            up = up[same & (0.0 < top) & (top < np.inf)]
+        tol = 0.0 if halvings is None else (ends[fb, 1:] - ends[fb, :1]) * 2.0 ** (0.5 - halvings[fb, None])
+        i, _, lo, hi = _refine(label, y, n, tol, *sub)
+        fb = fb[i]
+        x[fb], keep[fb] = 0.5 * (lo + hi), ~np.isnan(partials(hi, *(v[fb] for v in rows))[3])
+    if halvings is not None:
+        # bisect each kept bracket again, against its root, in Python floats
+        fb, replayed = np.nonzero(keep)[0], []
+        for lo, hi, root, steps in zip(*(v[fb].tolist() for v in (ends[:, 0], ends[:, 1], x, halvings))):
+            for _ in range(steps):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if root < mid else (mid, hi)
+            replayed.append(0.5 * (lo + hi))
+        x[fb] = replayed
+    fb, at_x = fb[keep[fb]], partials(x, *rows)
+    if fb.size:
+        omega[fb] = _axis_omega(*(v[fb] if isinstance(v, np.ndarray) else v for v in at_x[:5]))
+    kept = np.nonzero(keep & np.isfinite(omega))[0]
+    x, omega = x[kept], omega[kept]
+    f, _, _, slope = _newton_step(omega, *(v[kept] if isinstance(v, np.ndarray) else v for v in at_x))
+    flat = np.abs(slope.real) <= TRANSVERSALITY_TOL * np.abs(slope)
+    if flat.any():
+        raise DegenerateTransversality(f"crossing speed vanishes at {name} = {x[np.argmax(flat)]:g}")
+    return kept, x, omega, slope.real, np.abs(f)
 
 
 def _axis_crossings(p, inv, alpha, g, first=False):
@@ -543,35 +594,31 @@ def _axis_crossings(p, inv, alpha, g, first=False):
     (0, omega_max] where |Q(i omega_max)| = |bc|, and a phase condition
     G(omega) = arg Q(i omega) + m atan(s) - arg(bc) = 2 pi k.  Each cell
     scans G on its own N_GRID-point omega grid (dense near omega_max,
-    where T vanishes, and reaching omega = 0, where T is unbounded); every
-    bracket where floor(G / 2 pi) changes, over all cells, is solved at
-    once by Newton steps in (omega, T) from the secant point of the phase,
-    and the root kept where its residual is below NEWTON_TOL and its omega
-    strictly inside the bracket.  The others take BISECT_STEPS halvings
-    with :func:`_refine`, then Newton again from the midpoint, whose root
-    replaces it where omega stays strictly inside the narrowed bracket.
-    The crossing speed Re dlambda/dT is that of :func:`_crossing_speed`
-    with a, e and bc fixed and (ln r)' = -1/T.
+    where T vanishes, and reaching omega = 0, where T is unbounded), and
+    labels each point by N, the number of roots in the right half-plane at
+    T(omega) (:func:`_count`).  Every bracket where N changes, over all
+    cells, goes to :func:`_solve` at once: Newton steps in (omega, T) from
+    the secant point of the phase, else bisection by N in T; the last
+    interval (omega = 0, T = inf) first doubles its lower end until N there
+    changes.  Re dlambda/dT takes a, e and bc fixed, (ln r)' = -1/T.
 
     The grid is scanned from omega_max down in blocks of intervals, each
     block labelled and its brackets solved before the next; a block starts
     at the last point of the one before, whose labels it carries over.
     Without ``first`` one block covers the whole grid.  With ``first`` a
     block holds SCAN_BLOCK intervals, and a cell leaves the scan at its
-    first settled crossing; a cell whose brackets in a block all fail to
-    settle stays in it.  A cell's brackets run down in omega, so up in T,
-    and every bracket is labelled and solved with elementwise arithmetic
-    on its own cell and grid interval, so the crossing a cell leaves with
-    is, bit for bit, the first settled bracket of a scan of the whole
-    grid.
+    first crossing.  A cell's brackets run down in omega, so up in T, and
+    every bracket is labelled and solved with elementwise arithmetic on
+    its own cell and grid interval, so the crossing a cell leaves with is,
+    bit for bit, the first of a scan of the whole grid.
 
     Returns (cell, T, omega, speed, residual), one entry per crossing,
     ordered by cell and then by T; with ``first`` only the smallest T of
     each cell.  Cells without a positive equilibrium or with |bc| <= |ae|
     have no entry.
-    Raises InaccurateRoot when a returned crossing's relative residual
-    exceeds RESIDUAL_TOL and DegenerateTransversality when a returned
-    crossing has Re dlambda/dT ~ 0.
+    Raises InaccurateRoot where N changes by more than 2 over one grid
+    interval (several crossings) or a crossing's relative residual exceeds
+    RESIDUAL_TOL, and DegenerateTransversality where Re dlambda/dT ~ 0.
     """
     m = p.m
     alpha, g = np.asarray(alpha, dtype=float), np.asarray(g, dtype=float)
@@ -580,20 +627,18 @@ def _axis_crossings(p, inv, alpha, g, first=False):
     u_max = _omega_max_sq(a, e, bc)
     cell = np.nonzero(~np.isnan(u_max))[0]
     a, e, bc, omega_max = a[cell], e[cell], bc[cell], np.sqrt(u_max[cell])
-    # arg(i omega - a) has no limit at omega = 0 when ae = 0: no bracket there
-    no_limit = a * e == 0.0
+    # arg(i omega - a) has no limit at omega = 0 when ae = 0: no bracket there;
+    # N is 2 floor(G / 2 pi) plus a constant of the cell (:func:`_count`)
+    no_limit, base = a * e == 0.0, _count(0.0, a, e, bc)
 
     # every cell scans omega = omega_max w on one grid of w running from 1
     # (T = 0) down to 0 (T unbounded); the quadratic spacing resolves the
     # square-root behaviour of T at omega_max
     v = np.linspace(0.0, 1.0, N_GRID)
     w = 1.0 - v * v
-    # a crossing is a root of G = 2 pi k: the label is floor(G / 2 pi)
-    label = lambda x, om_max, *coeffs: np.floor(_phase(om_max * x, *coeffs, m) / (2.0 * math.pi))
     step = SCAN_BLOCK if first else N_GRID - 1
-    # the crossings kept, block by block, as (cell, T, omega, a, e, bc),
-    # after an empty entry that gives each its type
-    found = [(cell[:0],) + (omega_max[:0],) * 5]
+    # the crossings kept, block by block, after an empty entry that gives each its type
+    found = [(cell[:0],) + (omega_max[:0],) * 4]
     edge = None  # the labels of the block's first grid point, from the block before
     for start in range(0, N_GRID - 1, step):
         if not cell.size:
@@ -609,71 +654,57 @@ def _axis_crossings(p, inv, alpha, g, first=False):
         # and pi/2
         with np.errstate(divide="ignore"):
             for r in range(0, cell.size, 64):
-                rows = slice(r, r + 64)
-                labels[rows, fresh:] = label(w[start + fresh:stop + 1],
-                                             *(x[rows, None] for x in (omega_max, a, e, bc)))
+                coeffs = [x[r:r + 64, None] for x in (omega_max, a, e, bc, base)]
+                t = _phase(coeffs[0] * w[start + fresh:stop + 1], *coeffs[1:4], m) / (2.0 * math.pi)
+                labels[r:r + 64, fresh:] = 2 * np.floor(t) + coeffs[4]
         if stop == N_GRID - 1:
             labels[no_limit, -1] = labels[no_limit, -2]
         edge = labels[:, -1]
         row, j = np.nonzero(labels[:, :-1] != labels[:, 1:])
         if not row.size:
             continue
-        # each bracket's ends in w (decreasing), their labels and its cell's gains
-        end_labels = np.stack([labels[row, j], labels[row, j + 1]])
+        # each bracket's ends in w (decreasing: T increases), counts and cell's gains
+        counts = np.stack([labels[row, j], labels[row, j + 1]], axis=-1)
         j += start
-        ends = np.stack([w[j], w[j + 1]])
-        om_max, a_j, e_j, bc_j = omega_max[row], a[row], e[row], bc[row]
+        ends, om_max, a_j, e_j, bc_j = np.stack([w[j], w[j + 1]]), omega_max[row], a[row], e[row], bc[row]
 
         with np.errstate(all="ignore"):
-            # the phase crosses the larger of the two labels (times 2 pi) in the bracket
-            f_0, f_1 = _phase(om_max * ends, a_j, e_j, bc_j, m) / (2.0 * math.pi) - end_labels.max(axis=0)
+            # Newton from the secant point of G / 2 pi - its larger floor at the ends
+            s = _chain_ratio(om_max * ends, a_j, e_j, bc_j, m)
+            t = _phase(om_max * ends, a_j, e_j, bc_j, m, s) / (2.0 * math.pi)
+            f_0, f_1 = t - np.floor(t).max(axis=0)
             omega = om_max * (ends[1] - f_1 * (ends[1] - ends[0]) / (f_1 - f_0))
-            T = m * _chain_ratio(omega, a_j, e_j, bc_j, m) / omega
-            omega, T, res = _newton(omega, T, m, lambda T: (m / T, a_j, e_j, bc_j, 0.0, 0.0, 0.0, -1.0 / T))
-        settled = ((res < NEWTON_TOL) & (om_max * ends[1] < omega) & (omega < om_max * ends[0])
-                   & (T > 0.0) & (T < math.inf))
-
-        # the others: BISECT_STEPS halvings (hi < lo in w), then Newton from the midpoint
-        fb = np.nonzero(~settled)[0]
-        if fb.size:
-            om_fb, *coeffs = om_max[fb], a_j[fb], e_j[fb], bc_j[fb]
-            tol = (ends[0, fb] - ends[1, fb])[:, None] * 2.0 ** (0.5 - BISECT_STEPS)
-            *_, lo, hi = _refine(label, ends[:, fb].T, end_labels[:, fb].T, tol, om_fb, *coeffs)
-            with np.errstate(all="ignore"):
-                om_mid = om_fb * (0.5 * (lo + hi))
-                T_mid = m * _chain_ratio(om_mid, *coeffs, m) / om_mid
-                om_new, T_new, _ = _newton(om_mid, T_mid, m,
-                                           lambda T: (m / T, *coeffs, 0.0, 0.0, 0.0, -1.0 / T))
-            inside = (om_fb * hi < om_new) & (om_new < om_fb * lo) & (T_new > 0.0) & (T_new < math.inf)
-            omega[fb], T[fb] = np.where(inside, om_new, om_mid), np.where(inside, T_new, T_mid)
-            settled[fb] = (omega[fb] > 0.0) & (T[fb] > 0.0) & (T[fb] < math.inf)
-        kept = np.nonzero(settled)[0]
+            T, T_ends = m * _chain_ratio(omega, a_j, e_j, bc_j, m) / omega, (m * s / (om_max * ends)).T
+            jump = np.abs(counts[:, 1] - counts[:, 0])
+            if (jump > 2).any():
+                i = np.argmax(jump > 2)
+                raise InaccurateRoot(
+                    f"the number of roots in the right half-plane changes by {jump[i]} between"
+                    f" T = {T_ends[i, 0]:g} and {T_ends[i, 1]:g}: several crossings in one grid"
+                    f" interval (alpha = {alpha[cell[row[i]]]:g}, g = {g[cell[row[i]]]:g})")
+            kept, T, omega, speed, residual = _solve(
+                "T", lambda T, *gains: (m, m / T, *gains, 0.0, 0.0, 0.0, -1.0 / T),
+                (a_j, e_j, bc_j), T, omega, T_ends, counts, None)
         if first:
             # a cell's brackets run down in omega, so up in T: keep its first
-            kept = kept[np.unique(row[kept], return_index=True)[1]]
-        found.append((cell[row[kept]], T[kept], omega[kept], a_j[kept], e_j[kept], bc_j[kept]))
-        # a cell with a settled crossing leaves the scan
+            head = np.unique(row[kept], return_index=True)[1]
+            kept, T, omega, speed, residual = (v[head] for v in (kept, T, omega, speed, residual))
+        found.append((cell[row[kept]], T, omega, speed, residual))
+        # a cell with a crossing leaves the scan
         stays = np.ones(cell.size, dtype=bool)
         stays[row[kept]] = False
-        cell, omega_max, a, e, bc, no_limit, edge = (
-            x[stays] for x in (cell, omega_max, a, e, bc, no_limit, edge))
+        cell, omega_max, a, e, bc, no_limit, edge, base = (
+            x[stays] for x in (cell, omega_max, a, e, bc, no_limit, edge, base))
 
-    cell, T, omega, a, e, bc = (np.concatenate(x) for x in zip(*found))
+    cell, T, omega, speed, residual = (np.concatenate(x) for x in zip(*found))
     order = np.lexsort((T, cell))
-    cell, T, omega, a, e, bc = (x[order] for x in (cell, T, omega, a, e, bc))
-    speed, flat, residual = _crossing_speed(omega, m, m / T, a, e, bc, 0.0, 0.0, 0.0, -1.0 / T)
+    cell, T, omega, speed, residual = (x[order] for x in (cell, T, omega, speed, residual))
     bad = ~(residual <= RESIDUAL_TOL)
     if bad.any():
         i = np.argmax(bad)
         raise InaccurateRoot(
             f"relative residual {residual[i]:.2g} of the characteristic equation at"
             f" T* = {T[i]:g} exceeds {RESIDUAL_TOL:g}"
-            f" (alpha = {alpha[cell[i]]:g}, g = {g[cell[i]]:g})"
-        )
-    if flat.any():
-        i = np.argmax(flat)
-        raise DegenerateTransversality(
-            f"crossing speed vanishes at T* = {T[i]:g}"
             f" (alpha = {alpha[cell[i]]:g}, g = {g[cell[i]]:g})"
         )
     return cell, T, omega, speed, residual
@@ -722,20 +753,15 @@ def _param_crossings(p, inv, name, grid, tol, orders=None):
     neighbouring grid points brackets a crossing where the lower point has
     a positive equilibrium and, if the upper point has none, a pair on the
     axis.
-    The brackets of all orders, each with its own m and r, are solved at
-    once by Newton steps in (omega, x) from the secant point of
-    G / 2 pi - level (level being the integer the phase crosses), and the
-    root kept where its residual is below NEWTON_TOL and it lies strictly
-    inside the bracket.  :func:`_refine` bisects every other bracket by N
-    at least as often as bisecting the widest change of N of its order to
-    ``tol`` takes; the root is the midpoint of the final bracket, kept
-    where its upper end has a positive equilibrium, so that a bracket
-    ending beyond the positive equilibria keeps a crossing below that
-    edge.  The reported value is the midpoint on which bisecting the grid
-    interval to ``tol`` by N lands, replayed elementwise against the root:
-    no other root lies in that interval, so N changes there at it alone,
-    and bisecting deeper lands on the same point.  So no point depends,
-    bit for bit, on the orders solved beside it.  Raises
+    The brackets of all orders, each with its own m and r, go to
+    :func:`_solve` at once: Newton steps in (omega, x) from the secant
+    point of G / 2 pi - level (level being the integer the phase crosses),
+    and bisection by N where Newton does not settle, as often as bisecting
+    the widest change of N of its order to ``tol`` takes; a bisected
+    bracket that ends beyond the positive equilibria keeps a crossing below
+    that edge.  The reported value is the midpoint on which bisecting the
+    grid interval to ``tol`` by N lands, replayed against the root, so no
+    point depends, bit for bit, on the orders solved beside it.  Raises
     DegenerateTransversality when a crossing has Re dlambda/dx ~ 0.
     """
     ms = [p.replace(m=m).m for m in ([p.m] if orders is None else orders)]
@@ -777,37 +803,10 @@ def _param_crossings(p, inv, name, grid, tol, orders=None):
             halvings = max(math.floor(np.max(np.log2(np.diff(grid)[j] / tol), initial=-1.0)) + 1, 0)
             parts.append((*(np.full(k.size, v) for v in (i, m, m / p.T, halvings)),
                           k, np.stack([n[k], n[k + 1]], axis=-1), x, omega))
-        owner, m, r, halvings, k, end_labels, x, omega = map(np.concatenate, zip(*parts))
-        lo, hi = grid[k], grid[k + 1]
-        omega, root, res = _newton(omega, x, m, lambda x: (r, *gains(x), 0.0))
-        settled = (res < NEWTON_TOL) & (lo < root) & (root < hi) & (omega > 0.0) & (omega < np.inf)
-
-        # the others: bisection by the count as deep as the replay below,
-        # kept with a positive equilibrium at hi
-        fb = np.nonzero(~settled)[0]
-        if fb.size:
-            label = lambda x, m, r: _axis_count(m, r, *gains(x)[:3])[2]
-            tol_fb = (hi - lo)[fb, None] * 2.0 ** (0.5 - halvings[fb, None])
-            *_, lo, hi = _refine(label, np.stack([lo, hi], -1)[fb], end_labels[fb], tol_fb, m[fb], r[fb])
-            root[fb] = 0.5 * (lo + hi)
-            settled[fb] = ~np.isnan(gains(hi)[1])
-
-        # bisect each crossing's grid interval again, against its root, in Python floats
-        owner, k, root, halvings, m, r = (v[settled] for v in (owner, k, root, halvings, m, r))
-        x = []
-        for lo, hi, at, n in zip(*(v.tolist() for v in (grid[k], grid[k + 1], root, halvings))):
-            for _ in range(n):
-                mid = 0.5 * (lo + hi)
-                lo, hi = (lo, mid) if at < mid else (mid, hi)
-            x.append(0.5 * (lo + hi))
-        a, e, bc, da, de, dbc = gains(x := np.array(x))
-        omega = _axis_omega(m, r, a, e, bc)
-        speed, flat, residual = _crossing_speed(omega, m, r, a, e, bc, da, de, dbc, 0.0)
-    found = np.isfinite(omega)
-    owner, x, omega, speed, flat, residual = (v[found] for v in (owner, x, omega, speed, flat, residual))
-    if flat.any():
-        raise DegenerateTransversality(
-            f"crossing speed vanishes at {name} = {x[np.argmax(flat)]:g}")
+        owner, m, r, halvings, k, counts, x, omega = map(np.concatenate, zip(*parts))
+        kept, x, omega, speed, residual = _solve(name, lambda x, *mr: (*mr, *gains(x), 0.0), (m, r), x, omega,
+                                                  np.stack([grid[k], grid[k + 1]], -1), counts, halvings)
+    owner = owner[kept]
     points = [_as_points(name, *(v[owner == i] for v in (x, omega, speed, residual))) for i in range(len(ms))]
     return points[0] if orders is None else points
 

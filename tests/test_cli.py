@@ -426,6 +426,21 @@ class TestHopfCmd:
         assert points[0]["value"] == pytest.approx(1.0220543445454333, rel=1e-12)
         assert max(h["residual"] for h in points) <= 1e-12
 
+    def test_vary_T_finds_the_far_crossing_at_m2(self, capsys):
+        code, out, err = run_cli(capsys, "hopf", "--json", "--vary", "T", "--m", "2",
+                                 "--g", "0.023124938994631524")
+        assert code == 0, err
+        points = json.loads(out)["hopf_points"]
+        assert [h["crossing"] for h in points] == ["destabilizing", "stabilizing"]
+        assert points[0]["value"] == pytest.approx(24.444418, abs=1e-6)
+        assert points[1]["value"] == pytest.approx(3.8669478e10, rel=1e-7)
+        assert max(h["residual"] for h in points) <= 1e-10
+
+    def test_vary_T_refuses_a_grid_interval_with_several_crossings(self, capsys):
+        code, out, err = run_cli(capsys, "hopf", "--vary", "T", "--alpha", "0.7", "--m", "10000000")
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure: the number of roots in the right half-plane changes by 6")
+
     def test_vary_T_empty_window_is_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "hopf", "--vary", "T", "--t-min", "5", "--t-max", "1"

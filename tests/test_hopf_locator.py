@@ -1013,9 +1013,9 @@ class TestCoarseGridCensus:
 class TestNewtonFromGridBrackets:
     """Every Hopf point is the root that Newton's method reaches from the
     secant point of its grid bracket, where that root passes the residual
-    and bracket test, and otherwise the root that label bisection reaches:
-    Newton again from its midpoint (T), or the midpoint itself (g and
-    alpha)."""
+    and bracket test, and otherwise the point that bisection by the root
+    count reaches: until the ends are adjacent floats (T), or to the
+    tolerance (g and alpha)."""
 
     def test_every_critical_delay_solves_the_characteristic_equation(self):
         # 481 crossings, five of them at T in [1e4, 1e5], three through the
@@ -1087,11 +1087,13 @@ class TestNewtonFromGridBrackets:
                 assert h.residual <= (1e-12 if h.parameter == "T" else 1e-8)
 
     def test_refuses_a_critical_delay_off_the_equation(self, inv_dm, baseline, monkeypatch):
-        # with one Newton step from the secant point and one from the
-        # bisection midpoint the first crossing at m = 8192 misses the
-        # equation, and is refused
+        # every bracket at m = 8192 takes the bisection route, cut short at
+        # a width of 1e-4 in T: the first crossing then misses the equation,
+        # and is refused
         monkeypatch.setattr(hopf_locator, "NEWTON_TOL", 0.0)
-        monkeypatch.setattr(hopf_locator, "NEWTON_STEPS", 0)
+        refine = hopf_locator._refine
+        monkeypatch.setattr(hopf_locator, "_refine",
+                            lambda label, grid, labels, tol, *rows: refine(label, grid, labels, 1e-4, *rows))
         with pytest.raises(InaccurateRoot, match="T\\* = 1.02"):
             hopf_in_T(baseline.replace(alpha=0.7), inv_dm, m=8192)
 
@@ -1107,6 +1109,13 @@ def _assert_same_points(got, want, rel):
         assert abs(g.value - w.value) <= rel * w.value
         assert abs(g.omega - w.omega) <= rel * w.omega
         assert g.crossing == w.crossing
+
+
+def _count_change(p, inv):
+    """N(T = 1e300) - N(T = 1e-300), the change of the number of roots in
+    the right half-plane over every delay, at the other parameters of p."""
+    hi, lo = (int(hopf_locator._unstable_roots(p.replace(T=T), inv, np.array([p.g]))[0]) for T in (1e300, 1e-300))
+    return hi - lo
 
 
 class TestHopfInT:
@@ -1240,6 +1249,51 @@ class TestHopfInT:
                     hopf_in_T(p, inv)
                 continue
             _assert_same_points(hopf_in_T(p, inv), want, 1e-12)
+
+    def test_the_far_crossing_at_m2(self, inv_dm, baseline):
+        # a = -1.26e-6 here, and the pair turns back left at omega = 1.1e-8,
+        # inside the last interval of the omega grid, which ends at T = inf
+        p = baseline.replace(m=2, g=0.023124938994631524)
+        near, far = hopf_in_T(p, inv_dm)
+        assert near.value == pytest.approx(24.444418, abs=1e-6)
+        assert far.value == pytest.approx(3.8669478e10, rel=1e-7)
+        assert [near.crossing, far.crossing] == ["destabilizing", "stabilizing"]
+        for h in (near, far):
+            assert characteristic_residual(p.replace(T=h.value), inv_dm, h.omega) <= 1e-12
+            assert h.residual <= 1e-12
+        # the leading pair's real part changes sign across the far crossing
+        assert pair_max_real(p.replace(T=3.8e10), inv_dm)[0] > 0.0 > pair_max_real(p.replace(T=3.9e10), inv_dm)[0]
+
+    def test_a_grid_interval_with_several_crossings_is_refused(self, inv_dm, baseline):
+        # at m = 10^7 the first interval of the omega grid holds three
+        # crossings, where N changes by 6; one crossing per interval gave
+        # 245, while N(T = 1e300) - N(T = 1e-300) is 1192
+        p = baseline.replace(alpha=0.7, m=10**7)
+        assert _count_change(p, inv_dm) == 1192
+        with pytest.raises(InaccurateRoot, match="changes by 6 between T = 0 and 316.5"):
+            hopf_in_T(p, inv_dm)
+
+    def test_net_count_of_the_crossings_is_the_change_of_the_root_count(self, inv_dm, baseline):
+        # N, counted from the phase at the delay alone, grows by 2 at every
+        # destabilizing crossing and falls by 2 at every stabilizing one, so
+        # it checks every crossing the scan in T could lose
+        cases = [(inv_dm, baseline.replace(m=2, g=0.023124938994631524)),
+                 (inv_dm, baseline.replace(alpha=0.7, m=8192)),
+                 (inv_dm, baseline.replace(alpha=0.7, m=10**6))]
+        rng = np.random.default_rng(3)
+        for _ in range(1500):
+            inv, p, _ = random_model_draw(rng, m=int(rng.integers(1, 13)))
+            cases.append((inv, p))
+        points = 0
+        for inv, p in cases:
+            try:
+                found = hopf_in_T(p, inv)
+            except NoHopf:
+                found = []
+            net = sum(1 if h.crossing == "destabilizing" else -1 for h in found)
+            assert _count_change(p, inv) == 2 * net, p
+            points += len(found)
+        assert points >= 450
 
     def test_critical_delays_route_for_m_ge_3(self, inv_dm, baseline):
         p = baseline.replace(alpha=0.701, g=0.0136)
