@@ -340,6 +340,14 @@ def _stability_point(inv, macro):
     from .hopf_locator import MARGINAL_RTOL, _loop_coefficients, _root_signature, _unstable_roots
     from .hopf_locator import equilibrium_eigenvalues
 
+    # the coefficients hold powers of r = m/T, which leave the float range at
+    # extreme delays: as inf or NaN, as a zero or subnormal that underflowed,
+    # or as Python's OverflowError or ZeroDivisionError; an infinite r, which
+    # the Jacobian holds too, is refused before the eigenvalue solve
+    what = "characteristic coefficients" if macro.m > 2 else "Routh-Hurwitz quantities"
+    beyond = f"the m = {macro.m} {what} leave the float range at T = {macro.T:g}"
+    if not math.isfinite(macro.m / macro.T):
+        raise OverflowError(beyond)
     # the (m+2)-square eigenvalue solve runs first, so that a kernel order
     # too large for it is refused as out of memory; its roots are printed only
     eig = equilibrium_eigenvalues(macro, inv)
@@ -351,10 +359,6 @@ def _stability_point(inv, macro):
         "classification": _in_words(macro.m, *signature[1:])[0],
         "conditions": [],
     }
-    # the coefficients hold powers of m/T, which leave the float range at
-    # extreme delays: as inf or NaN, as a zero or subnormal that underflowed,
-    # or as Python's OverflowError or ZeroDivisionError
-    what = "characteristic coefficients" if macro.m > 2 else "Routh-Hurwitz quantities"
     try:
         if macro.m > 2:
             # (lambda - a)(lambda - e)(lambda + r)^m - bc r^m, with no
@@ -381,7 +385,7 @@ def _stability_point(inv, macro):
     except (OverflowError, ZeroDivisionError):
         in_range = False
     if not in_range:
-        raise OverflowError(f"the m = {macro.m} {what} leave the float range at T = {macro.T:g}")
+        raise OverflowError(beyond)
     # stable where no root lies in the right half-plane, and marginal where
     # that count changes within MARGINAL_RTOL of T (capped at the largest
     # float): at a crossing

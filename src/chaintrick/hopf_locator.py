@@ -11,20 +11,22 @@ sweeps do.  In g and alpha at fixed T the modulus gives omega at every
 grid point, and the number of roots in the right half-plane there labels
 it (:func:`_axis_count`); the gains do not depend on m, so the orders of a
 table share them, one labelling and one solve of all their brackets.  In
-T the omega grid is labelled by the same count.  One solver
-(:func:`_solve`) takes the brackets of every route: Newton's method on
-the characteristic equation, with the chain factor (1 + i s)^m taken
-from s = omega T / m, from the secant point of the phase, keeps the root
-where it satisfies the equation inside the bracket, and :func:`_refine`
-bisects the other brackets by the count: in T until the ends are
-adjacent floats, in g and alpha to the tolerance, and those two report
-the point on which bisecting the grid interval lands, replayed
-elementwise against each root.  Every route takes the direction from the
-analytic Re dlambda/d(parameter) and reports the residual of the
-characteristic equation.  The closed forms for m = 1 (a quadratic in T)
-and m = 2 (the quartic of :func:`chaintrick.char_poly.phi_quartic`) are
-kept as independent references; they alone use char_poly and import it
-when called.
+T the omega grid is labelled by the same count, from the phase of the
+grid pass.  One function (:func:`_brackets`) turns the labelled rows of
+every route into brackets where the count changes, each with Newton's
+start at the secant point of G / 2 pi past the integer it crosses, and
+one solver (:func:`_solve`) takes them all: Newton's method on the
+characteristic equation, with the chain factor (1 + i s)^m taken from
+s = omega T / m, keeps the root where it satisfies the equation inside
+the bracket, and :func:`_refine` bisects the other brackets by the count:
+in T until the ends are adjacent floats, in g and alpha to the
+tolerance, and those two report the point on which bisecting the grid
+interval lands, replayed elementwise against each root.  Every route
+takes the direction from the analytic Re dlambda/d(parameter) and
+reports the residual of the characteristic equation.  The closed forms
+for m = 1 (a quadratic in T) and m = 2 (the quartic of
+:func:`chaintrick.char_poly.phi_quartic`) are kept as independent
+references; they alone use char_poly and import it when called.
 
 :func:`hopf_in_g`'s growth-rate structure counts the roots from the same
 equation, at any delay and with no crossing located: the real roots from
@@ -491,6 +493,22 @@ def _count(t, a, e, bc):
     return 2 * (np.floor(t) + ((bc < 0.0) & (a + e < 0.0)) + (a + e > 0.0)).astype(int)
 
 
+def _brackets(n, t, x, ok=True):
+    """The brackets of the rows ``n`` of N, the number of roots in the
+    right half-plane, over the increasing or decreasing grid ``x``: every
+    interval (row, j) over which N changes and which ``ok`` (broadcast
+    over the intervals) allows.  ``t`` holds G / 2 pi at the same points.
+    Returns the rows, the lower indices j, N at both ends (k, 2) and
+    Newton's start in x, the secant point of G / 2 pi - level, where the
+    phase crosses level = floor(t_lo) + 1 going up and floor(t_lo) going
+    down."""
+    row, j = np.nonzero((n[:, :-1] != n[:, 1:]) & ok)
+    t_lo, t_hi, lo, hi = t[row, j], t[row, j + 1], x[j], x[j + 1]
+    level = np.floor(t_lo) + (np.floor(t_hi) > np.floor(t_lo))
+    f_lo, f_hi = t_lo - level, t_hi - level
+    return row, j, np.stack([n[row, j], n[row, j + 1]], axis=-1), hi - f_hi * (hi - lo) / (f_hi - f_lo)
+
+
 def _newton_step(omega, m, r, a, e, bc, da, de, dbc, dlnr):
     """One Newton step in the real unknowns (omega, x) on the characteristic
     equation f = Q(i omega)(1 + i omega/r)^m / bc - 1 = 0, where x is the
@@ -596,15 +614,16 @@ def _axis_crossings(p, inv, alpha, g, first=False):
     scans G on its own N_GRID-point omega grid (dense near omega_max,
     where T vanishes, and reaching omega = 0, where T is unbounded), and
     labels each point by N, the number of roots in the right half-plane at
-    T(omega) (:func:`_count`).  Every bracket where N changes, over all
-    cells, goes to :func:`_solve` at once: Newton steps in (omega, T) from
-    the secant point of the phase, else bisection by N in T; the last
-    interval (omega = 0, T = inf) first doubles its lower end until N there
+    T(omega) (:func:`_count`).  :func:`_brackets` takes every interval
+    where N changes, over all cells, and its secant point from the G of
+    the grid pass, and :func:`_solve` solves them at once: Newton steps in
+    (omega, T) from there, else bisection by N in T; the last interval
+    (omega = 0, T = inf) first doubles its lower end until N there
     changes.  Re dlambda/dT takes a, e and bc fixed, (ln r)' = -1/T.
 
     The grid is scanned from omega_max down in blocks of intervals, each
     block labelled and its brackets solved before the next; a block starts
-    at the last point of the one before, whose labels it carries over.
+    at the last point of the one before, whose G / 2 pi it carries over.
     Without ``first`` one block covers the whole grid.  With ``first`` a
     block holds SCAN_BLOCK intervals, and a cell leaves the scan at its
     first crossing.  A cell's brackets run down in omega, so up in T, and
@@ -639,15 +658,16 @@ def _axis_crossings(p, inv, alpha, g, first=False):
     step = SCAN_BLOCK if first else N_GRID - 1
     # the crossings kept, block by block, after an empty entry that gives each its type
     found = [(cell[:0],) + (omega_max[:0],) * 4]
-    edge = None  # the labels of the block's first grid point, from the block before
+    edge = None  # G / 2 pi at the block's first grid point, from the block before
     for start in range(0, N_GRID - 1, step):
         if not cell.size:
             break
         stop = min(start + step, N_GRID - 1)
         fresh = 0 if edge is None else 1
-        labels = np.empty((cell.size, stop + 1 - start), dtype=np.int32)
+        t = np.empty((cell.size, stop + 1 - start))
+        n = np.empty(t.shape, dtype=np.int32)
         if fresh:
-            labels[:, 0] = edge
+            t[:, 0] = edge
         # the block is labelled 64 cells at a time, which bounds the
         # temporaries of the phase however many cells there are; at
         # omega = 0 a cell with ae = 0 has Q = 0, and s and its atan are inf
@@ -655,26 +675,24 @@ def _axis_crossings(p, inv, alpha, g, first=False):
         with np.errstate(divide="ignore"):
             for r in range(0, cell.size, 64):
                 coeffs = [x[r:r + 64, None] for x in (omega_max, a, e, bc, base)]
-                t = _phase(coeffs[0] * w[start + fresh:stop + 1], *coeffs[1:4], m) / (2.0 * math.pi)
-                labels[r:r + 64, fresh:] = 2 * np.floor(t) + coeffs[4]
+                t[r:r + 64, fresh:] = _phase(coeffs[0] * w[start + fresh:stop + 1], *coeffs[1:4], m) / (2.0 * math.pi)
+                n[r:r + 64] = 2 * np.floor(t[r:r + 64]) + coeffs[4]
         if stop == N_GRID - 1:
-            labels[no_limit, -1] = labels[no_limit, -2]
-        edge = labels[:, -1]
-        row, j = np.nonzero(labels[:, :-1] != labels[:, 1:])
-        if not row.size:
-            continue
-        # each bracket's ends in w (decreasing: T increases), counts and cell's gains
-        counts = np.stack([labels[row, j], labels[row, j + 1]], axis=-1)
-        j += start
-        ends, om_max, a_j, e_j, bc_j = np.stack([w[j], w[j + 1]]), omega_max[row], a[row], e[row], bc[row]
+            n[no_limit, -1] = n[no_limit, -2]
+        edge = t[:, -1]
 
         with np.errstate(all="ignore"):
-            # Newton from the secant point of G / 2 pi - its larger floor at the ends
-            s = _chain_ratio(om_max * ends, a_j, e_j, bc_j, m)
-            t = _phase(om_max * ends, a_j, e_j, bc_j, m, s) / (2.0 * math.pi)
-            f_0, f_1 = t - np.floor(t).max(axis=0)
-            omega = om_max * (ends[1] - f_1 * (ends[1] - ends[0]) / (f_1 - f_0))
-            T, T_ends = m * _chain_ratio(omega, a_j, e_j, bc_j, m) / omega, (m * s / (om_max * ends)).T
+            # each bracket's cell, lower index in w (decreasing: T increases),
+            # counts and the secant point in w, where Newton starts
+            row, j, counts, x = _brackets(n, t, w[start:stop + 1])
+            if not row.size:
+                continue
+            j += start
+            a_j, e_j, bc_j = a[row], e[row], bc[row]
+            # T from the modulus at the secant point and at the ends
+            omega = omega_max[row] * np.stack([x, w[j], w[j + 1]])
+            T, *T_ends = m * _chain_ratio(omega, a_j, e_j, bc_j, m) / omega
+            omega, T_ends = omega[0], np.stack(T_ends, axis=-1)
             jump = np.abs(counts[:, 1] - counts[:, 0])
             if (jump > 2).any():
                 i = np.argmax(jump > 2)
@@ -748,20 +766,22 @@ def _param_crossings(p, inv, name, grid, tol, orders=None):
 
     Every grid point is labelled by N, the number of roots in the right
     half-plane, with the phase G at omega_T: one call of
-    :func:`_axis_count` labels all orders.  Within a run of positive
-    equilibria N changes at the crossings alone, so a change of N between
-    neighbouring grid points brackets a crossing where the lower point has
-    a positive equilibrium and, if the upper point has none, a pair on the
-    axis.
+    :func:`_axis_count` labels all orders, one row each.  Within a run of
+    positive equilibria N changes at the crossings alone, so a change of N
+    between neighbouring grid points brackets a crossing where the lower
+    point has a positive equilibrium and, if the upper point has none, a
+    pair on the axis; :func:`_brackets` takes those of every row at once.
     The brackets of all orders, each with its own m and r, go to
     :func:`_solve` at once: Newton steps in (omega, x) from the secant
-    point of G / 2 pi - level (level being the integer the phase crosses),
-    and bisection by N where Newton does not settle, as often as bisecting
-    the widest change of N of its order to ``tol`` takes; a bisected
-    bracket that ends beyond the positive equilibria keeps a crossing below
-    that edge.  The reported value is the midpoint on which bisecting the
-    grid interval to ``tol`` by N lands, replayed against the root, so no
-    point depends, bit for bit, on the orders solved beside it.  Raises
+    point of G / 2 pi past the integer the phase crosses, with omega
+    interpolated on the grid, and bisection by N where Newton does not
+    settle, as often as bisecting the widest change of N of its order to
+    ``tol`` takes; a bisected bracket that ends beyond the positive
+    equilibria keeps a crossing below that edge.  The reported value is
+    the midpoint on which bisecting the grid interval to ``tol`` by N
+    lands, replayed against the root, so no point depends, bit for bit, on
+    the orders solved beside it.  m is carried as a float, exact below
+    2**53, so an order beyond int64 is solved as its limit.  Raises
     DegenerateTransversality when a crossing has Re dlambda/dx ~ 0.
     """
     ms = [p.replace(m=m).m for m in ([p.m] if orders is None else orders)]
@@ -783,29 +803,20 @@ def _param_crossings(p, inv, name, grid, tol, orders=None):
         return a, e, b * c, alpha * diy - 1.0, -1.0 + e / c * diy, diy * (b + alpha * e) / (b * c)
 
     with np.errstate(all="ignore"):
-        at_grid, parts = gains(grid), []
-        m_col = np.array(ms)[:, None]
-        turns, oms, counts = _axis_count(m_col, m_col / p.T, *at_grid[:3])
-        for i, m in enumerate(ms):
-            t, om, n = turns[i], oms[i], counts[i]
-            j = np.nonzero(n[:-1] != n[1:])[0]
-            # a crossing needs a positive equilibrium at the lower end, and a
-            # pair on the axis there where the upper end has none
-            k = j[(n[j] >= 0) & ((n[j + 1] >= 0) | (om[j] > 0.0))]
-            lo, hi, t_lo, t_hi = grid[k], grid[k + 1], t[k], t[k + 1]
-            # Newton from the secant point of G / 2 pi - level, where the phase
-            # crosses level = floor(t_lo) + 1 going up and floor(t_lo) going down
-            level = np.floor(t_lo) + (np.floor(t_hi) > np.floor(t_lo))
-            f_lo, f_hi = t_lo - level, t_hi - level
-            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            omega = om[k] + (x - lo) / (hi - lo) * (om[k + 1] - om[k])
-            # the halvings that bring the widest count change to ``tol``
-            halvings = max(math.floor(np.max(np.log2(np.diff(grid)[j] / tol), initial=-1.0)) + 1, 0)
-            parts.append((*(np.full(k.size, v) for v in (i, m, m / p.T, halvings)),
-                          k, np.stack([n[k], n[k + 1]], axis=-1), x, omega))
-        owner, m, r, halvings, k, counts, x, omega = map(np.concatenate, zip(*parts))
-        kept, x, omega, speed, residual = _solve(name, lambda x, *mr: (*mr, *gains(x), 0.0), (m, r), x, omega,
-                                                  np.stack([grid[k], grid[k + 1]], -1), counts, halvings)
+        # one row per order, m in floats: exact below 2**53, and no object
+        # array for an order beyond int64
+        m_col = np.array(ms, dtype=float)[:, None]
+        t, om, n = _axis_count(m_col, m_col / p.T, *gains(grid)[:3])
+        # the halvings that bring each order's widest change of N to ``tol``
+        widest = np.max(np.where(n[:, :-1] != n[:, 1:], np.log2(np.diff(grid) / tol), -1.0), axis=1, initial=-1.0)
+        halvings = np.maximum(np.floor(widest) + 1, 0).astype(int)
+        # a crossing needs a positive equilibrium at the lower end, and a
+        # pair on the axis there where the upper end has none
+        owner, k, counts, x = _brackets(n, t, grid, (n[:, :-1] >= 0) & ((n[:, 1:] >= 0) | (om[:, :-1] > 0.0)))
+        lo, hi, m = grid[k], grid[k + 1], m_col[owner, 0]
+        omega = om[owner, k] + (x - lo) / (hi - lo) * (om[owner, k + 1] - om[owner, k])
+        kept, x, omega, speed, residual = _solve(name, lambda x, *mr: (*mr, *gains(x), 0.0), (m, m / p.T), x, omega,
+                                                  np.stack([lo, hi], -1), counts, halvings[owner])
     owner = owner[kept]
     points = [_as_points(name, *(v[owner == i] for v in (x, omega, speed, residual))) for i in range(len(ms))]
     return points[0] if orders is None else points
@@ -823,8 +834,8 @@ def hopf_in_alpha(p, inv, m=None, alpha_range=(0.05, 2.0)):
     if m is not None:
         p = p.replace(m=m)
     lo, hi = alpha_range
-    if not (0.0 < lo < hi):
-        raise ValueError("alpha_range must satisfy 0 < lo < hi")
+    if not (0.0 < lo < hi < math.inf):
+        raise ValueError("alpha_range must satisfy 0 < lo < hi < inf")
     points = _param_crossings(p, inv, "alpha", np.geomspace(lo, hi, ALPHA_GRID), 1e-12)
     if not points:
         raise NoHopf(f"no Hopf crossing in alpha over {alpha_range}")

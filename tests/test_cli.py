@@ -199,6 +199,15 @@ class TestStabilityCmd:
         assert err == (f"numeric failure: the m = {m} characteristic coefficients leave the float"
                        f" range at T = 1e-200\n")
 
+    @pytest.mark.parametrize("m, T", [("1", "1e-320"), ("2", "5e-324"), ("3", "1e-320"), ("4", "1e-310")])
+    @pytest.mark.filterwarnings("error")
+    def test_an_infinite_m_over_T_is_refused_before_the_eigenvalues(self, capsys, m, T):
+        # r = m/T overflows, and the Jacobian holds it as every coefficient does
+        code, out, err = run_cli(capsys, "stability", "--json", "--m", m, "--T", T)
+        assert (code, out) == (3, "")
+        what = "characteristic coefficients" if int(m) > 2 else "Routh-Hurwitz quantities"
+        assert err == f"numeric failure: the m = {m} {what} leave the float range at T = {float(T):g}\n"
+
     def test_scan_at_a_huge_delay_counts_without_locating_crossings(self, capsys):
         # the count locates no critical delay, and hopf --vary T refuses some
         # of those below T = 1e12 here as off the equation
@@ -484,6 +493,23 @@ class TestHopfCmd:
         assert point["value"] == pytest.approx(0.70142, abs=1e-5)
         assert point["omega"] > 0.0
 
+    @pytest.mark.parametrize("bound", ["inf", "1e309"])
+    @pytest.mark.filterwarnings("error")
+    def test_an_infinite_alpha_range_is_a_domain_error(self, capsys, bound):
+        code, out, err = run_cli(capsys, "hopf", "--json", "--vary", "alpha", "--alpha-max", bound)
+        assert (code, out) == (2, "")
+        assert err == "error: alpha_range must satisfy 0 < lo < hi < inf\n"
+
+    @pytest.mark.parametrize("vary, want", [("g", [0.0101188789587, 0.0203273223499]),
+                                            ("alpha", [0.701274611257])])
+    @pytest.mark.filterwarnings("error")
+    def test_an_order_beyond_int64_is_solved_as_its_limit(self, capsys, vary, want):
+        # the orders are carried as floats, so m = 1e20 gives the limit of a
+        # fixed delay, within 1e-10 of m = 10^6
+        code, out, err = run_cli(capsys, "hopf", "--json", "--vary", vary, "--m", "99999999999999999999")
+        assert code == 0 and err == ""
+        assert [h["value"] for h in json.loads(out)["hopf_points"]] == pytest.approx(want, rel=1e-9)
+
     @pytest.mark.parametrize("vary", ["g", "alpha"])
     @pytest.mark.filterwarnings("error")
     def test_frequency_underflow_reports_no_point(self, capsys, vary):
@@ -657,6 +683,14 @@ class TestTable2Cmd:
         rows = json.loads(out)["rows"]
         assert [r["m"] for r in rows] == [1, 2, 3, 4]
         assert all(r["g_bi1"] is None and r["g_bi2"] is None for r in rows)
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_order_beyond_int64_is_solved_as_its_limit(self, capsys):
+        code, out, err = run_cli(capsys, "table2", "--json", "--m-list", "99999999999999999999")
+        assert code == 0 and err == ""
+        [row] = json.loads(out)["rows"]
+        assert row["m"] == 99999999999999999999
+        assert [row["g_bi1"], row["g_bi2"]] == pytest.approx([0.0101188789587, 0.0203273223499], rel=1e-9)
 
 
 class TestConfigRoundTrip:

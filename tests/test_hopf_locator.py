@@ -34,7 +34,7 @@ from chaintrick.model_core import (
     equilibrium,
     growth_interval,
 )
-from chaintrick.sweep import table_g_bifurcations
+from chaintrick.sweep import curve_T_vs_alpha, surface_T, table_g_bifurcations
 from oracles import (
     _scan,
     characteristic_residual,
@@ -557,7 +557,7 @@ class TestHopfInAlpha:
         with pytest.raises(NoHopf):
             hopf_in_alpha(baseline, inv_dm, alpha_range=(0.1, 0.2))
 
-    @pytest.mark.parametrize("alpha_range", [(0.0, 1.0), (-0.5, 1.0), (1.5, 0.3), (0.7, 0.7)])
+    @pytest.mark.parametrize("alpha_range", [(0.0, 1.0), (-0.5, 1.0), (1.5, 0.3), (0.7, 0.7), (0.3, math.inf)])
     def test_alpha_range_must_satisfy_0_lt_lo_lt_hi(self, inv_dm, baseline, alpha_range):
         with pytest.raises(ValueError, match="0 < lo < hi"):
             hopf_in_alpha(baseline, inv_dm, alpha_range=alpha_range)
@@ -1072,6 +1072,21 @@ class TestNewtonFromGridBrackets:
         calls[0] = 0
         hopf_in_alpha(p.replace(T=1.5), inv_dm, alpha_range=(0.3, 1.5))
         assert calls[0] <= 1
+
+    def test_the_T_route_takes_the_phase_of_its_grid_pass(self, inv_dm, baseline, monkeypatch):
+        # one call per block of the scan and 64 cells; the phase taken again
+        # at the ends of the brackets made these 2, 3, 7 and 5
+        alphas, gs = np.linspace(0.6, 0.75, 16), np.linspace(0.012, 0.019, 16)
+        calls = _count_phase_calls(monkeypatch)
+        for run, most in [
+            (lambda: critical_delays(baseline.replace(alpha=0.58, g=0.015), inv_dm, m=3), 1),
+            (lambda: curve_T_vs_alpha(baseline, inv_dm, 1, np.linspace(0.6, 0.764, 83)), 2),
+            (lambda: surface_T(baseline, inv_dm, 2, alphas, gs), 5),
+            (lambda: surface_T(baseline, inv_dm, 3, alphas, gs), 4),
+        ]:
+            calls[0] = 0
+            run()
+            assert calls[0] <= most
 
     def test_residual_is_that_of_the_reported_point(self, inv_dm, baseline):
         p, q = baseline.replace(alpha=0.7), baseline.replace(alpha=0.58, g=0.015, T=1.5)
