@@ -28,15 +28,28 @@ from ._dopri import (
 )
 
 
+#: Step cap in units of the chain's time constant T/m.  The chain rows put
+#: an m-fold eigenvalue -m/T in the Jacobian, and DOPRI5's stability
+#: interval on the negative real axis ends near -3.3 (Hairer, Norsett &
+#: Wanner, *Solving ODEs I*, II.5).  At a stable fixed point the error
+#: estimate is about 0, so without this cap h grows past that bound and
+#: rounding noise grows until error control catches it at the tolerance.
+STABLE_STEPS = 3.0
+
+
 def _front_end(kernel):
     """Wrap a kernel with the buffer protocol ``(y, m, par, t0, t_end,
     sample_dt, rtol, atol, max_abs, max_step, times, states, counts) ->
     (status, n_written, t_stop)`` as ``integrate_chain``.
 
-    ``integrate_chain`` returns (times, states, status, t_stop); when
-    ``counts`` is given (a length-3 sequence, e.g. an int array) it
-    receives the work done: RHS evaluations, accepted steps and rejected
-    steps.
+    Every step is capped at ``min(10 sample_dt, STABLE_STEPS T/m)``, and
+    at ``10 sample_dt`` for m = 0.  Without the first bound, steps at a
+    fixed point would grow until the dense interpolant is pure roundoff;
+    the second keeps h m/T inside DOPRI5's stability interval, so a
+    stable equilibrium stays fixed.  ``integrate_chain`` returns (times,
+    states, status, t_stop); when ``counts`` is given (a length-3
+    sequence, e.g. an int array) it receives the work done: RHS
+    evaluations, accepted steps and rejected steps.
     """
 
     def integrate_chain(y0, m, alpha, gamma, delta, g, G0, T, a, c, d, v,
@@ -67,10 +80,11 @@ def _front_end(kernel):
         states = np.empty((n_samples, n))
         done = np.zeros(3, dtype=np.int64)
         par = np.array([alpha, gamma, delta, g, G0, T, a, c, d, v], dtype=np.float64)
-        # uncapped steps at a fixed point would grow until the dense
-        # interpolant is pure roundoff
+        max_step = 10.0 * sample_dt
+        if m > 0:
+            max_step = min(max_step, STABLE_STEPS * T / m)
         status, j, t_stop = kernel(y, m, par, t0, t_end, sample_dt, rtol, atol, max_abs,
-                                   10.0 * sample_dt, times, states, done)
+                                   max_step, times, states, done)
         if counts is not None:
             counts[:] = done
         return times[:j], states[:j], status, t_stop

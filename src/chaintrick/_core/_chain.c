@@ -1,15 +1,16 @@
 /* Adaptive Dormand-Prince 5(4) integrator for chain systems, in plain C.
  *
  * Line-for-line port of ``chain_integrate`` in ``_dopri.py``: same argument
- * list and buffer protocol, tableau, FSAL step, step control,
+ * list and buffer protocol, chain RHS (the float operations of
+ * ``make_chain_rhs``, in its order), tableau, FSAL step, step control,
  * initial-step heuristic, dense-output interpolant, status codes and work
- * counters.  Like the reference it fills buffers its caller sized and
- * checks nothing.  C needs a few arguments more: ``n_samples`` (the length
- * of ``times``), ``work`` (8 * (m + 2) doubles of scratch) and pointers for
- * the three results ``status``, ``n_written`` and ``t_stop``; the ctypes
- * adapter in ``_core/__init__.py`` supplies them.  The file includes
- * no CPython or numpy header, so the state dimension m + 2 has no
- * compile-time cap.
+ * counters, so the two take the same steps.  Like the reference it fills
+ * buffers its caller sized and checks nothing.  C needs a few arguments
+ * more: ``n_samples`` (the length of ``times``), ``work`` (8 * (m + 2)
+ * doubles of scratch) and pointers for the three results ``status``,
+ * ``n_written`` and ``t_stop``; the ctypes adapter in ``_core/__init__.py``
+ * supplies them.  The file includes no CPython or numpy header, so the
+ * state dimension m + 2 has no compile-time cap.
  *
  * Build by hand (``python setup.py build_ext --inplace`` does the same):
  *     cc -O3 -shared -fPIC _chain.c -o _chain.so -lm
@@ -57,38 +58,33 @@ static const double C_P[7][4] = {
     {0.0, 40617522.0 / 29380423, -110615467.0 / 29380423, 69997945.0 / 29380423},
 };
 
+/* The model's constants, folded once per run as in ``make_chain_rhs``. */
 typedef struct {
     int m, n;
-    double alpha, gamma, g, G0, rate, gd, a, c, d, v;
+    double rate, a, av, ad, ac, ag, aG0, d, cgd;
     int64_t n_rhs;
 } Chain;
 
-static double sigmoid(double t)
-{
-    double e;
-    if (t >= 0.0)
-        return 1.0 / (1.0 + exp(-t));
-    e = exp(t);
-    return e / (1.0 + e);
-}
-
-/* Chain-system derivative; returns -1 when k <= 0 (domain exit). */
+/* Chain-system derivative; returns -1 when k <= 0 (domain exit).  Each
+ * investment term is one quotient; an exp that overflows to inf gives the
+ * exact limit 0. */
 static int rhs(Chain *ch, const double *s, double *out)
 {
     int m = ch->m, i;
-    double k = s[m + 1], y, prev;
+    double k = s[m + 1], y, ik, prev;
     ch->n_rhs++;
     if (k <= 0.0)
         return -1;
     y = s[0];
-    out[0] = ch->alpha * (k * (ch->c + ch->d * sigmoid(ch->a * (ch->v * y / k - 1.0)))
-                          - ch->gamma * y + ch->G0) - ch->g * y;
+    ik = 1.0 / k;
+    out[0] = ch->ac * k - ch->ag * y + ch->aG0
+             + ch->ad * k / (1.0 + exp(ch->a - ch->av * (y * ik)));
     prev = y;
     for (i = 1; i <= m; i++) {
         out[i] = ch->rate * (prev - s[i]);
         prev = s[i];
     }
-    out[m + 1] = k * (ch->c + ch->d * sigmoid(ch->a * (ch->v * s[m] / k - 1.0))) - ch->gd * k;
+    out[m + 1] = ch->cgd * k + ch->d * k / (1.0 + exp(ch->a - ch->av * (s[m] * ik)));
     return 0;
 }
 
@@ -147,9 +143,10 @@ EXPORT void chain_integrate(double *y, int m, const double *par, double t0, doub
                             double *states, double *work, int64_t *counts, int *status,
                             int64_t *n_written, double *t_stop)
 {
-    Chain ch = {.m = m, .n = m + 2, .alpha = par[0], .gamma = par[1], .g = par[3],
-                .G0 = par[4], .rate = m / par[5], .gd = par[3] + par[2],
-                .a = par[6], .c = par[7], .d = par[8], .v = par[9], .n_rhs = 0};
+    Chain ch = {.m = m, .n = m + 2, .rate = m / par[5], .a = par[6], .av = par[6] * par[9],
+                .ad = par[0] * par[8], .ac = par[0] * par[7], .ag = par[0] * par[1] + par[3],
+                .aG0 = par[0] * par[4], .d = par[8], .cgd = par[7] - (par[3] + par[2]),
+                .n_rhs = 0};
     int n = m + 2, i, s, q, final, failed;
     double *K[7], *stage = work + 7 * n;
     double t = t0, h, h_step, t_new, ts, theta, acc, err_norm, factor, big, pw[4], b[7];

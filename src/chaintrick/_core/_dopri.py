@@ -2,13 +2,13 @@
 
 Reference implementation of the compiled kernel in ``_chain.c``, which is a
 line-for-line port of :func:`chain_integrate` here: same argument list and
-buffer protocol, same tableau, step control, dense-output interpolant,
-status codes and work counters, so the two kernels are interchangeable up
-to roundoff.  Neither allocates the output, checks the inputs or defaults
-the step cap: the one front end in ``_core/__init__.py`` does that for
-both.  This kernel is also the fallback when no C compiler built the
-other one, and :func:`make_chain_rhs` is the one Python copy of the chain
-equations.
+buffer protocol, same chain RHS float operations, tableau, step control,
+dense-output interpolant, status codes and work counters, so the two
+kernels take the same steps and agree up to roundoff.  Neither allocates
+the output, checks the inputs or sets the step cap: the one front end in
+``_core/__init__.py`` does that for both.  This kernel is also the
+fallback when no C compiler built the other one, and
+:func:`make_chain_rhs` is the one Python copy of the chain equations.
 
 Status codes returned alongside the sampled trajectory:
 
@@ -74,30 +74,43 @@ class _DomainExit(Exception):
     pass
 
 
-def _sigmoid(t):
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
+def _exp(t):
+    """``math.exp``, but inf where it overflows, as C's ``exp`` gives."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
 
 
 def make_chain_rhs(m, alpha, gamma, delta, g, G0, T, a, c, d, v):
-    """Autonomous right-hand side of the (m+2)-dimensional chain system."""
+    """Autonomous right-hand side of the (m+2)-dimensional chain system.
+
+    Investment is ``k Phi(x) = c k + d k / (1 + exp(a - a v x))`` with x =
+    y/k or u_m/k: one quotient per term, with 1/k taken once and the
+    constants folded here.  An exp that overflows to inf gives the exact
+    limit 0.  ``_chain.c`` does the same float operations in the same order.
+    """
     rate = m / T
-    gd = g + delta
+    av = a * v
+    ad = alpha * d
+    ac = alpha * c
+    ag = alpha * gamma + g
+    aG0 = alpha * G0
+    cgd = c - (g + delta)
 
     def f(s):
         k = s[m + 1]
         if k <= 0.0:
             raise _DomainExit
         y = s[0]
+        ik = 1.0 / k
         out = np.empty(m + 2)
-        out[0] = alpha * (k * (c + d * _sigmoid(a * (v * y / k - 1.0))) - gamma * y + G0) - g * y
+        out[0] = ac * k - ag * y + aG0 + ad * k / (1.0 + _exp(a - av * (y * ik)))
         prev = y
         for i in range(1, m + 1):
             out[i] = rate * (prev - s[i])
             prev = s[i]
-        out[m + 1] = k * (c + d * _sigmoid(a * (v * s[m] / k - 1.0))) - gd * k
+        out[m + 1] = cgd * k + d * k / (1.0 + _exp(a - av * (s[m] * ik)))
         return out
 
     return f

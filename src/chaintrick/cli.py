@@ -349,7 +349,11 @@ def _stability_point(inv, macro):
     if not math.isfinite(macro.m / macro.T):
         raise OverflowError(beyond)
     # the (m+2)-square eigenvalue solve runs first, so that a kernel order
-    # too large for it is refused as out of memory; its roots are printed only
+    # too large for it is refused as out of memory; its roots are printed only.
+    # numpy sizes no array of more than sys.maxsize bytes
+    n = macro.m + 2
+    if 8 * n * n > sys.maxsize:
+        raise MemoryError(f"the {n}-square eigenvalue solve is larger than an array can be")
     eig = equilibrium_eigenvalues(macro, inv)
     g = np.array([macro.g])
     signature = _root_signature(macro, inv, g)

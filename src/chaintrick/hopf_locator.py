@@ -770,7 +770,11 @@ def _param_crossings(p, inv, name, grid, tol, orders=None):
     positive equilibria N changes at the crossings alone, so a change of N
     between neighbouring grid points brackets a crossing where the lower
     point has a positive equilibrium and, if the upper point has none, a
-    pair on the axis; :func:`_brackets` takes those of every row at once.
+    pair on the axis.  An interval of positive equilibria over which N
+    changes by more than 2 holds several crossings: it is halved, each
+    midpoint labelled, until no piece changes N by more than 2 or its
+    ends are adjacent floats.  :func:`_brackets` takes the brackets of
+    every order at once.
     The brackets of all orders, each with its own m and r, go to
     :func:`_solve` at once: Newton steps in (omega, x) from the secant
     point of G / 2 pi past the integer the phase crosses, with omega
@@ -810,12 +814,31 @@ def _param_crossings(p, inv, name, grid, tol, orders=None):
         # the halvings that bring each order's widest change of N to ``tol``
         widest = np.max(np.where(n[:, :-1] != n[:, 1:], np.log2(np.diff(grid) / tol), -1.0), axis=1, initial=-1.0)
         halvings = np.maximum(np.floor(widest) + 1, 0).astype(int)
+        # the points of every order one after another, ``own`` naming the order
+        own = np.repeat(np.arange(len(ms)), grid.size)
+        x, t, om, n = np.tile(grid, len(ms)), t.ravel(), om.ravel(), n.ravel()
+        while True:
+            # N changes by more than 2 over an interval of positive
+            # equilibria that holds several crossings: halve it, to
+            # adjacent floats at most, until each piece holds one
+            i = np.nonzero(np.abs(np.diff(n)) > 2)[0]
+            if i.size:
+                mid = 0.5 * (x[i] + x[i + 1])
+                keep = (own[i] == own[i + 1]) & (n[i] >= 0) & (n[i + 1] >= 0) & (x[i] < mid) & (mid < x[i + 1])
+                i, mid = i[keep], mid[keep]
+            if not i.size:
+                break
+            m_i = m_col[own[i], 0]
+            at_mid = (own[i], mid, *_axis_count(m_i, m_i / p.T, *gains(mid)[:3]))
+            own, x, t, om, n = (np.insert(v, i + 1, w) for v, w in zip((own, x, t, om, n), at_mid))
         # a crossing needs a positive equilibrium at the lower end, and a
         # pair on the axis there where the upper end has none
-        owner, k, counts, x = _brackets(n, t, grid, (n[:, :-1] >= 0) & ((n[:, 1:] >= 0) | (om[:, :-1] > 0.0)))
-        lo, hi, m = grid[k], grid[k + 1], m_col[owner, 0]
-        omega = om[owner, k] + (x - lo) / (hi - lo) * (om[owner, k + 1] - om[owner, k])
-        kept, x, omega, speed, residual = _solve(name, lambda x, *mr: (*mr, *gains(x), 0.0), (m, m / p.T), x, omega,
+        ok = (own[:-1] == own[1:]) & (n[:-1] >= 0) & ((n[1:] >= 0) | (om[:-1] > 0.0))
+        _, k, counts, start = _brackets(n[None], t[None], x, ok)
+        owner, lo, hi = own[k], x[k], x[k + 1]
+        m = m_col[owner, 0]
+        omega = om[k] + (start - lo) / (hi - lo) * (om[k + 1] - om[k])
+        kept, x, omega, speed, residual = _solve(name, lambda x, *mr: (*mr, *gains(x), 0.0), (m, m / p.T), start, omega,
                                                   np.stack([lo, hi], -1), counts, halvings[owner])
     owner = owner[kept]
     points = [_as_points(name, *(v[owner == i] for v in (x, omega, speed, residual))) for i in range(len(ms))]

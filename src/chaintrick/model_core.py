@@ -15,6 +15,7 @@ records add no more to a command's start-up than any other class.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -109,8 +110,9 @@ DANA_MALGRANGE = InvestmentParams(a=9.0, c=0.01, d=0.026, v=4.23)
 
 
 def _kernel_order(m):
-    """``m`` as an int: an integral number other than a bool, at least 1.
-    Raises ValueError otherwise."""
+    """``m`` as an int: an integral number other than a bool, at least 1
+    and within the float range, since the rate m/T is a float.  Raises
+    ValueError otherwise."""
     try:
         order = int(m)
         integral = order == m and not isinstance(m, (bool, np.bool_))
@@ -118,6 +120,9 @@ def _kernel_order(m):
         integral = False
     if not integral or order < 1:
         raise ValueError("MacroParams.m must be an integer >= 1")
+    if order > sys.float_info.max:
+        raise ValueError(f"MacroParams.m must be an integer >= 1 within the float range,"
+                         f" got one of {order.bit_length()} bits")
     return order
 
 

@@ -1,9 +1,9 @@
-"""A seeded census of every Hopf route, written to JSON, and a bit-for-bit
-comparison of two such files.
+"""A seeded census of every Hopf route, written to JSON, and a comparison
+of two such files, bit for bit or to a relative tolerance.
 
     python tests/census.py run OUT.json [--seed 7] [--draws 300]
     PYTHONPATH=OTHER/src python tests/census.py run OTHER.json
-    python tests/census.py compare OUT.json OTHER.json
+    python tests/census.py compare OUT.json OTHER.json [--rtol 1e-12]
 
 ``run`` imports chaintrick from wherever the path finds it, so pointing
 PYTHONPATH at the ``src`` of another checkout runs the same census on that
@@ -30,9 +30,16 @@ calls of ``hopf_locator._phase`` per section and in total.  The sections:
 ``compare`` prints the entries whose results differ, byte for byte in
 their JSON, and the phase calls of both files, and exits 1 on any
 difference of results.  Floats are written in Python's shortest
-round-trip form, so equal text means equal bits.  Without PYTHONPATH the
-script imports the ``src`` of its own checkout, or an installed
-chaintrick, which comes first; each file records the directory it ran.
+round-trip form, so equal text means equal bits.  With ``--rtol R`` an
+entry whose floats all agree to R relative, and whose shape, integers
+and messages match exactly, is listed as within rtol, and only the
+others make the exit status 1:
+
+    python tests/census.py compare OUT.json OTHER.json --rtol 1e-12
+
+Without PYTHONPATH the script imports the ``src`` of its own checkout,
+or an installed chaintrick, which comes first; each file records the
+directory it ran.
 
 The file is not collected by pytest: a census of 300 draws takes about
 15 s on one core.
@@ -181,20 +188,36 @@ def entries(results, prefix=""):
         yield prefix, json.dumps(results, sort_keys=True)
 
 
-def compare(path_a, path_b):
+def close(x, y, rtol):
+    """Whether the JSON data ``x`` and ``y`` agree: floats to ``rtol``
+    relative, everything else (the shape, ints, strings, messages) exactly."""
+    if isinstance(x, float) and isinstance(y, float):
+        return abs(x - y) <= rtol * max(abs(x), abs(y))
+    if isinstance(x, list) and isinstance(y, list):
+        return len(x) == len(y) and all(close(u, v, rtol) for u, v in zip(x, y))
+    if isinstance(x, dict) and isinstance(y, dict):
+        return x.keys() == y.keys() and all(close(x[k], y[k], rtol) for k in x)
+    return x == y
+
+
+def compare(path_a, path_b, rtol=0.0):
     with open(path_a, encoding="utf-8") as fh:
         a = json.load(fh)
     with open(path_b, encoding="utf-8") as fh:
         b = json.load(fh)
     left, right = dict(entries(a["results"])), dict(entries(b["results"]))
     differ = sorted(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
+    beyond = differ if not rtol else [
+        k for k in differ
+        if k not in left or k not in right or not close(json.loads(left[k]), json.loads(right[k]), rtol)
+    ]
     for key in differ:
-        print(f"differs: {key}")
-    print(f"{len(left)} entries, {len(differ)} differ")
+        print(f"{'differs' if key in beyond else 'within rtol'}: {key}")
+    print(f"{len(left)} entries, {len(differ)} differ" + (f", {len(beyond)} beyond rtol {rtol:g}" if rtol else ""))
     print(f"{'section':32} {'A':>8} {'B':>8}")
     for key in [*a["phase_calls"], *(k for k in b["phase_calls"] if k not in a["phase_calls"])]:
         print(f"{key:32} {a['phase_calls'].get(key, '-'):>8} {b['phase_calls'].get(key, '-'):>8}")
-    return 1 if differ else 0
+    return 1 if beyond else 0
 
 
 def main(argv=None):
@@ -204,14 +227,16 @@ def main(argv=None):
     run_p.add_argument("out")
     run_p.add_argument("--seed", type=int, default=7)
     run_p.add_argument("--draws", type=int, default=300)
-    cmp_p = sub.add_parser("compare", help="compare two census files bit for bit")
+    cmp_p = sub.add_parser("compare", help="compare two census files bit for bit, or to --rtol")
     cmp_p.add_argument("a")
     cmp_p.add_argument("b")
+    cmp_p.add_argument("--rtol", type=float, default=0.0,
+                       help="relative tolerance on floats; the rest must still match exactly")
     args = parser.parse_args(argv)
     if args.command == "run":
         run(args.out, args.seed, args.draws)
         return 0
-    return compare(args.a, args.b)
+    return compare(args.a, args.b, args.rtol)
 
 
 if __name__ == "__main__":

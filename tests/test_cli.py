@@ -208,6 +208,20 @@ class TestStabilityCmd:
         what = "characteristic coefficients" if int(m) > 2 else "Routh-Hurwitz quantities"
         assert err == f"numeric failure: the m = {m} {what} leave the float range at T = {float(T):g}\n"
 
+    def test_an_order_too_large_for_the_eigenvalue_solve_runs_out_of_memory(self, capsys):
+        # numpy refuses the (m+2)-square Jacobian as a dimension, not a size
+        code, out, err = run_cli(capsys, "stability", "--json", "--m", "99999999999999999999")
+        assert (code, out) == (3, "")
+        assert err == ("numeric failure: stability ran out of memory (the 100000000000000000001-square"
+                       " eigenvalue solve is larger than an array can be)\n")
+
+    @pytest.mark.parametrize("argv", [["stability"], ["equilibrium"], ["hopf", "--vary", "g"],
+                                      ["simulate", "--horizon", "10"]])
+    def test_an_order_beyond_the_float_range_is_a_domain_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--json", "--m", str(10**400))
+        assert (code, out) == (2, "")
+        assert err == "error: MacroParams.m must be an integer >= 1 within the float range, got one of 1329 bits\n"
+
     def test_scan_at_a_huge_delay_counts_without_locating_crossings(self, capsys):
         # the count locates no critical delay, and hopf --vary T refuses some
         # of those below T = 1e12 here as off the equation

@@ -536,6 +536,26 @@ class TestRootCounts:
         assert rep.g2_hopf == pytest.approx(TABLE_G[4][1], abs=5e-7)
         assert [s.stable for s in rep.segments] == [None, True, False, True]
 
+    def test_a_grid_interval_with_several_crossings_gives_each(self, inv_dm, baseline):
+        # at m = 1000, T = 1e12 N changes by up to 6 over one interval of the
+        # 200-point grid of stability --scan-g 200; one point per interval
+        # gave 37 of its 48 Hopf points
+        p = baseline.replace(m=1000, T=1e12)
+        gs = np.linspace(*growth_interval(inv_dm, p.delta), 202)[1:-1]
+        n = hopf_locator._unstable_roots(p, inv_dm, gs)
+        assert n.min() >= 0
+        rep = hopf_in_g(p, inv_dm, n_grid=200)
+        net = sum(1 if h.crossing == "destabilizing" else -1 for h in rep.hopf_points)
+        assert 2 * net == n[-1] - n[0]
+        assert 2 * len(rep.hopf_points) == np.abs(np.diff(n)).sum() == 96
+        # the two destabilizing crossings the default grid finds between
+        # g = 0.00649254 and 0.00662189, and the default grid's g2_hopf
+        values = np.array([h.value for h in rep.hopf_points])
+        for g in (0.0064952, 0.0065586):
+            assert np.abs(values - g).min() < 1e-7
+        assert rep.g2_hopf == pytest.approx(hopf_in_g(p, inv_dm).g2_hopf, rel=1e-9)
+        assert max(h.residual for h in rep.hopf_points) < 1e-6
+
 
 class TestHopfInAlpha:
     def test_small_delay_threshold(self, inv_dm, baseline):

@@ -47,6 +47,22 @@ class TestIntegrate:
         traj_u = integrate(sys_u, s_u, 1000.0, sample_dt=1.0)
         assert np.abs(traj_u.states - s_u).max() < 1e-5
 
+    @pytest.mark.parametrize(
+        "backend",
+        ["python", pytest.param("compiled", marks=pytest.mark.skipif(
+            not HAVE_COMPILED, reason="compiled integrator core not built"))],
+    )
+    @pytest.mark.parametrize("g, alpha, T, m", [(0.008, 0.6, 0.5, 1), (0.010, 0.6, 0.5, 1),
+                                                (0.012, 0.4, 1.0, 3)])
+    def test_a_stable_equilibrium_stays_fixed(self, inv_dm, baseline, backend, g, alpha, T, m):
+        # at a stable fixed point the error estimate is about 0; a step past
+        # DOPRI5's stability interval, h m/T beyond about 3.3, lets rounding
+        # noise grow there until error control stops it near the tolerance
+        sys_ = build(baseline.replace(g=g, alpha=alpha, T=T, m=m), inv_dm)
+        s = equilibrium_state(sys_)
+        traj = integrate(sys_, s, 1000.0, sample_dt=1.0, backend=backend)
+        assert np.abs(traj.states - s).max() < 1e-8
+
     def test_cycle_run_is_bounded_oscillation(self, cycle_traj):
         assert not cycle_traj.diverged
         y = cycle_traj.y
