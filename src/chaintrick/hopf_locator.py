@@ -13,7 +13,8 @@ it (:func:`_axis_count`); the gains do not depend on m, so the orders of a
 table share them, one labelling and one solve of all their brackets.  In
 T the omega grid is labelled by the same count, from the phase of the
 grid pass.  One function (:func:`_brackets`) turns the labelled rows of
-every route into brackets where the count changes, each with Newton's
+every route into brackets where the count changes, halving one that
+holds several crossings by the route's own label, each with Newton's
 start at the secant point of G / 2 pi past the integer it crosses, and
 one solver (:func:`_solve`) takes them all: Newton's method on the
 characteristic equation, with the chain factor (1 + i s)^m taken from
@@ -493,20 +494,46 @@ def _count(t, a, e, bc):
     return 2 * (np.floor(t) + ((bc < 0.0) & (a + e < 0.0)) + (a + e > 0.0)).astype(int)
 
 
-def _brackets(n, t, x, ok=True):
-    """The brackets of the rows ``n`` of N, the number of roots in the
-    right half-plane, over the increasing or decreasing grid ``x``: every
-    interval (row, j) over which N changes and which ``ok`` (broadcast
-    over the intervals) allows.  ``t`` holds G / 2 pi at the same points.
-    Returns the rows, the lower indices j, N at both ends (k, 2) and
-    Newton's start in x, the secant point of G / 2 pi - level, where the
-    phase crosses level = floor(t_lo) + 1 going up and floor(t_lo) going
-    down."""
-    row, j = np.nonzero((n[:, :-1] != n[:, 1:]) & ok)
-    t_lo, t_hi, lo, hi = t[row, j], t[row, j + 1], x[j], x[j + 1]
+def _brackets(x, labels, label, *rows):
+    """The brackets of the labelled rows over the increasing or decreasing
+    grid ``x``: every interval over which N, the number of roots in the
+    right half-plane, changes.  ``labels`` holds G / 2 pi first, N last
+    and any other label between, each with one row per cell or kernel
+    order and one column per grid point; ``label(x, *r)`` gives the same
+    labels at the points x, where ``r`` holds each of ``rows`` (one value
+    per row) at every point's row.
+
+    A bracket over which N changes by more than 2 holds several
+    crossings.  Where both ends have a positive equilibrium it is halved,
+    its midpoint labelled, and each half over which N still changes
+    takes its place, until no bracket changes N by more than 2 or its
+    ends are adjacent floats; one that still changes N by more than 2 is
+    returned as it is, for the route to refuse.  Each bracket is split on
+    its own, so no bracket depends on the others.  Returns the rows, the
+    ends (k, 2) in x, each label at both ends (k, 2) and Newton's start in
+    x, the secant point of G / 2 pi - level, where the phase crosses
+    level = floor(t_lo) + 1 going up and floor(t_lo) going down."""
+    n = labels[-1]
+    row, j = np.nonzero(n[:, :-1] != n[:, 1:])
+    ends = np.stack([x[j], x[j + 1]], axis=-1)
+    at = [np.stack([v[row, j], v[row, j + 1]], axis=-1) for v in labels]
+    while True:
+        n = at[-1]
+        s = np.nonzero(np.abs(n[:, 1] - n[:, 0]) > 2)[0]
+        s = s[(n[s].min(axis=1) >= 0) & (0.5 * (ends[s, 0] + ends[s, 1]) != ends[s].T).all(0)] if s.size else s
+        if not s.size:
+            break
+        # each split bracket becomes its two halves, in place
+        first, mid = s + np.arange(s.size), 0.5 * (ends[s, 0] + ends[s, 1])
+        row, ends, *at = (np.insert(v, s + 1, v[s], axis=0) for v in (row, ends, *at))
+        for v, w in zip((ends, *at), (mid, *label(mid, *(r[row[first]] for r in rows)))):
+            v[first, 1] = v[first + 1, 0] = w
+        changes = at[-1][:, 0] != at[-1][:, 1]
+        row, ends, *at = (v[changes] for v in (row, ends, *at))
+    (lo, hi), (t_lo, t_hi) = ends.T, at[0].T
     level = np.floor(t_lo) + (np.floor(t_hi) > np.floor(t_lo))
     f_lo, f_hi = t_lo - level, t_hi - level
-    return row, j, np.stack([n[row, j], n[row, j + 1]], axis=-1), hi - f_hi * (hi - lo) / (f_hi - f_lo)
+    return row, ends, at, hi - f_hi * (hi - lo) / (f_hi - f_lo)
 
 
 def _newton_step(omega, m, r, a, e, bc, da, de, dbc, dlnr):
@@ -615,28 +642,31 @@ def _axis_crossings(p, inv, alpha, g, first=False):
     where T vanishes, and reaching omega = 0, where T is unbounded), and
     labels each point by N, the number of roots in the right half-plane at
     T(omega) (:func:`_count`).  :func:`_brackets` takes every interval
-    where N changes, over all cells, and its secant point from the G of
-    the grid pass, and :func:`_solve` solves them at once: Newton steps in
+    where N changes, over all cells, splits one that holds several
+    crossings by the same label at its midpoints, and takes the secant
+    points from G, and :func:`_solve` solves them at once: Newton steps in
     (omega, T) from there, else bisection by N in T; the last interval
     (omega = 0, T = inf) first doubles its lower end until N there
     changes.  Re dlambda/dT takes a, e and bc fixed, (ln r)' = -1/T.
 
     The grid is scanned from omega_max down in blocks of intervals, each
     block labelled and its brackets solved before the next; a block starts
-    at the last point of the one before, whose G / 2 pi it carries over.
-    Without ``first`` one block covers the whole grid.  With ``first`` a
-    block holds SCAN_BLOCK intervals, and a cell leaves the scan at its
-    first crossing.  A cell's brackets run down in omega, so up in T, and
-    every bracket is labelled and solved with elementwise arithmetic on
-    its own cell and grid interval, so the crossing a cell leaves with is,
-    bit for bit, the first of a scan of the whole grid.
+    at the last point of the one before, whose G / 2 pi and N it carries
+    over.  Without ``first`` one block covers the whole grid.  With
+    ``first`` a block holds SCAN_BLOCK intervals, and a cell leaves the
+    scan at its first crossing.  A cell's brackets run down in omega, so
+    up in T, and every bracket is labelled, split and solved with
+    elementwise arithmetic on its own cell and grid interval, so the
+    crossing a cell leaves with is, bit for bit, the first of a scan of
+    the whole grid.
 
     Returns (cell, T, omega, speed, residual), one entry per crossing,
     ordered by cell and then by T; with ``first`` only the smallest T of
     each cell.  Cells without a positive equilibrium or with |bc| <= |ae|
     have no entry.
-    Raises InaccurateRoot where N changes by more than 2 over one grid
-    interval (several crossings) or a crossing's relative residual exceeds
+    Raises InaccurateRoot where N changes by more than 2 over a bracket
+    whose ends are adjacent floats of the grid (several crossings that
+    the split cannot separate) or a crossing's relative residual exceeds
     RESIDUAL_TOL, and DegenerateTransversality where Re dlambda/dT ~ 0.
     """
     m = p.m
@@ -650,6 +680,11 @@ def _axis_crossings(p, inv, alpha, g, first=False):
     # N is 2 floor(G / 2 pi) plus a constant of the cell (:func:`_count`)
     no_limit, base = a * e == 0.0, _count(0.0, a, e, bc)
 
+    def label(w, omega_max, a, e, bc, base):
+        """G / 2 pi and N at omega = omega_max w of cells with these gains."""
+        t = _phase(omega_max * w, a, e, bc, m) / (2.0 * math.pi)
+        return t, 2 * np.floor(t) + base
+
     # every cell scans omega = omega_max w on one grid of w running from 1
     # (T = 0) down to 0 (T unbounded); the quadratic spacing resolves the
     # square-root behaviour of T at omega_max
@@ -658,7 +693,7 @@ def _axis_crossings(p, inv, alpha, g, first=False):
     step = SCAN_BLOCK if first else N_GRID - 1
     # the crossings kept, block by block, after an empty entry that gives each its type
     found = [(cell[:0],) + (omega_max[:0],) * 4]
-    edge = None  # G / 2 pi at the block's first grid point, from the block before
+    edge = None  # G / 2 pi and N at the block's first grid point, from the block before
     for start in range(0, N_GRID - 1, step):
         if not cell.size:
             break
@@ -667,7 +702,7 @@ def _axis_crossings(p, inv, alpha, g, first=False):
         t = np.empty((cell.size, stop + 1 - start))
         n = np.empty(t.shape, dtype=np.int32)
         if fresh:
-            t[:, 0] = edge
+            t[:, 0], n[:, 0] = edge
         # the block is labelled 64 cells at a time, which bounds the
         # temporaries of the phase however many cells there are; at
         # omega = 0 a cell with ae = 0 has Q = 0, and s and its atan are inf
@@ -675,34 +710,29 @@ def _axis_crossings(p, inv, alpha, g, first=False):
         with np.errstate(divide="ignore"):
             for r in range(0, cell.size, 64):
                 coeffs = [x[r:r + 64, None] for x in (omega_max, a, e, bc, base)]
-                t[r:r + 64, fresh:] = _phase(coeffs[0] * w[start + fresh:stop + 1], *coeffs[1:4], m) / (2.0 * math.pi)
-                n[r:r + 64] = 2 * np.floor(t[r:r + 64]) + coeffs[4]
+                t[r:r + 64, fresh:], n[r:r + 64, fresh:] = label(w[start + fresh:stop + 1], *coeffs)
         if stop == N_GRID - 1:
             n[no_limit, -1] = n[no_limit, -2]
-        edge = t[:, -1]
+        edge = t[:, -1], n[:, -1]
 
         with np.errstate(all="ignore"):
-            # each bracket's cell, lower index in w (decreasing: T increases),
+            # each bracket's cell, ends in w (decreasing: T increases),
             # counts and the secant point in w, where Newton starts
-            row, j, counts, x = _brackets(n, t, w[start:stop + 1])
+            row, ends, (_, counts), x = _brackets(w[start:stop + 1], (t, n), label, omega_max, a, e, bc, base)
             if not row.size:
                 continue
-            j += start
             a_j, e_j, bc_j = a[row], e[row], bc[row]
             # T from the modulus at the secant point and at the ends
-            omega = omega_max[row] * np.stack([x, w[j], w[j + 1]])
-            T, *T_ends = m * _chain_ratio(omega, a_j, e_j, bc_j, m) / omega
-            omega, T_ends = omega[0], np.stack(T_ends, axis=-1)
+            omega = omega_max[row] * np.vstack([x, ends.T])
+            T = m * _chain_ratio(omega, a_j, e_j, bc_j, m) / omega
             jump = np.abs(counts[:, 1] - counts[:, 0])
             if (jump > 2).any():
                 i = np.argmax(jump > 2)
-                raise InaccurateRoot(
-                    f"the number of roots in the right half-plane changes by {jump[i]} between"
-                    f" T = {T_ends[i, 0]:g} and {T_ends[i, 1]:g}: several crossings in one grid"
-                    f" interval (alpha = {alpha[cell[row[i]]]:g}, g = {g[cell[row[i]]]:g})")
-            kept, T, omega, speed, residual = _solve(
-                "T", lambda T, *gains: (m, m / T, *gains, 0.0, 0.0, 0.0, -1.0 / T),
-                (a_j, e_j, bc_j), T, omega, T_ends, counts, None)
+                raise InaccurateRoot(f"the number of roots in the right half-plane changes by {jump[i]} between"
+                                     f" T = {T[1, i]:g} and {T[2, i]:g}, adjacent floats of the frequency grid:"
+                                     f" several crossings (alpha = {alpha[cell[row[i]]]:g}, g = {g[cell[row[i]]]:g})")
+            kept, T, omega, speed, residual = _solve("T", lambda T, *gains: (m, m / T, *gains, 0.0, 0.0, 0.0, -1.0 / T),
+                                                     (a_j, e_j, bc_j), T[0], omega[0], T[1:].T, counts, None)
         if first:
             # a cell's brackets run down in omega, so up in T: keep its first
             head = np.unique(row[kept], return_index=True)[1]
@@ -711,8 +741,8 @@ def _axis_crossings(p, inv, alpha, g, first=False):
         # a cell with a crossing leaves the scan
         stays = np.ones(cell.size, dtype=bool)
         stays[row[kept]] = False
-        cell, omega_max, a, e, bc, no_limit, edge, base = (
-            x[stays] for x in (cell, omega_max, a, e, bc, no_limit, edge, base))
+        cell, omega_max, a, e, bc, no_limit, base, *edge = (
+            x[stays] for x in (cell, omega_max, a, e, bc, no_limit, base, *edge))
 
     cell, T, omega, speed, residual = (np.concatenate(x) for x in zip(*found))
     order = np.lexsort((T, cell))
@@ -770,11 +800,9 @@ def _param_crossings(p, inv, name, grid, tol, orders=None):
     positive equilibria N changes at the crossings alone, so a change of N
     between neighbouring grid points brackets a crossing where the lower
     point has a positive equilibrium and, if the upper point has none, a
-    pair on the axis.  An interval of positive equilibria over which N
-    changes by more than 2 holds several crossings: it is halved, each
-    midpoint labelled, until no piece changes N by more than 2 or its
-    ends are adjacent floats.  :func:`_brackets` takes the brackets of
-    every order at once.
+    pair on the axis.  :func:`_brackets` takes the brackets of every
+    order at once, splitting one that holds several crossings by the
+    same count at its midpoints.
     The brackets of all orders, each with its own m and r, go to
     :func:`_solve` at once: Newton steps in (omega, x) from the secant
     point of G / 2 pi past the integer the phase crosses, with omega
@@ -810,38 +838,21 @@ def _param_crossings(p, inv, name, grid, tol, orders=None):
         # one row per order, m in floats: exact below 2**53, and no object
         # array for an order beyond int64
         m_col = np.array(ms, dtype=float)[:, None]
-        t, om, n = _axis_count(m_col, m_col / p.T, *gains(grid)[:3])
+        labels = _axis_count(m_col, m_col / p.T, *gains(grid)[:3])
         # the halvings that bring each order's widest change of N to ``tol``
-        widest = np.max(np.where(n[:, :-1] != n[:, 1:], np.log2(np.diff(grid) / tol), -1.0), axis=1, initial=-1.0)
+        widest = np.max(np.where(np.diff(labels[2]) != 0, np.log2(np.diff(grid) / tol), -1.0), axis=1, initial=-1.0)
         halvings = np.maximum(np.floor(widest) + 1, 0).astype(int)
-        # the points of every order one after another, ``own`` naming the order
-        own = np.repeat(np.arange(len(ms)), grid.size)
-        x, t, om, n = np.tile(grid, len(ms)), t.ravel(), om.ravel(), n.ravel()
-        while True:
-            # N changes by more than 2 over an interval of positive
-            # equilibria that holds several crossings: halve it, to
-            # adjacent floats at most, until each piece holds one
-            i = np.nonzero(np.abs(np.diff(n)) > 2)[0]
-            if i.size:
-                mid = 0.5 * (x[i] + x[i + 1])
-                keep = (own[i] == own[i + 1]) & (n[i] >= 0) & (n[i + 1] >= 0) & (x[i] < mid) & (mid < x[i + 1])
-                i, mid = i[keep], mid[keep]
-            if not i.size:
-                break
-            m_i = m_col[own[i], 0]
-            at_mid = (own[i], mid, *_axis_count(m_i, m_i / p.T, *gains(mid)[:3]))
-            own, x, t, om, n = (np.insert(v, i + 1, w) for v, w in zip((own, x, t, om, n), at_mid))
+        row, ends, (_, om, n), start = _brackets(
+            grid, labels, lambda x, m: _axis_count(m, m / p.T, *gains(x)[:3]), m_col[:, 0])
         # a crossing needs a positive equilibrium at the lower end, and a
         # pair on the axis there where the upper end has none
-        ok = (own[:-1] == own[1:]) & (n[:-1] >= 0) & ((n[1:] >= 0) | (om[:-1] > 0.0))
-        _, k, counts, start = _brackets(n[None], t[None], x, ok)
-        owner, lo, hi = own[k], x[k], x[k + 1]
-        m = m_col[owner, 0]
-        omega = om[k] + (start - lo) / (hi - lo) * (om[k + 1] - om[k])
+        k = np.nonzero((n[:, 0] >= 0) & ((n[:, 1] >= 0) | (om[:, 0] > 0.0)))[0]
+        row, ends, (om_lo, om_hi), start = row[k], ends[k], om[k].T, start[k]
+        m, omega = m_col[row, 0], om_lo + (start - ends[:, 0]) / (ends[:, 1] - ends[:, 0]) * (om_hi - om_lo)
         kept, x, omega, speed, residual = _solve(name, lambda x, *mr: (*mr, *gains(x), 0.0), (m, m / p.T), start, omega,
-                                                  np.stack([lo, hi], -1), counts, halvings[owner])
-    owner = owner[kept]
-    points = [_as_points(name, *(v[owner == i] for v in (x, omega, speed, residual))) for i in range(len(ms))]
+                                                  ends, n[k], halvings[row])
+    row = row[kept]
+    points = [_as_points(name, *(v[row == i] for v in (x, omega, speed, residual))) for i in range(len(ms))]
     return points[0] if orders is None else points
 
 

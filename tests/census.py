@@ -21,8 +21,10 @@ calls of ``hopf_locator._phase`` per section and in total.  The sections:
   6 and 12 (the Dana-Malgrange investment function);
 - ``large_m``: ``hopf_in_T``, ``hopf_in_g`` and a table at m = 10^3, 10^5
   and 10^6;
-- ``cases``: the far crossing at m = 2, g = 0.023124938994631524, and the
-  200-point g scan at m = 1000, T = 1e12;
+- ``cases``: the far crossing at m = 2, g = 0.023124938994631524, the
+  200-point g scan at m = 1000, T = 1e12, and ``hopf_in_T`` at
+  alpha = 0.7 and m = 10^7 and 10^8, whose first omega interval holds
+  several crossings;
 - ``budget``: the benchmark's T-route calls, ``critical_delays`` at m = 3
   (alpha = 0.58, g = 0.015), the 83-point alpha curve at m = 1 and the
   16 x 16 surfaces at m = 2 and 3.
@@ -135,6 +137,8 @@ def cases():
     return {
         "far_crossing_m2": call(hopf_locator.hopf_in_T, BASELINE.replace(g=0.023124938994631524), INVESTMENT, m=2),
         "scan_g_m1000_T1e12": call(hopf_locator.hopf_in_g, BASELINE.replace(m=1000, T=1e12), INVESTMENT, n_grid=200),
+        **{f"hopf_in_T_m1e{k}": call(hopf_locator.hopf_in_T, BASELINE.replace(alpha=0.7, m=10**k), INVESTMENT)
+           for k in (7, 8)},
     }
 
 

@@ -459,8 +459,16 @@ class TestHopfCmd:
         assert points[1]["value"] == pytest.approx(3.8669478e10, rel=1e-7)
         assert max(h["residual"] for h in points) <= 1e-10
 
-    def test_vary_T_refuses_a_grid_interval_with_several_crossings(self, capsys):
+    def test_vary_T_gives_each_crossing_of_a_grid_interval_with_several(self, capsys):
+        # the first omega interval holds three crossings at m = 10^7
         code, out, err = run_cli(capsys, "hopf", "--vary", "T", "--alpha", "0.7", "--m", "10000000")
+        assert (code, err) == (0, "")
+        points = json.loads(out)["hopf_points"]
+        assert len(points) == 596
+        assert points[0]["value"] == pytest.approx(1.02205434306, abs=1e-11)
+
+    def test_vary_T_refuses_crossings_between_adjacent_floats_of_the_grid(self, capsys):
+        code, out, err = run_cli(capsys, "hopf", "--vary", "T", "--alpha", "0.7", "--m", "1000000000")
         assert (code, out) == (3, "")
         assert err.startswith("numeric failure: the number of roots in the right half-plane changes by 6")
 

@@ -1133,6 +1133,54 @@ class TestNewtonFromGridBrackets:
             hopf_in_T(baseline.replace(alpha=0.7), inv_dm, m=8192)
 
 
+class TestBracketSplit:
+    @staticmethod
+    def _phase_label(x, slope):
+        """G / 2 pi = slope (1 - max(x, 1/2)) and N = 2 floor(G / 2 pi), as
+        the T route labels its w grid."""
+        t = slope * (1.0 - np.maximum(x, 0.5))
+        return t, 2 * np.floor(t)
+
+    def test_an_interval_with_several_crossings_is_halved_in_place(self):
+        # row 0 crosses G / 2 pi = 1, 2, 3 inside the first interval of the
+        # decreasing grid, where N changes by 6; row 1 crosses it once
+        x, slopes, calls = np.array([1.0, 0.5, 0.0]), np.array([7.0, 3.0]), []
+
+        def label(x, slope):
+            calls.append(x.size)
+            return self._phase_label(x, slope)
+
+        t, n = self._phase_label(x[None, :], slopes[:, None])
+        row, ends, (t_ends, n_ends), start = hopf_locator._brackets(x, (t, n), label, slopes)
+        assert row.tolist() == [0, 0, 0, 1]
+        assert ends.tolist() == [[1.0, 0.75], [0.75, 0.625], [0.625, 0.5], [1.0, 0.5]]
+        assert n_ends.tolist() == [[0, 2], [2, 4], [4, 6], [0, 2]]
+        assert t_ends.tolist() == [[0.0, 1.75], [1.75, 2.625], [2.625, 3.5], [0.0, 1.5]]
+        # one label per split, each of the one bracket that still held several
+        assert calls == [1, 1]
+        # G / 2 pi is linear in each bracket, so the secant start is the crossing
+        np.testing.assert_allclose(start, [6 / 7, 5 / 7, 4 / 7, 2 / 3], rtol=1e-15)
+
+    def test_a_step_between_adjacent_floats_ends_the_split(self):
+        # N jumps by 6 at x = 0.3: halving stops at the adjacent floats
+        # around it, and the bracket comes back whole for the route to refuse
+        x, calls = np.array([1.0, 0.0]), []
+
+        def label(x, step):
+            calls.append(x.size)
+            t = np.where(x > step, 0.0, 3.5)
+            return t, 2 * np.floor(t)
+
+        t, n = label(x[None, :], np.array([[0.3]]))
+        calls.clear()
+        row, ends, (_, n_ends), _ = hopf_locator._brackets(x, (t, n), label, np.array([0.3]))
+        assert row.tolist() == [0]
+        assert n_ends.tolist() == [[0, 6]]
+        hi, lo = ends[0, 1], ends[0, 0]
+        assert hi <= 0.3 < lo == np.nextafter(hi, 1.0)
+        assert len(calls) <= 60
+
+
 def _closed_form(p, inv):
     locate = hopf_in_T_m1 if p.m == 1 else hopf_in_T_m2
     return locate(equilibrium(p, inv), p)
@@ -1299,13 +1347,34 @@ class TestHopfInT:
         # the leading pair's real part changes sign across the far crossing
         assert pair_max_real(p.replace(T=3.8e10), inv_dm)[0] > 0.0 > pair_max_real(p.replace(T=3.9e10), inv_dm)[0]
 
-    def test_a_grid_interval_with_several_crossings_is_refused(self, inv_dm, baseline):
+    def test_a_grid_interval_with_several_crossings_gives_each(self, inv_dm, baseline):
         # at m = 10^7 the first interval of the omega grid holds three
         # crossings, where N changes by 6; one crossing per interval gave
         # 245, while N(T = 1e300) - N(T = 1e-300) is 1192
         p = baseline.replace(alpha=0.7, m=10**7)
         assert _count_change(p, inv_dm) == 1192
-        with pytest.raises(InaccurateRoot, match="changes by 6 between T = 0 and 316.5"):
+        points = hopf_in_T(p, inv_dm)
+        net = sum(1 if h.crossing == "destabilizing" else -1 for h in points)
+        assert (len(points), 2 * net) == (596, 1192)
+        assert max(h.residual for h in points) <= hopf_locator.RESIDUAL_TOL
+        assert points[0].value == pytest.approx(1.02205434306, abs=1e-11)
+        assert points[0].residual <= 1e-12
+        # at m = 10^8 N changes by 18 there; the first crossing nears the
+        # fixed delay's T = 1.0220543429 (Krawiec and Szydlowski)
+        p = p.replace(m=10**8)
+        points = hopf_in_T(p, inv_dm)
+        net = sum(1 if h.crossing == "destabilizing" else -1 for h in points)
+        assert 2 * net == _count_change(p, inv_dm)
+        assert abs(points[0].value - 1.0220543429) <= 1e-9
+        assert points[0].residual <= 1e-12
+
+    def test_crossings_between_adjacent_floats_of_the_grid_are_refused(self, inv_dm, baseline):
+        # at m = 10^9 the phase passes three crossings between two adjacent
+        # floats of w = omega / omega_max near 1 - 5.5e-8, where T jumps
+        # from 0 to 268.3: no split can separate them, and one crossing
+        # for the three would leave the count short of N's change
+        p = baseline.replace(alpha=0.7, m=10**9)
+        with pytest.raises(InaccurateRoot, match="changes by 6 between T = 0 and 268.3.*adjacent floats"):
             hopf_in_T(p, inv_dm)
 
     def test_net_count_of_the_crossings_is_the_change_of_the_root_count(self, inv_dm, baseline):

@@ -148,6 +148,18 @@ class TestSurface:
                 p = baseline.replace(alpha=float(al), g=float(g))
                 assert surf.t_bi[i, j] == smallest_critical_delay(p, inv_dm)
 
+    def test_cells_whose_first_interval_holds_several_crossings(self, inv_dm, baseline):
+        # at m = 10^7 N changes by 6 over the first omega interval of every
+        # cell; each cell is split on its own, so the surface holds, bit for
+        # bit, the first critical delay of each cell alone
+        alphas, gs = np.array([0.62, 0.7, 0.74]), np.array([0.013, 0.016, 0.018])
+        surf = surface_T(baseline, inv_dm, 10**7, alphas, gs)
+        for i, al in enumerate(alphas):
+            for j, g in enumerate(gs):
+                p = baseline.replace(alpha=float(al), g=float(g), m=10**7)
+                alone = smallest_critical_delay(p, inv_dm)
+                assert surf.t_bi[i, j] == alone == critical_delays(p, inv_dm)[0].value
+
     def test_empty_grid_rejected(self, inv_dm, baseline):
         alphas, gs = np.linspace(0.6, 0.7, 4), np.linspace(0.012, 0.018, 4)
         calls = [
